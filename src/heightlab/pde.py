@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._interp import multilinear
 from .errors import CflViolation, FluxRangeExceeded, NonFinite
 from .lattice import DomainSpec
 
@@ -132,13 +133,10 @@ class GridField:
         return self.grid.points()
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        from scipy.interpolate import RegularGridInterpolator
-
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         lo = np.array([a[0] for a in self.grid.axes])
         hi = np.array([a[-1] for a in self.grid.axes])
-        rgi = RegularGridInterpolator(self.grid.axes, self.values, method="linear")
-        return rgi(np.clip(pts, lo, hi))
+        return multilinear(self.grid.axes, self.values, np.clip(pts, lo, hi))
 
 
 @dataclass

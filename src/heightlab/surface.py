@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._interp import multilinear
 from .gibbs import batch_means, make_sampler
 from .potential import potential_from_spec, spec_of
 from .rng import seed_key
@@ -325,31 +326,22 @@ class SurfaceTensionTable:
         self.clamp_events += int((clipped != pts).any(axis=1).sum())
         return clipped
 
-    def _interp(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        from scipy.interpolate import RegularGridInterpolator
-
-        rgi = RegularGridInterpolator(self.axes, values, method="linear")
-        return rgi(pts)
-
     def grad(self, u):
         """(vector, stderr) at one tilt, clamped multilinear interpolation."""
         pts = self._clamp(np.atleast_2d(np.asarray(u, dtype=float)))
-        g = np.stack([self._interp(self.dsigma[..., i], pts) for i in range(self.d)], -1)
-        e = np.stack(
-            [self._interp(self.dsigma_err[..., i], pts) for i in range(self.d)], -1
+        return (
+            multilinear(self.axes, self.dsigma, pts)[0],
+            multilinear(self.axes, self.dsigma_err, pts)[0],
         )
-        return g[0], e[0]
 
     def grad_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized gradient lookup for PDE flux evaluation."""
         pts = self._clamp(np.atleast_2d(np.asarray(pts, dtype=float)))
-        return np.stack(
-            [self._interp(self.dsigma[..., i], pts) for i in range(self.d)], -1
-        )
+        return multilinear(self.axes, self.dsigma, pts)
 
     def sigma_at(self, u) -> float:
         pts = self._clamp(np.atleast_2d(np.asarray(u, dtype=float)))
-        return float(self._interp(self.sigma, pts)[0])
+        return float(multilinear(self.axes, self.sigma, pts)[0])
 
     # -- probes used by the PDE solver --------------------------------------
 

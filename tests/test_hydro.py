@@ -7,12 +7,15 @@ replicated dynamics and the report files.
 
 import builtins
 import importlib.util
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heightlab
 from heightlab import DomainSpec, PlotSkipped, make_cosine_perturbed, make_gaussian
 from heightlab.hydro import (
     ConvergenceTable,
@@ -141,6 +144,44 @@ class TestRun:
             run(small_experiment(times=(0.0,)))
         with pytest.raises(ValueError):
             run(small_experiment(pot=make_cosine_perturbed(0.5, 1.0)))
+
+
+TABLE_RUN = """
+import numpy as np
+from heightlab import DomainSpec, SurfaceTensionTable, make_gaussian
+from heightlab.hydro import HydroExperiment, make_bump, profile_zero, run
+from heightlab.pde import TableFlux
+
+ax = np.linspace(-4.0, 4.0, 9)
+u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+zeros = np.zeros_like(u)
+table = SurfaceTensionTable([ax, ax], u, zeros, 0.5 * (u**2).sum(-1), zeros[..., 0])
+exp = HydroExperiment(
+    pot=make_gaussian(),
+    spec=DomainSpec(shape="box", center=(0.5, 0.5), sides=(1.0, 1.0)),
+    boundary=profile_zero,
+    initial=make_bump(amp=0.4, radius=0.3, center=(0.5, 0.5)),
+    scales=(8,),
+    times=(0.01,),
+    realizations=2,
+    pde_spacing=1 / 16,
+    flux=TableFlux(table),
+)
+assert run(exp).rows  # the gaps come from l2_compare
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestImportFootprint:
+    def test_table_flux_run_never_imports_scipy(self):
+        # a fresh interpreter: the test process itself imports scipy
+        src = str(Path(heightlab.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r})\n" + TABLE_RUN
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestReport:

@@ -2,13 +2,20 @@
 
 With the exact quadratic flux the scheme reduces to the classical
 five-point heat stencil, so every quantitative check here runs against
-the independent sine-series oracle or closed-form grid geometry.
+the independent sine-series oracle or closed-form grid geometry.  The
+multilinear kernel behind table lookups and field sampling is checked
+against scipy's ``RegularGridInterpolator``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import RegularGridInterpolator
 
 from heightlab import DomainSpec
+from heightlab._interp import _locate, multilinear
 from heightlab.errors import CflViolation, FluxRangeExceeded
 from heightlab.pde import (
     GaussianFlux,
@@ -81,6 +88,94 @@ class TestGridField:
     def test_cell_centers_are_nodes(self):
         g = PdeGrid(unit_box(2), 0.5)
         assert len(GridField(g, np.zeros(g.shape)).cell_centers()) == 9
+
+
+@st.composite
+def axis_nodes(draw):
+    """Strictly increasing nodes, possibly a single one: exactly uniform,
+    PdeGrid-style, jittered by up to a fifth of a spacing (mostly the
+    arithmetic index and its correction), or free gaps (mostly the
+    binary search)."""
+    n = draw(st.integers(1, 7))
+    lo = draw(st.floats(-10.0, 10.0))
+    h = draw(st.floats(0.01, 3.0))
+    kind = draw(st.sampled_from(["linspace", "arange", "jitter", "free"]))
+    if kind == "linspace":
+        return np.linspace(lo, lo + h * (n - 1), n)
+    if kind == "arange":
+        return lo + h * np.arange(n)
+    if kind == "jitter":
+        jitter = draw(arrays(float, n, elements=st.floats(-0.2, 0.2)))
+        return lo + h * (np.arange(n) + jitter)
+    gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 5.0)))
+    return lo + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+@st.composite
+def grid_queries(draw, d, bound=1e3):
+    """(axes, values, points): every node, the upper walls, and points
+    inside cells, all within the grid box."""
+    axes = [draw(axis_nodes()) for _ in range(d)]
+    trailing = draw(st.sampled_from([(), (2,), (2, 3)]))
+    shape = tuple(len(a) for a in axes) + trailing
+    values = draw(arrays(float, shape, elements=st.floats(-bound, bound)))
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d)
+    m = draw(st.integers(1, 20))
+    fracs = draw(arrays(float, (m, d), elements=st.floats(0.0, 1.0)))
+    lo = np.array([a[0] for a in axes])
+    hi = np.array([a[-1] for a in axes])
+    inside = np.clip(lo + fracs * (hi - lo), lo, hi)
+    walls = []
+    for k, a in enumerate(axes):
+        wall = inside.copy()
+        wall[:, k] = a[-1]
+        walls.append(wall)
+    return axes, values, np.concatenate([nodes, inside] + walls)
+
+
+def rgi_per_component(axes, values, pts):
+    """The linear RegularGridInterpolator, one call per trailing component."""
+    d = len(axes)
+    flat = values.reshape(values.shape[:d] + (-1,))
+    cols = [
+        RegularGridInterpolator(axes, flat[..., j], method="linear")(pts)
+        for j in range(flat.shape[-1])
+    ]
+    return np.stack(cols, -1).reshape((len(pts),) + values.shape[d:])
+
+
+class TestMultilinearKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2).flatmap(grid_queries))
+    def test_bit_equal_to_rgi_in_one_and_two_dims(self, case):
+        axes, values, pts = case
+        assert np.array_equal(multilinear(axes, values, pts),
+                              rgi_per_component(axes, values, pts))
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_queries(3, bound=1.0))
+    def test_three_dims_within_rounding(self, case):
+        # the generic three-dimensional path multiplies the weights
+        # together before the value, so results differ by rounding only
+        axes, values, pts = case
+        diff = multilinear(axes, values, pts) - rgi_per_component(axes, values, pts)
+        assert np.abs(diff).max() <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis_nodes(), st.data())
+    def test_cell_index_matches_binary_search(self, a, data):
+        fracs = data.draw(arrays(float, 30, elements=st.floats(0.0, 1.0)))
+        x = np.concatenate([a, a[0] + fracs * (a[-1] - a[0])])
+        last = max(len(a) - 2, 0)
+        expect = np.clip(np.searchsorted(a, x, side="right") - 1, 0, last)
+        i, y = _locate(a, x)
+        assert np.array_equal(i, expect)
+        assert np.all((y >= 0.0) & (y <= 1.0))
+
+    def test_nan_query_gives_nan(self):
+        a = np.linspace(0.0, 1.0, 5)
+        out = multilinear([a], np.arange(5.0), np.array([[np.nan], [0.5]]))
+        assert np.isnan(out[0]) and out[1] == 2.0
 
 
 class TestSolve:
