@@ -22,27 +22,14 @@ def _locate(a: np.ndarray, x: np.ndarray):
     """Cell index i in [0, n-2] with a[i] <= x < a[i+1] (the last cell at
     a[-1]) and the normalized distance (x - a[i]) / (a[i+1] - a[i]).
 
-    ``x`` lies in [a[0], a[-1]] or is NaN.  When every node is within a
-    quarter spacing of the uniform lattice from a[0] to a[-1], the index
-    is guessed by arithmetic, which is then off by at most one, and
-    corrected against the nodes; any other strictly increasing axis uses
-    a binary search.  NaN lands in the last cell and yields a NaN
-    distance.  A single-node axis has one cell of zero width: index 0,
-    distance 0.
+    NaN lands in the last cell and yields a NaN distance.  A single-node
+    axis has one cell of zero width: index 0, distance 0.
     """
     n = len(a)
     if n == 1:
         return np.zeros(len(x), dtype=np.intp), np.zeros(len(x))
-    da = np.diff(a)
-    h = (a[-1] - a[0]) / (n - 1)
-    if np.abs(np.cumsum(da - h)).max() <= 0.25 * h:
-        # x - a[0] >= 0, so truncation is floor; fmin sends NaN to n - 2
-        i = np.fmin((x - a[0]) / h, n - 2).astype(np.intp)
-        i -= a[i] > x
-        i += np.append(a[1:-1], np.inf)[i] <= x
-    else:
-        i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, n - 2)
-    return i, (x - a[i]) / da[i]
+    i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, n - 2)
+    return i, (x - a[i]) / (a[i + 1] - a[i])
 
 
 def multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:

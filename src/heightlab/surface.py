@@ -297,6 +297,15 @@ def decompose_flux(
 # tabulated surface tension
 
 
+def _increasing_axes(axes):
+    """The axes as float arrays; each must be 1-d with strictly increasing nodes."""
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    for a in axes:
+        if a.ndim != 1 or len(a) == 0 or not np.all(np.diff(a) > 0):
+            raise ValueError("each table axis must have strictly increasing nodes")
+    return axes
+
+
 class SurfaceTensionTable:
     """Gradient and value of sigma on a tensor grid of tilts.
 
@@ -307,7 +316,7 @@ class SurfaceTensionTable:
     """
 
     def __init__(self, axes, dsigma, dsigma_err, sigma_vals, sigma_err, meta=None):
-        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        self.axes = _increasing_axes(axes)
         self.d = len(self.axes)
         self.dsigma = np.asarray(dsigma, dtype=float)
         self.dsigma_err = np.asarray(dsigma_err, dtype=float)
@@ -455,7 +464,7 @@ def build_table(
     serial run.  The grid must contain the origin, which anchors
     sigma = 0.
     """
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    axes = _increasing_axes(axes)
     d = len(axes)
     grid_shape = tuple(len(a) for a in axes)
     anchor = []

@@ -93,9 +93,7 @@ class TestGridField:
 @st.composite
 def axis_nodes(draw):
     """Strictly increasing nodes, possibly a single one: exactly uniform,
-    PdeGrid-style, jittered by up to a fifth of a spacing (mostly the
-    arithmetic index and its correction), or free gaps (mostly the
-    binary search)."""
+    PdeGrid-style, jittered by up to a fifth of a spacing, or free gaps."""
     n = draw(st.integers(1, 7))
     lo = draw(st.floats(-10.0, 10.0))
     h = draw(st.floats(0.01, 3.0))
@@ -163,13 +161,16 @@ class TestMultilinearKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(axis_nodes(), st.data())
-    def test_cell_index_matches_binary_search(self, a, data):
+    def test_cell_holds_the_point(self, a, data):
         fracs = data.draw(arrays(float, 30, elements=st.floats(0.0, 1.0)))
-        x = np.concatenate([a, a[0] + fracs * (a[-1] - a[0])])
-        last = max(len(a) - 2, 0)
-        expect = np.clip(np.searchsorted(a, x, side="right") - 1, 0, last)
+        x = np.clip(np.concatenate([a, a[0] + fracs * (a[-1] - a[0])]), a[0], a[-1])
         i, y = _locate(a, x)
-        assert np.array_equal(i, expect)
+        if len(a) == 1:
+            assert not i.any() and not y.any()
+            return
+        assert np.all((0 <= i) & (i <= len(a) - 2))
+        assert np.all(a[i] <= x)
+        assert np.all((x < a[i + 1]) | ((i == len(a) - 2) & (x == a[-1])))
         assert np.all((y >= 0.0) & (y <= 1.0))
 
     def test_nan_query_gives_nan(self):

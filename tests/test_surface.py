@@ -221,6 +221,14 @@ class TestSurfaceTensionTable:
             SurfaceTensionTable(axes, np.zeros((4, 1)), np.zeros((4, 1)),
                                 np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("axis", [[-1.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+    def test_axes_must_strictly_increase(self, axis):
+        dsig = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SurfaceTensionTable([np.array(axis)], dsig, dsig, np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_table(make_gaussian(), 8, [np.array(axis)], sweeps=50)
+
     def test_axes_must_contain_origin(self):
         with pytest.raises(ValueError):
             build_table(make_gaussian(), 8, [np.array([0.5, 1.0])], sweeps=50)
