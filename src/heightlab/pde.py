@@ -11,6 +11,16 @@ is evaluated on faces, and interior nodes gain the divergence of the
 face fluxes.  The time step obeys dt <= spacing^2 / (2 d C2) where C2
 bounds the flux Lipschitz constant, which keeps the update a convex
 combination and the solution inside its initial bounds.
+
+A flux exposes ``lipschitz_upper`` and one per-direction query,
+``grad_component(cols, i, out)``: component i of grad sigma at the tilts
+``cols`` (shape (d, m), one axis per row), written into ``out`` (m,).
+Face direction i asks for component i only.  ``grad_many`` (m, d) is the
+full-vector lookup for callers outside the loop.  ``solve`` builds one
+``_Stencil`` per call, holding the slices and the buffers for face
+tilts, node gradients, flux columns, divergence and increment, and every
+step fills it with ``out=`` ufuncs: a step allocates no arrays apart from
+a table lookup's cell search.
 """
 
 from __future__ import annotations
@@ -33,6 +43,10 @@ class GaussianFlux:
 
     def grad_many(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(pts, dtype=float)
+
+    def grad_component(self, cols: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, cols[i])
+        return out
 
 
 class TableFlux:
@@ -63,6 +77,9 @@ class TableFlux:
 
     def grad_many(self, pts: np.ndarray) -> np.ndarray:
         return self.table.grad_many(pts)
+
+    def grad_component(self, cols: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+        return self.table.grad_component(cols, i, out)
 
 
 class PdeGrid:
@@ -156,28 +173,91 @@ class PdeSolution:
         raise KeyError(f"no snapshot recorded at t={t:g}")
 
 
-def _divergence(h: np.ndarray, flux, spacing: float) -> np.ndarray:
-    """Flux-form divergence of grad sigma(grad h) at all inner nodes."""
-    d = h.ndim
-    div = np.zeros_like(h)
-    node_grads = np.gradient(h, spacing) if d > 1 else None
-    for i in range(d):
-        lower = tuple(slice(None, -1) if k == i else slice(None) for k in range(d))
-        upper = tuple(slice(1, None) if k == i else slice(None) for k in range(d))
-        face_grad = (h[upper] - h[lower]) / spacing  # axis-i derivative on faces
-        comps = []
-        for j in range(d):
-            if j == i:
-                comps.append(face_grad)
-            else:
-                avg = 0.5 * (node_grads[j][lower] + node_grads[j][upper])
-                comps.append(avg)
-        face_vec = np.stack([c.ravel() for c in comps], axis=-1)
-        flux_i = flux.grad_many(face_vec)[:, i].reshape(face_grad.shape)
-        inner = tuple(slice(1, -1) if k == i else slice(None) for k in range(d))
-        take_hi = tuple(slice(1, None) if k == i else slice(None) for k in range(d))
-        take_lo = tuple(slice(None, -1) if k == i else slice(None) for k in range(d))
-        div[inner] += (flux_i[take_hi] - flux_i[take_lo]) / spacing
+def _along(axis: int, d: int, sl) -> tuple:
+    """Index that applies ``sl`` on ``axis`` and keeps every other axis whole."""
+    return tuple(sl if k == axis else slice(None) for k in range(d))
+
+
+class _Stencil:
+    """Slices and buffers of one solve, made once and reused every step.
+
+    Per face direction i: the slices of the lower and upper node of each
+    face (which are also the lower and upper face of each inner node), the
+    inner nodes, the face tilts (d,) + face shape, the flux column i there,
+    and the flux difference across each inner node.  Node-wide: the
+    central-difference gradients (d > 1 only), the divergence and the
+    increment.
+    """
+
+    def __init__(self, shape, spacing: float):
+        d = len(shape)
+        self.d = d
+        self.spacing = spacing
+        self.faces = []
+        for i in range(d):
+            face_shape = tuple(n - 1 if k == i else n for k, n in enumerate(shape))
+            inner_shape = tuple(n - 2 if k == i else n for k, n in enumerate(shape))
+            self.faces.append(
+                (
+                    _along(i, d, slice(None, -1)),
+                    _along(i, d, slice(1, None)),
+                    _along(i, d, slice(1, -1)),
+                    np.empty((d,) + face_shape),
+                    np.empty(face_shape),
+                    np.empty(inner_shape),
+                )
+            )
+        # np.gradient's pieces: interior, the two walls, and their sources
+        self.grad_slices = [
+            [
+                _along(j, d, sl)
+                for sl in (slice(1, -1), slice(2, None), slice(None, -2), 0, 1, -1, -2)
+            ]
+            for j in range(d)
+        ]
+        self.node_grads = np.empty((d,) + tuple(shape)) if d > 1 else None
+        self.div = np.empty(shape)
+        self.inc = np.empty(shape)
+
+
+def _node_gradients(h: np.ndarray, st: _Stencil) -> np.ndarray:
+    """``np.gradient(h, spacing)`` into the stencil's buffer, same arithmetic:
+    central differences inside, one-sided differences on the walls."""
+    s = st.spacing
+    for g, (mid, hi, lo, first, second, last, before_last) in zip(
+        st.node_grads, st.grad_slices
+    ):
+        np.subtract(h[hi], h[lo], out=g[mid])
+        np.divide(g[mid], 2.0 * s, out=g[mid])
+        np.subtract(h[second], h[first], out=g[first])
+        np.divide(g[first], s, out=g[first])
+        np.subtract(h[last], h[before_last], out=g[last])
+        np.divide(g[last], s, out=g[last])
+    return st.node_grads
+
+
+def _divergence(h: np.ndarray, flux, st: _Stencil) -> np.ndarray:
+    """Flux-form divergence of grad sigma(grad h) at all inner nodes.
+
+    Face direction i asks the flux for component i only, at the face
+    tilts: the axis-i difference across the face and, for every other
+    axis j, the average of the two nodes' central differences.
+    """
+    s = st.spacing
+    div = st.div
+    div.fill(0.0)
+    node_grads = _node_gradients(h, st) if st.d > 1 else None
+    for i, (lower, upper, inner, u, flux_i, diff) in enumerate(st.faces):
+        np.subtract(h[upper], h[lower], out=u[i])
+        np.divide(u[i], s, out=u[i])
+        for j in range(st.d):
+            if j != i:
+                np.add(node_grads[j][lower], node_grads[j][upper], out=u[j])
+                np.multiply(u[j], 0.5, out=u[j])
+        flux.grad_component(u.reshape(st.d, -1), i, flux_i.reshape(-1))
+        np.subtract(flux_i[upper], flux_i[lower], out=diff)
+        np.divide(diff, s, out=diff)
+        np.add(div[inner], diff, out=div[inner])
     return div
 
 
@@ -203,12 +283,10 @@ def solve(
     h = grid.evaluate(h0) if callable(h0) else np.array(h0, dtype=float)
     if h.shape != grid.shape:
         raise ValueError("initial data does not match the grid")
+    interior = grid.interior
     if boundary is not None:
-        bvals = grid.evaluate(boundary)
-    else:
-        bvals = h.copy()
-    exterior = ~grid.interior
-    h[exterior] = bvals[exterior]
+        # steps only add at interior nodes, so the boundary is set once
+        np.copyto(h, grid.evaluate(boundary), where=~interior)
 
     cap = grid.spacing**2 / (2.0 * grid.d * flux.lipschitz_upper)
     if dt is not None and dt > cap * (1 + 1e-12):
@@ -225,6 +303,8 @@ def solve(
     sol = PdeSolution(
         grid=grid, final=h, dt=dt_base, flux_label=getattr(flux, "label", "?")
     )
+    st = _Stencil(grid.shape, grid.spacing)
+    inc = st.inc
     t = 0.0
     steps = 0
     for t_next in record:
@@ -233,14 +313,15 @@ def solve(
             n = max(1, int(np.ceil(span / dt_base - 1e-12)))
             dt_eff = span / n
             for _ in range(n):
-                div = _divergence(h, flux, grid.spacing)
-                h[grid.interior] += dt_eff * div[grid.interior]
-                h[exterior] = bvals[exterior]
+                np.multiply(_divergence(h, flux, st), dt_eff, out=inc)
+                np.add(h, inc, out=h, where=interior)
                 steps += 1
                 queries += grid.d * h.size  # upper bound on flux queries
-                if not np.isfinite(h).all():
+                # one pass for both checks: the max is NaN or inf if any is
+                peak = np.abs(h, out=inc).max()
+                if not np.isfinite(peak):
                     raise NonFinite(f"PDE state left float range at step {steps}")
-                if np.abs(h).max() > bound0 + 1e-9:
+                if peak > bound0 + 1e-9:
                     sol.linf_ok = False
         t = t_next
         sol.snapshots[t_next] = h.copy()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._interp import multilinear
+from ._interp import Multilinear, Workspace
 from .gibbs import batch_means, make_sampler
 from .potential import potential_from_spec, spec_of
 from .rng import seed_key
@@ -324,33 +324,58 @@ class SurfaceTensionTable:
         self.sigma_err = np.asarray(sigma_err, dtype=float)
         self.meta = dict(meta or {})
         self.clamp_events = 0
+        self._kernel = Multilinear(self.axes)
+        self._work = Workspace()
         grid_shape = tuple(len(a) for a in self.axes)
         if self.sigma.shape != grid_shape or self.dsigma.shape != grid_shape + (self.d,):
             raise ValueError("table arrays do not match the axes")
 
-    def _clamp(self, pts: np.ndarray) -> np.ndarray:
-        lo = np.array([a[0] for a in self.axes])
-        hi = np.array([a[-1] for a in self.axes])
-        clipped = np.clip(pts, lo, hi)
-        self.clamp_events += int((clipped != pts).any(axis=1).sum())
+    def _clamp(self, cols: np.ndarray) -> np.ndarray:
+        """The points ``cols`` (d, m, one axis per row) clipped into the grid
+        box, in a buffer reused by the next lookup.  Counts one clamp event
+        per point with a coordinate changed by the clip (NaN included)."""
+        d, m = cols.shape
+        clipped = self._work.get("clipped", (d, m))
+        moved = self._work.get("moved", (m,), bool)
+        moved_k = self._work.get("moved_k", (m,), bool)
+        for k, a in enumerate(self.axes):
+            np.clip(cols[k], a[0], a[-1], out=clipped[k])
+            np.not_equal(clipped[k], cols[k], out=moved if k == 0 else moved_k)
+            if k:
+                np.logical_or(moved, moved_k, out=moved)
+        self.clamp_events += int(np.count_nonzero(moved))
         return clipped
+
+    def _points(self, u) -> np.ndarray:
+        """Tilts given one per row, clamped and turned one axis per row."""
+        return self._clamp(np.atleast_2d(np.asarray(u, dtype=float)).T)
+
+    def _interp(self, values, cols, comps) -> np.ndarray:
+        """``values[..., comps]`` at clamped ``cols``, a fresh (len(comps), m)."""
+        out = np.empty((len(comps), cols.shape[1]))
+        return self._kernel(values, cols, comps, out)
 
     def grad(self, u):
         """(vector, stderr) at one tilt, clamped multilinear interpolation."""
-        pts = self._clamp(np.atleast_2d(np.asarray(u, dtype=float)))
+        cols = self._points(u)
+        comps = range(self.d)
         return (
-            multilinear(self.axes, self.dsigma, pts)[0],
-            multilinear(self.axes, self.dsigma_err, pts)[0],
+            self._interp(self.dsigma, cols, comps)[:, 0],
+            self._interp(self.dsigma_err, cols, comps)[:, 0],
         )
 
     def grad_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized gradient lookup for PDE flux evaluation."""
-        pts = self._clamp(np.atleast_2d(np.asarray(pts, dtype=float)))
-        return multilinear(self.axes, self.dsigma, pts)
+        """Vectorized gradient lookup, shape (m, d), a fresh array per call."""
+        return self._interp(self.dsigma, self._points(pts), range(self.d)).T
+
+    def grad_component(self, cols: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+        """Component i of the gradient at the tilts ``cols`` (d, m, one axis
+        per row), written into ``out`` (m,): the PDE's per-direction query."""
+        self._kernel(self.dsigma, self._clamp(cols), (i,), out[None])
+        return out
 
     def sigma_at(self, u) -> float:
-        pts = self._clamp(np.atleast_2d(np.asarray(u, dtype=float)))
-        return float(multilinear(self.axes, self.sigma, pts)[0])
+        return float(self._interp(self.sigma, self._points(u), (0,))[0, 0])
 
     # -- probes used by the PDE solver --------------------------------------
 

@@ -4,8 +4,13 @@ With the exact quadratic flux the scheme reduces to the classical
 five-point heat stencil, so every quantitative check here runs against
 the independent sine-series oracle or closed-form grid geometry.  The
 multilinear kernel behind table lookups and field sampling is checked
-against scipy's ``RegularGridInterpolator``.
+against scipy's ``RegularGridInterpolator``, and the buffered,
+column-only step loop against the plain step loop in ``oracles``.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +19,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import RegularGridInterpolator
 
+import heightlab
 from heightlab import DomainSpec
 from heightlab._interp import _locate, multilinear
-from heightlab.errors import CflViolation, FluxRangeExceeded
+from heightlab.errors import CflViolation, FluxRangeExceeded, NonFinite
 from heightlab.pde import (
     GaussianFlux,
     GridField,
@@ -27,7 +33,7 @@ from heightlab.pde import (
 )
 from heightlab.surface import SurfaceTensionTable
 
-from oracles import heat_solution
+from oracles import heat_solution, reference_pde_solve
 
 
 def unit_box(d: int = 1) -> DomainSpec:
@@ -300,3 +306,168 @@ class TestTableFlux:
         narrow = TableFlux(linear_table([-0.005, 0.0, 0.005]))
         with pytest.raises(FluxRangeExceeded):
             solve(g, lambda p: np.sin(np.pi * p[:, 0]), narrow, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# the buffered, column-only step loop against the plain one
+
+
+def nonlinear_table(half_width: float = 8.0, nodes: int = 33) -> SurfaceTensionTable:
+    """sigma(u) = |u|^2 / 2 + 0.15 log cosh(u0 + 2 u1), tabulated.
+
+    The flux u + 0.15 tanh(u0 + 2 u1) (1, 2) is monotone, non-separable
+    and nonlinear, and its two components differ: a solver that reads
+    column j for face direction i gets a different answer.
+    """
+    ax = np.linspace(-half_width, half_width, nodes)
+    u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    s = u[..., 0] + 2.0 * u[..., 1]
+    dsig = u + 0.15 * np.tanh(s)[..., None] * np.array([1.0, 2.0])
+    sig = 0.5 * (u**2).sum(axis=-1) + 0.15 * np.log(np.cosh(s))
+    return SurfaceTensionTable([ax, ax], dsig, np.zeros_like(dsig), sig, np.zeros_like(sig))
+
+
+def off_center_bump(amp=0.8, width=0.05, center=(0.4, 0.3)):
+    c = np.asarray(center)
+    return lambda p: amp * np.exp(-np.sum((p - c[: p.shape[1]]) ** 2, axis=1) / width)
+
+
+class ScaledFlux:
+    """grad sigma(u) = gain * u under a claimed Lipschitz bound of 1, so a
+    gain above 1 breaks the CFL condition on purpose."""
+
+    label = "scaled"
+    lipschitz_upper = 1.0
+
+    def __init__(self, gain: float):
+        self.gain = gain
+
+    def grad_many(self, pts):
+        return self.gain * np.asarray(pts, dtype=float)
+
+    def grad_component(self, cols, i, out):
+        return np.multiply(cols[i], self.gain, out=out)
+
+
+def start_values(grid, h0, boundary=None):
+    h = grid.evaluate(h0) if callable(h0) else np.array(h0, dtype=float)
+    if boundary is not None:
+        h[~grid.interior] = grid.evaluate(boundary)[~grid.interior]
+    return h
+
+
+RECORD = (0.001, 0.0025, 0.004)
+def table_flux(*args):
+    return lambda: TableFlux(nonlinear_table(*args))
+
+
+MATCH_CASES = {
+    "d1-gaussian": (unit_box(), 1 / 32, GaussianFlux, lambda p: 0.2 * p[:, 0], {}),
+    "d2-table": (unit_box(2), 1 / 16, table_flux(), None, {}),
+    "d2-table-clamping": (
+        unit_box(2), 1 / 16, table_flux(0.75, 7), None, {"clamp_tol": 1.0},
+    ),
+    "ball-table": (
+        DomainSpec(shape="ball", center=(0.5, 0.5), radius=0.75),
+        1 / 16, table_flux(), lambda p: 0.1 * p[:, 0], {},
+    ),
+    "ball-gaussian": (
+        DomainSpec(shape="ball", center=(0.5, 0.5), radius=0.75),
+        1 / 16, GaussianFlux, lambda p: 0.1 * p[:, 0], {},
+    ),
+    "non-square-box-table": (
+        DomainSpec(shape="box", center=(0.5, 0.25), sides=(1.0, 0.5)),
+        1 / 16, table_flux(), None, {},
+    ),
+}
+
+
+class TestSolveMatchesPlainStepLoop:
+    @pytest.mark.parametrize("case", sorted(MATCH_CASES))
+    def test_bit_identical(self, case):
+        spec, spacing, make_flux, boundary, kw = MATCH_CASES[case]
+        grid = PdeGrid(spec, spacing)
+        h0 = off_center_bump()
+        ours, theirs = make_flux(), make_flux()
+        sol = solve(grid, h0, ours, 0.005, boundary=boundary, record=RECORD, **kw)
+        ref = reference_pde_solve(
+            start_values(grid, h0, boundary), grid.interior, spacing, theirs, 0.005,
+            record=RECORD, **kw,
+        )
+        assert np.array_equal(sol.final, ref["final"])
+        assert list(sol.snapshots) == list(ref["snapshots"]) == [*RECORD, 0.005]
+        for t, vals in ref["snapshots"].items():
+            assert np.array_equal(sol.snapshots[t], vals)
+        assert sol.steps == ref["steps"] > 0
+        assert sol.linf_ok == ref["linf_ok"]
+        clamps = getattr(ours, "clamp_events", 0)
+        assert clamps == getattr(theirs, "clamp_events", 0)
+        if case == "d2-table-clamping":
+            assert clamps > 0
+
+    def test_overflow_raises_at_the_same_step(self):
+        grid = PdeGrid(unit_box(), 1 / 16)
+        h0 = lambda p: np.sin(np.pi * p[:, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = reference_pde_solve(
+                start_values(grid, h0), grid.interior, grid.spacing, ScaledFlux(40.0), 1.0
+            )
+            step = ref["nonfinite_step"]
+            assert step is not None
+            with pytest.raises(NonFinite, match=rf"at step {step}$"):
+                solve(grid, h0, ScaledFlux(40.0), 1.0)
+
+    def test_overshoot_clears_linf_ok(self):
+        grid = PdeGrid(unit_box(), 1 / 16)
+        h0 = np.random.default_rng(3).uniform(-1.0, 1.0, grid.shape)
+        dt = 0.9 * grid.spacing**2 / 2.0
+        sol = solve(grid, h0, ScaledFlux(3.0), 5 * dt)
+        ref = reference_pde_solve(h0, grid.interior, grid.spacing, ScaledFlux(3.0), 5 * dt)
+        assert ref["nonfinite_step"] is None
+        assert not sol.linf_ok and not ref["linf_ok"]
+        assert np.array_equal(sol.final, ref["final"])
+
+    def test_range_exceeded_counts_as_the_plain_loop(self):
+        grid = PdeGrid(unit_box(2), 1 / 16)
+        h0 = off_center_bump()
+        ours, theirs = TableFlux(nonlinear_table(0.75, 7)), TableFlux(nonlinear_table(0.75, 7))
+        with pytest.raises(FluxRangeExceeded) as err:
+            solve(grid, h0, ours, 0.005)
+        ref = reference_pde_solve(start_values(grid, h0), grid.interior, grid.spacing,
+                                  theirs, 0.005)
+        assert ref["range_exceeded"]
+        assert ours.clamp_events == ref["clamped"] > 0
+        assert str(err.value).startswith(f"{ref['clamped']} of ~{ref['queries']} ")
+
+
+FAULT_RUN = """
+import resource
+import numpy as np
+from heightlab import DomainSpec
+from heightlab.pde import PdeGrid, TableFlux, solve
+from heightlab.surface import SurfaceTensionTable
+
+ax = np.linspace(-8.0, 8.0, 33)
+u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+zeros = np.zeros_like(u)
+table = SurfaceTensionTable([ax, ax], u, zeros, 0.5 * (u**2).sum(axis=-1), zeros[..., 0])
+grid = PdeGrid(DomainSpec(shape="box", center=(0.5, 0.5), sides=(1.0, 1.0)), 1 / 64)
+flux = TableFlux(table)
+h0 = lambda p: 0.8 * np.exp(-np.sum((p - 0.5) ** 2, axis=1) / 0.09)
+solve(grid, h0, flux, 0.002)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sol = solve(grid, h0, flux, 0.01)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / sol.steps)
+"""
+
+
+class TestStepAllocations:
+    def test_table_flux_step_does_not_page_fault(self):
+        # 65 x 65 nodes and a 33 x 33 table, as in the hydro_table benchmark;
+        # a fresh interpreter so the test process's heap does not interfere
+        pytest.importorskip("resource")
+        src = str(Path(heightlab.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r})\n" + FAULT_RUN
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 10.0

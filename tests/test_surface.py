@@ -8,6 +8,9 @@ statistical paths with fixed seeds so every assertion is reproducible.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from heightlab import (
     estimate_vprime_mean,
@@ -241,3 +244,72 @@ class TestSurfaceTensionTable:
         assert np.array_equal(serial.dsigma, forked.dsigma)
         assert np.array_equal(serial.sigma, forked.sigma)
         assert np.array_equal(serial.dsigma_err, forked.dsigma_err)
+
+
+@st.composite
+def clamp_queries(draw):
+    """(table, points): a d = 1 or 2 table on [-1, 1]^d and query rows
+    inside, outside (one or both coordinates), on the walls, and NaN."""
+    d = draw(st.integers(1, 2))
+    ax = np.linspace(-1.0, 1.0, 5)
+    u = np.stack(np.meshgrid(*[ax] * d, indexing="ij"), axis=-1)
+    dsig = u + 0.1 * u[..., ::-1] ** 3
+    tab = SurfaceTensionTable([ax] * d, dsig, 0.01 * np.abs(dsig),
+                              (u**2).sum(axis=-1), np.zeros(u.shape[:-1]))
+    coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0, np.nan]))
+    pts = draw(arrays(float, (draw(st.integers(1, 30)), d), elements=coord))
+    return tab, pts
+
+
+class TestClampSemantics:
+    """The column-wise clamp against ``np.clip`` on the (m, d) points."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(clamp_queries())
+    def test_clip_and_event_count(self, case):
+        tab, pts = case
+        lo, hi = np.full(tab.d, -1.0), np.full(tab.d, 1.0)
+        clipped = np.clip(pts, lo, hi)
+        moved = (clipped != pts).any(axis=1)
+        assert np.array_equal(tab._clamp(pts.T).T, clipped, equal_nan=True)
+        assert tab.clamp_events == moved.sum()
+        tab.grad_many(pts)
+        assert tab.clamp_events == 2 * moved.sum()
+        for row, m in zip(pts, moved):
+            before = tab.clamp_events
+            tab.grad(row)
+            tab.sigma_at(row)
+            assert tab.clamp_events - before == 2 * m
+
+    def test_both_coordinates_out_is_one_event(self):
+        ax = np.linspace(-1.0, 1.0, 3)
+        u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+        z = np.zeros(u.shape[:-1])
+        tab = SurfaceTensionTable([ax, ax], u, np.zeros_like(u), z, z)
+        tab.grad_many(np.array([[2.0, -2.0], [np.nan, np.nan], [0.5, 0.5]]))
+        assert tab.clamp_events == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(clamp_queries())
+    def test_component_query_is_a_column_of_grad_many(self, case):
+        tab, pts = case
+        full = tab.grad_many(pts)
+        for i in range(tab.d):
+            out = np.empty(len(pts))
+            assert tab.grad_component(pts.T.copy(), i, out) is out
+            assert np.array_equal(out, full[:, i], equal_nan=True)
+        moved = (np.clip(pts, -1.0, 1.0) != pts).any(axis=1).sum()
+        assert tab.clamp_events == (tab.d + 1) * moved
+
+    def test_grad_many_results_do_not_alias(self):
+        ax = np.linspace(-1.0, 1.0, 5)
+        u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+        z = np.zeros(u.shape[:-1])
+        tab = SurfaceTensionTable([ax, ax], u**3 + u, np.zeros_like(u), z, z)
+        first = tab.grad_many(np.array([[0.1, 0.2], [0.3, -0.4]]))
+        kept = first.copy()
+        second = tab.grad_many(np.array([[-0.5, 0.6], [0.7, 0.8]]))
+        g, _ = tab.grad([0.9, -0.9])
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, g) and not np.shares_memory(second, g)
+        assert np.array_equal(first, kept)
