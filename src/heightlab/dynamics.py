@@ -16,6 +16,13 @@ H = sum over undirected bonds of V(gradient).  Two settings:
 
 The Euler-Maruyama step keeps dt below 0.1 / (2 d Lip(V')); the scheme
 is then a contraction in the convex part and stays finite.
+
+A ``DirichletSystem`` draws its noise ahead, in per-replica blocks of
+several steps, from the same per-replica streams: a Generator fills an
+array in draw order, so a block holds exactly the numbers that one
+``standard_normal(n_interior)`` call per step would give.  The block is
+sized to ``NOISE_BLOCK_BYTES`` (never less than one step), so batched
+runs stay small in memory however many steps they take.
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ from .rng import seed_key, stream
 # master seed 0; least-squares slope 1.443 of the mean left side
 # against t, times a 1.2 safety factor, rounded up).
 K_ENERGY_DEFAULT = 1.74
+
+# Bytes of pre-drawn noise a DirichletSystem keeps, for all replicas
+# together; one step's worth is drawn even if that is more.
+NOISE_BLOCK_BYTES = 256 * 1024
 
 
 def step_cap(pot, d: int) -> float:
@@ -111,6 +122,13 @@ class DirichletSystem:
     ``boundary`` holds one value per domain site; only the non-interior
     entries act as the constraint.  ``phi`` has shape (n_sites,) or
     (replicas, n_sites); replica r draws from its own stream (seed, r).
+
+    Noise is drawn K steps at a time into one (replicas, K, n_interior)
+    block, one ``standard_normal(out=...)`` call per replica, and handed
+    out a step at a time; the stream, and hence every trajectory, is the
+    same as with one draw per replica and step.  K is the number of steps
+    that fit in ``NOISE_BLOCK_BYTES``, at least 1.  Noise-free steps
+    draw nothing.
     """
 
     def __init__(
@@ -141,13 +159,25 @@ class DirichletSystem:
         self.seed = seed
         n_rep = 1 if self.phi.ndim == 1 else self.phi.shape[0]
         self.rngs = [stream(*seed_key(seed), r) for r in range(n_rep)]
+        n_int = domain.n_interior
+        k = max(1, NOISE_BLOCK_BYTES // (8 * n_rep * n_int))
+        self._block = np.empty((n_rep, k, n_int))
+        self._drawn = k  # steps of the block already handed out
+        self._nbrs_t = np.ascontiguousarray(domain.neighbors.T)  # (2d, n_int)
 
     def drift_interior(self) -> np.ndarray:
         """-sum_{y ~ x} V'(phi(x) - phi(y)) on interior sites."""
-        dom = self.domain
-        center = self.phi[..., : dom.n_interior]
-        nbrs = self.phi[..., dom.neighbors]  # (..., n_int, 2d)
-        return -self.pot.vp(center[..., None] - nbrs).sum(axis=-1)
+        n_int = self.domain.n_interior
+        if self.domain.d < 4:
+            # numpy adds fewer than 8 terms left to right along any axis, so
+            # reducing the (..., 2d, n_int) gather over axis -2 gives the
+            # same bits as the slow short-axis sum of (..., n_int, 2d)
+            center = self.phi[..., None, :n_int]
+            return -self.pot.vp(center - self.phi[..., self._nbrs_t]).sum(axis=-2)
+        # from 8 terms on (d >= 4) numpy's order depends on the memory
+        # layout of the terms, so these keep the (..., n_int, 2d) gather
+        center = self.phi[..., :n_int, None]
+        return -self.pot.vp(center - self.phi[..., self.domain.neighbors]).sum(axis=-1)
 
     def dirichlet_sum(self) -> np.ndarray | float:
         """Sum of squared gradients over directed closure bonds."""
@@ -157,10 +187,18 @@ class DirichletSystem:
         return 2.0 * np.square(diff).sum(axis=-1)
 
     def _noise(self) -> np.ndarray:
-        n_int = self.domain.n_interior
-        if self.phi.ndim == 1:
-            return self.rngs[0].standard_normal(n_int)
-        return np.stack([g.standard_normal(n_int) for g in self.rngs])
+        """Next step's standard normals, (n_interior,) or (replicas, n_interior).
+
+        The result is a view into the block, valid until the block is refilled.
+        """
+        block = self._block
+        if self._drawn == block.shape[1]:
+            for g, rows in zip(self.rngs, block):
+                g.standard_normal(out=rows)
+            self._drawn = 0
+        k = self._drawn
+        self._drawn += 1
+        return block[0, k] if self.phi.ndim == 1 else block[:, k]
 
 
 def em_step(system, dt: float, noise_scale: float = 1.0) -> None:
@@ -236,21 +274,24 @@ class MacroscopicField:
         table[tuple((self.sites - lo).T)] = np.arange(len(self.sites))
         self._lookup = (lo, hi, table)
 
-    def sample(self, points: np.ndarray) -> np.ndarray:
-        """Value of the cell containing each point (0 outside coverage)."""
+    def cell_ids(self, points: np.ndarray) -> np.ndarray:
+        """Index into ``values`` of the cell containing each point, -1 outside coverage."""
         if self._lookup is None:
             self._build_lookup()
         lo, hi, table = self._lookup
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         cells = np.floor(self.N * pts + 0.5).astype(np.int64)
         inside = np.all((cells >= lo) & (cells <= hi), axis=1)
-        out = np.zeros(len(pts))
-        if inside.any():
-            ids = table[tuple((cells[inside] - lo).T)]
-            ok = ids >= 0
-            vals = np.zeros(ids.shape)
-            vals[ok] = self.values[ids[ok]]
-            out[inside] = vals
+        ids = np.full(len(pts), -1, dtype=np.int64)
+        ids[inside] = table[tuple((cells[inside] - lo).T)]
+        return ids
+
+    def sample(self, points: np.ndarray) -> np.ndarray:
+        """Value of the cell containing each point (0 outside coverage)."""
+        ids = self.cell_ids(points)
+        ok = ids >= 0
+        out = np.zeros(len(ids))
+        out[ok] = self.values[ids[ok]]
         return out
 
     def l2_norm_sq(self) -> float:

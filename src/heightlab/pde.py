@@ -335,6 +335,22 @@ def solve(
     return sol
 
 
+def quadrature(a, b, spec: DomainSpec) -> tuple[np.ndarray, float]:
+    """Midpoint-rule points and weight for the L2(D) distance of a and b.
+
+    The points are the finer field's cell centres inside D, and the
+    weight is its cell volume.
+    """
+    finer = a if a.spacing <= b.spacing else b
+    pts = finer.cell_centers()
+    return pts[spec.contains(pts)], finer.cell_volume
+
+
+def squared_l2(diff: np.ndarray, weight: float) -> float:
+    """Midpoint-rule integral of diff^2 over the quadrature points."""
+    return float(np.sum(diff**2) * weight)
+
+
 def l2_compare(a, b, spec: DomainSpec) -> float:
     """Squared L2(D) distance by midpoint rule on the finer field's cells.
 
@@ -343,11 +359,7 @@ def l2_compare(a, b, spec: DomainSpec) -> float:
     comparisons across coarse fields against one fine reference share
     identical quadrature geometry.
     """
-    finer = a if a.spacing <= b.spacing else b
-    pts = finer.cell_centers()
-    inside = spec.contains(pts)
-    if not inside.any():
+    pts, weight = quadrature(a, b, spec)
+    if not len(pts):
         return 0.0
-    pts = pts[inside]
-    diff = np.asarray(a.sample(pts)) - np.asarray(b.sample(pts))
-    return float(np.sum(diff**2) * finer.cell_volume)
+    return squared_l2(np.asarray(a.sample(pts)) - np.asarray(b.sample(pts)), weight)

@@ -215,3 +215,87 @@ def reference_pde_solve(h, interior, spacing, flux, t_end, dt=None, record=(),
     out.update(final=h, steps=steps, clamped=clamped, queries=queries,
                range_exceeded=bool(queries and clamped / queries > clamp_tol))
     return out
+
+
+class PlainDirichlet:
+    """Dirichlet Langevin dynamics in its plain form.
+
+    Interior sites come first in ``phi`` (shape (n_sites,) or (replicas,
+    n_sites)) and ``neighbors`` is the (n_interior, 2d) id table.  Noise
+    is one ``standard_normal(n_interior)`` call per replica and step,
+    stacked; the drift gathers neighbours as (..., n_interior, 2d) and
+    sums the last axis.
+    """
+
+    def __init__(self, phi, boundary, n_interior, neighbors, bonds_closure, vp, rngs):
+        self.phi = np.array(phi, dtype=float)
+        self.boundary = np.asarray(boundary, dtype=float)
+        self.n_int = n_interior
+        self.neighbors = neighbors
+        self.heads, self.tails = bonds_closure[:, 0], bonds_closure[:, 1]
+        self.vp = vp
+        self.rngs = rngs
+
+    def drift(self):
+        center = self.phi[..., : self.n_int]
+        nbrs = self.phi[..., self.neighbors]
+        return -self.vp(center[..., None] - nbrs).sum(axis=-1)
+
+    def noise(self):
+        if self.phi.ndim == 1:
+            return self.rngs[0].standard_normal(self.n_int)
+        return np.stack([g.standard_normal(self.n_int) for g in self.rngs])
+
+    def dirichlet_sum(self):
+        diff = self.phi[..., self.heads] - self.phi[..., self.tails]
+        return 2.0 * np.square(diff).sum(axis=-1)
+
+    def step(self, dt, noise_scale=1.0):
+        amp = noise_scale * np.sqrt(2.0 * dt)
+        incr = dt * self.drift()
+        if amp:
+            incr += amp * self.noise()
+        self.phi[..., : self.n_int] += incr
+        self.phi[..., self.n_int :] = self.boundary[self.n_int :]
+
+
+def reference_dirichlet_run(plain, N, weights, dt, times, noise_scale=1.0, collect=None):
+    """Checkpointed energy trace of a ``PlainDirichlet`` run.
+
+    Each span of N^2 (t_next - t) microscopic time takes the fewest steps
+    of at most ``dt``; the Dirichlet integral is accumulated with left
+    endpoints and scaled by N^-d / N^2.  ``weights`` are the L2(D) cell
+    weights per site.  ``collect(t, phi)`` runs at each checkpoint.
+    Returns a dict with ``times``, ``h_norm_sq``, ``dirichlet_integral``
+    and ``initial_norm_sq``.
+    """
+    d = plain.neighbors.shape[1] // 2
+    times = np.asarray(sorted(float(t) for t in times))
+    n_rep = 1 if plain.phi.ndim == 1 else plain.phi.shape[0]
+    scale = N ** (-d)
+
+    def norm_sq():
+        return np.atleast_1d(((plain.phi / N) ** 2) @ weights)
+
+    out = {
+        "times": times,
+        "initial_norm_sq": norm_sq(),
+        "h_norm_sq": np.zeros((len(times), n_rep)),
+        "dirichlet_integral": np.zeros((len(times), n_rep)),
+    }
+    integral = np.zeros(n_rep)
+    t_macro = 0.0
+    for k, t_next in enumerate(times):
+        span = (t_next - t_macro) * N**2
+        if span > 0:
+            n_steps = max(1, int(np.ceil(span / dt)))
+            dt_eff = span / n_steps
+            for _ in range(n_steps):
+                integral += np.atleast_1d(plain.dirichlet_sum()) * scale * dt_eff / N**2
+                plain.step(dt_eff, noise_scale)
+        t_macro = t_next
+        out["h_norm_sq"][k] = norm_sq()
+        out["dirichlet_integral"][k] = integral
+        if collect is not None:
+            collect(t_next, plain.phi)
+    return out

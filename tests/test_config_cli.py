@@ -173,6 +173,12 @@ class TestCliExitCodes:
         assert run_cli("sample-gibbs", "--set", "sampler.nope=1") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_hydro_single_realization_exits_one(self, cli_env, capsys):
+        assert run_cli("hydro", "--set", "hydro.realizations=1", "--out", "root") == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "at least 2 realizations" in err
+        assert not any((cli_env / "root").glob("*/convergence.csv"))
+
 
 class TestCliCommands:
     def test_certify_writes_report(self, cli_env, capsys):

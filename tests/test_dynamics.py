@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heightlab import dynamics
 from heightlab import (
     DirichletSystem,
     DomainSpec,
@@ -23,12 +24,15 @@ from heightlab import (
     step_cap,
 )
 from heightlab.dynamics import MacroscopicField, domain_cell_weights, drift
+from heightlab.rng import seed_key, stream
 
 from oracles import (
+    PlainDirichlet,
     em_gaussian_bond_variance,
     fd_gradient,
     hamiltonian_domain,
     hamiltonian_torus,
+    reference_dirichlet_run,
 )
 
 UNIT_BOX_1D = DomainSpec.box((1.0,), center=(0.0,))
@@ -256,3 +260,112 @@ class TestEnergyTrace:
         diag = energy_diagnostic(trace, c_minus=1.0)
         assert diag.ok
         assert (diag.lhs <= diag.rhs).all()
+
+
+def _system_and_plain(spec, N, pot, seed, replicas=None):
+    """A DirichletSystem with random data and its plain-loop twin."""
+    dom = discretize_domain(spec, N)
+    rng = np.random.default_rng(0)
+    psi = rng.normal(size=dom.n_sites)
+    phi0 = psi + rng.normal(size=dom.n_sites)
+    system = DirichletSystem(dom, pot, psi, phi0=phi0, seed=seed, replicas=replicas)
+    n_rep = 1 if system.phi.ndim == 1 else system.phi.shape[0]
+    rngs = [stream(*seed_key(seed), r) for r in range(n_rep)]
+    plain = PlainDirichlet(
+        system.phi, psi, dom.n_interior, dom.neighbors, dom.bonds_closure, pot.vp, rngs
+    )
+    return system, plain
+
+
+# (spec, N, potential, replicas); the d = 4 box sums 8 neighbour terms
+PLAIN_LOOP_CASES = {
+    "box1d": (UNIT_BOX_1D, 12, make_gaussian(), 5),
+    "box2d-cosine": (DomainSpec.box((1.0, 1.0)), 8, make_cosine_perturbed(0.6, 1.5), 3),
+    "ball-split-bump": (DomainSpec.ball(0.4, center=(0.0, 0.0)), 10, make_split_bump(), 7),
+    "single-replica": (UNIT_BOX_1D, 9, make_cosine_perturbed(0.8, 1.0), None),
+    "box3d": (DomainSpec.box((1.0,) * 3), 8, make_cosine_perturbed(0.3, 1.0), 2),
+    "box4d": (DomainSpec.box((1.0,) * 4), 7, make_cosine_perturbed(0.3, 1.0), 2),
+}
+
+
+class TestMatchesPlainLoop:
+    """Bit-identity of the block-noise Dirichlet path with the plain loop."""
+
+    @pytest.mark.parametrize("case", sorted(PLAIN_LOOP_CASES))
+    @pytest.mark.parametrize("block_steps", [1, 3, None])
+    def test_phi_after_every_step(self, case, block_steps, monkeypatch):
+        spec, N, pot, replicas = PLAIN_LOOP_CASES[case]
+        dom = discretize_domain(spec, N)
+        if block_steps is not None:
+            # K steps per block plus a little slack, so 11 steps end mid-block
+            budget = 8 * (replicas or 1) * dom.n_interior * block_steps + 7
+            monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES", budget, raising=False)
+        system, plain = _system_and_plain(spec, N, pot, seed=(4, N), replicas=replicas)
+        cap = step_cap(pot, spec.d)
+        # noise-free steps interleaved with noisy ones, and uneven dt
+        scales = [1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5, 1.0, 0.0, 1.0]
+        for i, scale in enumerate(scales):
+            dt = cap * (0.9 - 0.05 * (i % 3))
+            em_step(system, dt, noise_scale=scale)
+            plain.step(dt, scale)
+            assert np.array_equal(system.phi, plain.phi), f"step {i}"
+
+    @pytest.mark.parametrize("case", ["box1d", "box2d-cosine", "ball-split-bump", "single-replica"])
+    def test_energy_trace_and_checkpoints(self, case, monkeypatch):
+        spec, N, pot, replicas = PLAIN_LOOP_CASES[case]
+        dom = discretize_domain(spec, N)
+        budget = 8 * (replicas or 1) * dom.n_interior * 4 + 1
+        monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES", budget, raising=False)
+        system, plain = _system_and_plain(spec, N, pot, seed=9, replicas=replicas)
+        dt = 0.9 * step_cap(pot, spec.d)
+        times = (0.0021, 0.005, 0.0061, 0.011)   # uneven checkpoint spans
+        got, want = [], []
+        trace = run_dirichlet(
+            system, dt, times, collect=lambda t, s: got.append((t, s.phi.copy()))
+        )
+        weights = domain_cell_weights(spec, N, dom.sites)
+        ref = reference_dirichlet_run(
+            plain, N, weights, dt, times, collect=lambda t, phi: want.append((t, phi.copy()))
+        )
+        for key in ("times", "h_norm_sq", "dirichlet_integral", "initial_norm_sq"):
+            assert np.array_equal(getattr(trace, key), ref[key]), key
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+class TestNoiseBlock:
+    def test_many_replicas_hold_at_most_one_step_or_the_budget(self):
+        dom = discretize_domain(UNIT_BOX_1D, 10)
+        system = DirichletSystem(dom, FREE, np.zeros(dom.n_sites), seed=1, replicas=10000)
+        em_step(system, 0.01)
+        one_step = 8 * 10000 * dom.n_interior
+        assert system._block.nbytes <= max(one_step, dynamics.NOISE_BLOCK_BYTES)
+
+    def test_small_system_stays_within_the_budget(self):
+        dom = discretize_domain(UNIT_BOX_1D, 10)
+        system = DirichletSystem(dom, FREE, np.zeros(dom.n_sites), seed=1, replicas=4)
+        assert system._block.nbytes <= dynamics.NOISE_BLOCK_BYTES
+        k = dynamics.NOISE_BLOCK_BYTES // (8 * 4 * dom.n_interior)
+        assert system._block.shape == (4, k, dom.n_interior)
+
+    @pytest.mark.parametrize("noisy_before", [0, 1, 2])
+    def test_noise_free_steps_draw_nothing(self, noisy_before, monkeypatch):
+        # with V = 0 a step moves phi by the noise alone, so equal fields
+        # after the next noisy step mean equal draws
+        dom = discretize_domain(UNIT_BOX_1D, 10)
+        budget = 8 * 3 * dom.n_interior * 3
+        monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES", budget, raising=False)
+        psi = np.zeros(dom.n_sites)
+        a = DirichletSystem(dom, FREE, psi, seed=12, replicas=3)
+        b = DirichletSystem(dom, FREE, psi, seed=12, replicas=3)
+        for _ in range(noisy_before):
+            em_step(a, 0.01)
+            em_step(b, 0.01)
+        for _ in range(4):
+            em_step(a, 0.01, noise_scale=0.0)
+        assert np.array_equal(a.phi, b.phi)
+        for _ in range(3):
+            em_step(a, 0.01)
+            em_step(b, 0.01)
+            assert np.array_equal(a.phi, b.phi)

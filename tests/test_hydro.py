@@ -27,8 +27,22 @@ from heightlab.hydro import (
     resolve_flux,
     run,
 )
-from heightlab.pde import GaussianFlux, TableFlux
+from heightlab import dynamics, hydro
+from heightlab.dynamics import MacroscopicField, domain_cell_weights, step_cap
+from heightlab.lattice import boundary_height, cell_average, discretize_domain
+from heightlab.pde import (
+    GaussianFlux,
+    GridField,
+    PdeGrid,
+    TableFlux,
+    l2_compare,
+    quadrature,
+    solve,
+)
+from heightlab.rng import seed_key, stream
 from heightlab.surface import SurfaceTensionTable
+
+from oracles import PlainDirichlet, reference_dirichlet_run
 
 HAVE_MATPLOTLIB = importlib.util.find_spec("matplotlib") is not None
 
@@ -145,6 +159,87 @@ class TestRun:
         with pytest.raises(ValueError):
             run(small_experiment(pot=make_cosine_perturbed(0.5, 1.0)))
 
+    @pytest.mark.parametrize("realizations", [0, 1])
+    def test_too_few_realizations_fail_before_the_pde_solve(self, realizations, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(hydro, "solve", no_solve)
+        with pytest.raises(ValueError, match="at least 2 realizations"):
+            run(small_experiment(realizations=realizations))
+
+
+def plain_hydro_gaps(exp: HydroExperiment) -> dict:
+    """Per-seed gaps of ``exp`` from the plain step loop and per-field l2_compare."""
+    times = tuple(sorted(exp.times))
+    spacing = exp.pde_spacing or 1.0 / (4 * max(exp.scales))
+    reference = solve(
+        PdeGrid(exp.spec, spacing), exp.initial, resolve_flux(exp.flux, exp.pot),
+        t_end=times[-1], boundary=exp.boundary, record=times,
+    )
+    dt = exp.dt if exp.dt is not None else 0.9 * step_cap(exp.pot, exp.spec.d)
+    gaps = {}
+    for N in exp.scales:
+        dom = discretize_domain(exp.spec, N)
+        n_int = dom.n_interior
+        psi = boundary_height(exp.boundary, N, dom.sites)
+        phi0 = psi.copy()
+        phi0[:n_int] = N * cell_average(exp.initial, N, dom.sites[:n_int])
+        rngs = [stream(*seed_key((exp.seed, N)), r) for r in range(exp.realizations)]
+        plain = PlainDirichlet(
+            np.tile(phi0, (exp.realizations, 1)), psi, n_int, dom.neighbors,
+            dom.bonds_closure, exp.pot.vp, rngs,
+        )
+
+        def collect(t, phi, N=N, dom=dom):
+            ref = reference.field_at(t)
+            gaps[(N, t)] = np.array([
+                l2_compare(MacroscopicField(N, dom.sites, v, exp.spec), ref, exp.spec)
+                for v in phi / N
+            ])
+
+        weights = domain_cell_weights(exp.spec, N, dom.sites)
+        reference_dirichlet_run(plain, N, weights, dt, times, collect=collect)
+    return gaps
+
+
+class TestRunMatchesPlainLoop:
+    """hydro.run's per-seed gaps equal the plain loop's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(realizations=5, times=(0.004, 0.011, 0.02)),
+            dict(
+                pot=make_cosine_perturbed(0.8, 1.0), flux=GaussianFlux(),
+                scales=(8, 16, 32), realizations=3, times=(0.006,),
+            ),
+            dict(
+                spec=DomainSpec.ball(0.5, center=(0.0, 0.0)),
+                initial=make_bump(amp=0.8, radius=0.3, center=(0.0, 0.0)),
+                pot=make_cosine_perturbed(0.5, 1.0), flux=GaussianFlux(),
+                scales=(9, 12), realizations=3, times=(0.003, 0.007), pde_spacing=1 / 24,
+            ),
+            dict(
+                spec=DomainSpec.box((1.0, 1.0), center=(0.5, 0.5)),
+                initial=make_bump(amp=0.8, radius=0.3, center=(0.5, 0.5)),
+                scales=(8,), realizations=2, times=(0.005,), pde_spacing=1 / 4,
+            ),
+        ],
+        ids=["box1d-uneven-times", "box1d-cosine", "ball2d-cosine", "box2d-coarse-pde"],
+    )
+    @pytest.mark.parametrize("budget", [None, 1000])
+    def test_per_seed_gaps(self, kw, budget, monkeypatch):
+        if budget is not None:
+            # a few steps of noise per block, so the runs cross block edges
+            monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES", budget, raising=False)
+        exp = small_experiment(**kw)
+        got = run(exp).meta["per_seed"]
+        want = plain_hydro_gaps(exp)
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
 
 TABLE_RUN = """
 import numpy as np
@@ -247,3 +342,49 @@ class TestReport:
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             report(ConvergenceTable(), tmp_path)
+
+
+class TestSharedQuadrature:
+    """realization_gaps equals per-field l2_compare, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec,N,spacing",
+        [
+            (DomainSpec.ball(0.5, center=(0.0, 0.0)), 9, 1 / 32),
+            (DomainSpec.box((1.0, 1.0), center=(0.5, 0.5)), 8, 1 / 16),
+            (DomainSpec.box((1.0, 0.5), center=(0.5, 0.25)), 16, 1 / 4),
+            (box1d(), 32, 1 / 8),
+        ],
+        ids=["ball", "box2d", "macro-finer-2d", "macro-finer-1d"],
+    )
+    def test_gaps_equal_l2_compare(self, spec, N, spacing):
+        rng = np.random.default_rng(7)
+        grid = PdeGrid(spec, spacing)
+        ref = GridField(grid, rng.normal(size=grid.shape))
+        sites = discretize_domain(spec, N).sites
+        fields = [
+            MacroscopicField(N, sites, rng.normal(size=len(sites)), spec) for _ in range(4)
+        ]
+        want = np.array([l2_compare(f, ref, spec) for f in fields])
+        assert np.array_equal(hydro.realization_gaps(fields, ref, spec), want)
+
+    def test_ball_has_points_outside_macro_coverage(self):
+        # at N = 9 the nodes (0.5, 0) and (0, 0.5) on the circle round up
+        # to cell 5, which the discretized domain does not cover
+        spec = DomainSpec.ball(0.5, center=(0.0, 0.0))
+        sites = discretize_domain(spec, 9).sites
+        field = MacroscopicField(9, sites, np.ones(len(sites)), spec)
+        pts, _ = quadrature(field, GridField(PdeGrid(spec, 1 / 32), np.zeros((33, 33))), spec)
+        ids = field.cell_ids(pts)
+        assert (ids == -1).any() and (ids >= 0).any()
+        assert np.array_equal(field.sample(pts), np.where(ids >= 0, 1.0, 0.0))
+
+    def test_macro_field_supplies_points_when_finer(self):
+        spec = DomainSpec.box((1.0, 0.5), center=(0.5, 0.25))
+        sites = discretize_domain(spec, 16).sites
+        field = MacroscopicField(16, sites, np.zeros(len(sites)), spec)
+        ref = GridField(PdeGrid(spec, 1 / 4), np.zeros((5, 3)))
+        pts, weight = quadrature(field, ref, spec)
+        centers = field.cell_centers()
+        assert np.array_equal(pts, centers[spec.contains(centers)])
+        assert weight == field.cell_volume
