@@ -28,6 +28,7 @@ runs stay small in memory however many steps they take.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -55,6 +56,28 @@ def step_cap(pot, d: int) -> float:
     return 0.1 / (2 * d * lip)
 
 
+@cache
+def _wrap_slices(ax: int):
+    """Index tuples selecting [0:1], [1:], [-1:] and [:-1] along axis ``ax``."""
+    pre = (slice(None),) * ax
+    return tuple(
+        pre + (s,)
+        for s in (slice(0, 1), slice(1, None), slice(-1, None), slice(None, -1))
+    )
+
+
+def _forward_differences(phi: np.ndarray, d: int) -> list[np.ndarray]:
+    """Periodic differences phi(x + e_i) - phi(x) along each of the last d axes."""
+    out = []
+    for ax in range(phi.ndim - d, phi.ndim):
+        first, rest, last, init = _wrap_slices(ax)
+        e = np.empty_like(phi)
+        np.subtract(phi[rest], phi[init], out=e[init])
+        np.subtract(phi[first], phi[last], out=e[last])
+        out.append(e)
+    return out
+
+
 class TiltedPeriodicSystem:
     """Representative heights on a torus with a frozen mean tilt.
 
@@ -80,34 +103,43 @@ class TiltedPeriodicSystem:
         self.seed = seed
         self.rng = stream(*seed_key(seed), 0)
 
-    def _axis(self, i: int) -> int:
-        return self.phi.ndim - self.lattice.d + i
-
     def eta_tilde(self) -> list[np.ndarray]:
         """Untilted bond differences, component i on bonds (x + e_i, x)."""
-        return [
-            np.roll(self.phi, -1, axis=self._axis(i)) - self.phi
-            for i in range(self.lattice.d)
-        ]
+        return _forward_differences(self.phi, self.lattice.d)
 
     def eta(self) -> list[np.ndarray]:
         """Tilted bond variables eta_tilde + tilt."""
         return [e + self.tilt[i] for i, e in enumerate(self.eta_tilde())]
 
+    def bond_pass(self, phi: np.ndarray):
+        """(energy, dH/dphi, eta_tilde) of the heights ``phi`` in one pass.
+
+        ``phi`` has this system's lattice axes last, after any replica
+        axes; the energy is per replica.  Each axis evaluates V and V' once
+        on its tilted bonds.
+        """
+        d = self.lattice.d
+        axes = tuple(range(phi.ndim - d, phi.ndim))
+        diffs = _forward_differences(phi, d)
+        energy = 0.0
+        grad = np.zeros_like(phi)
+        for i, e in enumerate(diffs):
+            bond = e + self.tilt[i]
+            energy = energy + self.pot.v(bond).sum(axis=axes)
+            a = self.pot.vp(bond)
+            # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x)
+            first, rest, last, init = _wrap_slices(axes[i])
+            grad[rest] += a[init] - a[rest]
+            grad[first] += a[last] - a[first]
+        return energy, grad, diffs
+
     def energy(self) -> np.ndarray | float:
         """H = sum of V over undirected tilted bonds (per replica)."""
-        d = self.lattice.d
-        axes = tuple(range(self.phi.ndim - d, self.phi.ndim))
-        total = sum(self.pot.v(e).sum(axis=axes) for e in self.eta())
-        return total
+        return self.bond_pass(self.phi)[0]
 
     def drift(self) -> np.ndarray:
         """-dH/dphi, vectorized over sites and replicas."""
-        out = np.zeros_like(self.phi)
-        for i, e in enumerate(self.eta()):
-            a = self.pot.vp(e)
-            out += a - np.roll(a, 1, axis=self._axis(i))
-        return out
+        return -self.bond_pass(self.phi)[1]
 
     def mean_gradient(self) -> np.ndarray:
         """Spatial mean of the tilted bond variable per axis."""

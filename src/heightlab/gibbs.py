@@ -84,7 +84,12 @@ class EstimatorReport:
 
 
 class GibbsSampler:
-    """MALA/ULA chain on gauge-fixed torus heights."""
+    """MALA/ULA chain on gauge-fixed torus heights.
+
+    The energy, masked gradient and bond differences of the current state
+    are kept from the bond pass that produced it, so a sweep makes one
+    pass, on the proposal, and observables read the kept differences.
+    """
 
     def __init__(
         self,
@@ -109,48 +114,37 @@ class GibbsSampler:
         mask[(0,) * system.lattice.d] = 0.0  # gauge: phi(0) pinned at 0
         self._mask = mask
         self._prepared = False
-        self._energy_cur = None
+        self._cur = None  # (energy, masked gradient, eta_tilde) of system.phi
         self._accepts = 0
         self._proposals = 0
 
-    # -- energy and gradient of the tilted Hamiltonian ---------------------
-
-    def _energy_of(self, phi: np.ndarray) -> float:
-        pot, u = self.system.pot, self.system.tilt
-        total = 0.0
-        for i in range(self.system.lattice.d):
-            e = np.roll(phi, -1, axis=i) - phi + u[i]
-            total += float(pot.v(e).sum())
-        return total
-
-    def _grad_of(self, phi: np.ndarray) -> np.ndarray:
-        pot, u = self.system.pot, self.system.tilt
-        out = np.zeros_like(phi)
-        for i in range(self.system.lattice.d):
-            a = pot.vp(np.roll(phi, -1, axis=i) - phi + u[i])
-            out += np.roll(a, 1, axis=i) - a
-        return out
-
     # -- kernels ------------------------------------------------------------
+
+    def _bonds(self, phi: np.ndarray):
+        """(energy, masked gradient, read-only eta_tilde) of ``phi``."""
+        energy, grad, diffs = self.system.bond_pass(phi)
+        for e in diffs:
+            e.flags.writeable = False
+        return energy, grad * self._mask, diffs
 
     def _mala_sweep(self) -> bool:
         sys = self.system
         h = self._step
         phi = sys.phi
-        if self._energy_cur is None:
-            self._energy_cur = self._energy_of(phi)
-        g = self._grad_of(phi) * self._mask
+        if self._cur is None:
+            self._cur = self._bonds(phi)
+        e_cur, g, _ = self._cur
         xi = sys.rng.standard_normal(phi.shape) * self._mask
         prop = phi - h * g + np.sqrt(2.0 * h) * xi
-        e_prop = self._energy_of(prop)
-        gp = self._grad_of(prop) * self._mask
+        proposed = self._bonds(prop)
+        e_prop, gp, _ = proposed
         fwd = 2.0 * h * float(np.sum(xi**2))
         rev = float(np.sum((phi - prop + h * gp) ** 2))
-        log_alpha = self._energy_cur - e_prop + (fwd - rev) / (4.0 * h)
+        log_alpha = e_cur - e_prop + (fwd - rev) / (4.0 * h)
         self._proposals += 1
         if np.log(sys.rng.uniform()) < log_alpha:
             sys.phi = prop
-            self._energy_cur = e_prop
+            self._cur = proposed
             self._accepts += 1
             return True
         return False
@@ -158,9 +152,11 @@ class GibbsSampler:
     def _ula_sweep(self) -> bool:
         sys = self.system
         h = self._step
-        g = self._grad_of(sys.phi) * self._mask
+        if self._cur is None:
+            self._cur = self._bonds(sys.phi)
         xi = sys.rng.standard_normal(sys.phi.shape) * self._mask
-        sys.phi = sys.phi - h * g + np.sqrt(2.0 * h) * xi
+        sys.phi = sys.phi - h * self._cur[1] + np.sqrt(2.0 * h) * xi
+        self._cur = self._bonds(sys.phi)
         return True
 
     def _sweep(self) -> bool:
@@ -174,10 +170,8 @@ class GibbsSampler:
             acc = sum(self._mala_sweep() for _ in range(per_round)) / per_round
             if acc > hi:
                 self._step *= 1.2
-                self._energy_cur = None
             elif acc < lo:
                 self._step /= 1.2
-                self._energy_cur = None
             else:
                 break
         self._accepts = 0
@@ -205,7 +199,7 @@ class GibbsSampler:
             base = 1000
             for _ in range(base):
                 self._sweep()
-                et = sys.eta_tilde()
+                et = self._cur[2]
                 probes["energy"].append(
                     sum(float(pot.v(e + u[i]).mean()) for i, e in enumerate(et))
                 )
@@ -233,14 +227,14 @@ class GibbsSampler:
         """Run ``sweeps`` post-burn sweeps, recording every ``thin``-th.
 
         Each observable maps the list of untilted bond components to a
-        scalar.
+        scalar; the arrays are read-only.
         """
         self.prepare()
         out = {name: [] for name in observables}
         for s in range(sweeps):
             self._sweep()
             if (s + 1) % self.thin == 0:
-                et = self.system.eta_tilde()
+                et = self._cur[2]
                 for name, fn in observables.items():
                     out[name].append(fn(et))
         return {name: np.asarray(vals) for name, vals in out.items()}
@@ -256,12 +250,15 @@ def make_sampler(
     thin: int = 1,
     seed=0,
     phi0=None,
+    n_batches: int = 32,
 ) -> GibbsSampler:
     """Sampler for the tilt-u ensemble on the (Z/NZ)^d torus, d = len(tilt)."""
     tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
     lat = TorusLattice(N, len(tilt))
     system = TiltedPeriodicSystem(lat, pot, tilt, phi=phi0, seed=seed)
-    return GibbsSampler(system, kind=kind, step=step, burn_in=burn_in, thin=thin)
+    return GibbsSampler(
+        system, kind=kind, step=step, burn_in=burn_in, thin=thin, n_batches=n_batches
+    )
 
 
 def sample(sampler: GibbsSampler, sweeps: int):
@@ -271,7 +268,7 @@ def sample(sampler: GibbsSampler, sweeps: int):
     for s in range(sweeps):
         sampler._sweep()
         if (s + 1) % sampler.thin == 0:
-            comps = np.stack([e + sys.tilt[i] for i, e in enumerate(sys.eta_tilde())])
+            comps = np.stack([e + sys.tilt[i] for i, e in enumerate(sampler._cur[2])])
             yield GradientField(sys.lattice, comps)
 
 

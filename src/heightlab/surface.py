@@ -248,6 +248,7 @@ def decompose_flux(
     x, w = np.polynomial.legendre.leggauss(nodes)
     lam = (x + 1.0) / 2.0
     wl = w / 2.0
+    node_axis = (-1,) + (1,) * d  # lam stacked ahead of the lattice axes
 
     mins = np.full(d, np.inf)
     maxs = np.full(d, -np.inf)
@@ -258,9 +259,9 @@ def decompose_flux(
 
     def big_a_obs(et, i):
         eta = et[i] + u[i]
-        per_bond = sum(
-            wl[m] * pot.v0pp(eta - lam[m] * u[i]) for m in range(nodes)
-        )
+        curv = pot.v0pp(eta - (lam * u[i]).reshape(node_axis))
+        # one V0'' call for all nodes; rows summed in node order keep the bits
+        per_bond = sum(wl[m] * curv[m] for m in range(nodes))
         mins[i] = min(mins[i], float(per_bond.min()))
         maxs[i] = max(maxs[i], float(per_bond.max()))
         return float(per_bond.mean())

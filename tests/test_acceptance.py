@@ -1,9 +1,11 @@
 """End-to-end acceptance checks for the whole laboratory.
 
 Each test pins one headline capability with fixed seeds and sizes and
-appends a single PASS/FAIL line to acceptance_report.txt at the repo
-root, so a full run leaves a ten-line summary next to the package.
-The report holds the margins only; wall times are printed to stdout.
+writes its single PASS/FAIL line into acceptance_report.txt at the repo
+root, replacing its own earlier line and keeping the others in criterion
+order, so a full run leaves a ten-line summary next to the package and a
+partial run updates only the criteria it ran.  The report holds the
+margins only; wall times are printed to stdout.
 Tolerances are three error bars throughout, with error bars combined in
 quadrature when two independent estimates are compared.
 """
@@ -12,7 +14,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from heightlab import (
     DomainSpec,
@@ -41,20 +42,19 @@ from oracles import heat_solution
 REPORT = Path(__file__).resolve().parents[1] / "acceptance_report.txt"
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_report():
-    REPORT.write_text("")
-    yield
-
-
 def record(
     num: int, label: str, ok: bool, detail: str, t0: float | None = None
 ) -> None:
     # Wall times vary from run to run, so they go to stdout only: a rerun
     # with unchanged margins rewrites the report byte for byte.
     line = f"criterion {num:2d} [{label}]: {'PASS' if ok else 'FAIL'} ({detail}"
-    with REPORT.open("a") as fh:
-        fh.write(line + ")\n")
+    lines = {}
+    if REPORT.exists():
+        for old in REPORT.read_text().splitlines():
+            if old.startswith("criterion "):
+                lines[int(old.split()[1])] = old
+    lines[num] = line + ")"
+    REPORT.write_text("".join(lines[k] + "\n" for k in sorted(lines)))
     if t0 is not None:
         line += f" t={time.time() - t0:.0f}s"
     print(line + ")")

@@ -251,6 +251,26 @@ class TestCliCommands:
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
 
+    def test_sample_gibbs_n_batches_sets_the_error_bars(self, cli_env, capsys):
+        flags = (
+            "sample-gibbs", "--u", "0.5", "--N", "8", "--seed", "5",
+            "--set", "sampler.sweeps=320", "--set", "sampler.burn_in=100",
+        )
+        csvs = {}
+        for name, extra in [
+            ("default", ()),
+            ("explicit", ("--set", "sampler.n_batches=32")),
+            ("sixteen", ("--set", "sampler.n_batches=16")),
+        ]:
+            assert run_cli(*flags, *extra, "--out", name) == 0
+            csvs[name] = next((cli_env / name).iterdir()) / "gibbs.csv"
+        assert csvs["default"].read_bytes() == csvs["explicit"].read_bytes()
+        base, _ = read_csv(csvs["default"])
+        other, _ = read_csv(csvs["sixteen"])
+        assert np.array_equal(base["value"], other["value"])
+        assert not np.array_equal(base["stderr"], other["stderr"])
+        capsys.readouterr()
+
     def test_output_root_precedence(self, cli_env, monkeypatch, capsys):
         flags = ("certify-potential", "--pot", "gaussian")
         assert run_cli(*flags) == 0                      # config default root

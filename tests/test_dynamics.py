@@ -94,6 +94,28 @@ class TestDriftAgainstEnergy:
         want = -fd_gradient(fn, sys.phi[: dom.n_interior].copy(), h=1e-6)
         assert np.max(np.abs(sys.drift_interior() - want)) < 1e-7
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("pot", [make_cosine_perturbed(0.8, 1.3), make_split_bump()])
+    def test_bond_pass_matches_roll_form(self, d, pot):
+        # per replica: energy, gradient and differences of the np.roll passes
+        lat = TorusLattice(5 if d < 3 else 3, d)
+        tilt = np.linspace(-0.4, 0.7, d)
+        rng = np.random.default_rng(d)
+        phi = rng.normal(size=(4,) + lat.shape)
+        sys = TiltedPeriodicSystem(lat, pot, tilt, phi=phi)
+        energy, grad, diffs = sys.bond_pass(phi)
+        for r in range(len(phi)):
+            want_grad = np.zeros(lat.shape)
+            for i in range(d):
+                a = pot.vp(np.roll(phi[r], -1, axis=i) - phi[r] + tilt[i])
+                want_grad += np.roll(a, 1, axis=i) - a
+                assert np.array_equal(diffs[i][r], np.roll(phi[r], -1, axis=i) - phi[r])
+            assert energy[r] == hamiltonian_torus(pot.v, phi[r], tilt)
+            assert np.array_equal(grad[r], want_grad)
+        assert np.array_equal(sys.energy(), energy)
+        assert np.array_equal(sys.drift(), -grad)
+        assert all(np.array_equal(a, b) for a, b in zip(sys.eta_tilde(), diffs))
+
     def test_pointwise_reference_matches_vectorized(self):
         pot = make_cosine_perturbed(0.4, 2.0)
         lat = TorusLattice(6, 2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,19 @@ from heightlab import (
     make_cosine_perturbed,
     make_gaussian,
     make_sampler,
+    make_split_bump,
     sample,
     variance_sweep,
 )
+from heightlab.dynamics import TiltedPeriodicSystem
+from heightlab.rng import seed_key, stream
+from heightlab.surface import build_table, decompose_flux, grad_sigma
 
 from oracles import (
     conditional_density_1d,
     density_moments,
     gaussian_bond_variance,
+    reference_mala_chain,
 )
 
 
@@ -226,3 +233,213 @@ class TestDlr:
         )
         assert rep.sup_distance is None
         assert rep.two_start_distance < 0.08
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the plain chain, and one bond pass per proposal
+
+COSINE = make_cosine_perturbed(0.2, 1.0)
+BUMP = make_split_bump()
+
+
+def _plain_chain(pot, N, tilt, seed, sweeps, observables=None, **kw):
+    tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
+    return reference_mala_chain(
+        pot.v, pot.vp, tilt, np.zeros((N,) * len(tilt)), stream(*seed_key(seed), 0),
+        sweeps, observables, lipschitz=pot.drift_lipschitz, **kw,
+    )
+
+
+def _record_states(sampler):
+    """List that receives a copy of the heights after every sweep."""
+    phis = []
+    for name in ("_mala_sweep", "_ula_sweep"):
+        def recorded(inner=getattr(sampler, name)):
+            accepted = inner()
+            phis.append(sampler.system.phi.copy())
+            return accepted
+        setattr(sampler, name, recorded)
+    return phis
+
+
+def _plain_grad_sigma(pot, N, u, seed, sweeps, **kw):
+    obs = {i: (lambda et, i=i: float(pot.vp(et[i] + u[i]).mean())) for i in range(len(u))}
+    series = _plain_chain(pot, N, u, seed, sweeps, obs, **kw)["series"]
+    vec, err = np.zeros(len(u)), np.zeros(len(u))
+    for i in range(len(u)):
+        vec[i], err[i], _ = batch_means(series[i])
+    return vec, err
+
+
+def _observables(pot, tilt):
+    return {
+        "vp0": lambda et: float(pot.vp(et[0] + tilt[0]).mean()),
+        "sq": lambda et: float(np.square(et[-1]).mean()),
+        "bonds": lambda et: np.stack(et),
+    }
+
+
+CHAINS = [
+    pytest.param(COSINE, 8, (0.6,), {}, id="cosine-d1"),
+    pytest.param(BUMP, 8, (0.4,), {}, id="bump-d1"),
+    pytest.param(COSINE, 6, (1.0, -0.5), {}, id="cosine-d2"),
+    pytest.param(BUMP, 6, (0.5, 0.0), {}, id="bump-d2"),
+    pytest.param(COSINE, 4, (0.3, 0.0, -0.2), {}, id="cosine-d3"),
+    pytest.param(BUMP, 4, (0.2, 0.1, 0.0), {}, id="bump-d3"),
+    pytest.param(COSINE, 6, (0.5, 0.2), {"step": 0.08, "burn_in": 150, "thin": 3},
+                 id="cosine-d2-fixed-step-thin3"),
+    pytest.param(BUMP, 6, (0.4, 0.0), {"kind": "ula"}, id="bump-d2-ula"),
+    pytest.param(COSINE, 8, (0.3,), {"kind": "ula", "burn_in": 100, "thin": 3},
+                 id="cosine-d1-ula-fixed-burn-thin3"),
+]
+
+
+class TestMatchesPlainLoop:
+    """The sampler reproduces the plain np.roll chain bit for bit."""
+
+    @pytest.mark.parametrize("pot, N, tilt, kw", CHAINS)
+    def test_states_counts_and_series(self, pot, N, tilt, kw):
+        seed = (N, len(tilt), len(kw))
+        s = make_sampler(pot, N, tilt, seed=seed, **kw)
+        phis = _record_states(s)
+        got = s.collect(120, _observables(pot, tilt))
+        want = _plain_chain(pot, N, tilt, seed, 120, _observables(pot, tilt), **kw)
+        assert len(phis) == len(want["phis"])
+        assert all(np.array_equal(a, b) for a, b in zip(phis, want["phis"]))
+        assert s.step == want["step"]
+        assert (s._accepts, s._proposals) == (want["accepts"], want["proposals"])
+        for name, series in want["series"].items():
+            assert np.array_equal(got[name], series)
+
+    def test_tuning_rounds_change_the_step(self):
+        pot, N, tilt = COSINE, 6, (1.0, -0.5)
+        s = make_sampler(pot, N, tilt, seed=1)
+        s.prepare()
+        assert s.step != (N * N) ** (-1.0 / 3.0) / pot.drift_lipschitz
+        assert s.step == _plain_chain(pot, N, tilt, 1, 0)["step"]
+
+    def test_sample_stream(self):
+        tilt = (1.0, -0.5)
+        s = make_sampler(BUMP, 6, tilt, seed=12, thin=5)
+        fields = [f.data for f in sample(s, 40)]
+        obs = {"f": lambda et: np.stack([e + tilt[i] for i, e in enumerate(et)])}
+        want = _plain_chain(BUMP, 6, tilt, 12, 40, obs, thin=5)["series"]["f"]
+        assert np.array_equal(np.stack(fields), want)
+
+    @pytest.mark.parametrize("pot, u, kw", [
+        pytest.param(COSINE, (0.5, 0.2), {}, id="cosine-d2"),
+        pytest.param(BUMP, (0.7,), {}, id="bump-d1"),
+        pytest.param(COSINE, (0.3, 0.0, -0.2), {"step": 0.05, "burn_in": 100, "thin": 3},
+                     id="cosine-d3-fixed-step-thin3"),
+        pytest.param(BUMP, (0.5, 0.2), {"kind": "ula"}, id="bump-d2-ula"),
+    ])
+    def test_grad_sigma(self, pot, u, kw):
+        N = 4 if len(u) == 3 else 6
+        got = grad_sigma(pot, N, u, sweeps=320, seed=7, **kw)
+        want = _plain_grad_sigma(pot, N, u, 7, 320, **kw)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("pot, u", [
+        pytest.param(COSINE, (1.0, 0.0), id="cosine"),
+        pytest.param(BUMP, (0.7, -0.4), id="bump"),
+    ])
+    def test_decompose_flux(self, pot, u):
+        u = np.asarray(u)
+        d, nodes = len(u), 8
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        lam, wl = (x + 1.0) / 2.0, w / 2.0
+        mins, maxs = np.full(d, np.inf), np.full(d, -np.inf)
+
+        def big_a(et, i):
+            eta = et[i] + u[i]
+            per_bond = sum(wl[m] * pot.v0pp(eta - lam[m] * u[i]) for m in range(nodes))
+            mins[i] = min(mins[i], float(per_bond.min()))
+            maxs[i] = max(maxs[i], float(per_bond.max()))
+            return float(per_bond.mean())
+
+        def small_a(et, i):
+            eta = et[i] + u[i]
+            return float(pot.v0p(eta - u[i]).mean() + pot.gp(eta).mean())
+
+        obs = {}
+        for i in range(d):
+            obs[f"A{i}"] = lambda et, i=i: big_a(et, i)
+            obs[f"a{i}"] = lambda et, i=i: small_a(et, i)
+        series = _plain_chain(pot, 6, u, 3, 320, obs)["series"]
+        dec = decompose_flux(pot, 6, u, sweeps=320, seed=3)
+        for i in range(d):
+            assert (dec.A[i], dec.A_err[i], dec.a[i], dec.a_err[i]) == (
+                batch_means(series[f"A{i}"])[:2] + batch_means(series[f"a{i}"])[:2]
+            )
+        assert np.array_equal(dec.A_sample_min, mins)
+        assert np.array_equal(dec.A_sample_max, maxs)
+
+    def test_build_table(self):
+        axes = [np.array([-0.5, 0.0, 0.5])] * 2
+        tab = build_table(COSINE, 4, axes, sweeps=200, seed=5)
+        idx = np.indices((3, 3)).reshape(2, -1).T
+        for j, (k, m) in enumerate(idx):
+            u = np.array([axes[0][k], axes[1][m]])
+            vec, err = _plain_grad_sigma(COSINE, 4, u, tuple(seed_key(5)) + (j,), 200)
+            assert np.array_equal(tab.dsigma[k, m], vec)
+            assert np.array_equal(tab.dsigma_err[k, m], err)
+
+    def test_variance_sweep(self):
+        tilts = np.array([(0.0, 0.0), (1.0, -0.5)])
+        vs = variance_sweep(BUMP, 6, tilts, sweeps=320, seed=3)
+        for j, u in enumerate(tilts):
+            obs = {i: (lambda et, i=i: float(np.square(et[i]).mean())) for i in range(2)}
+            series = _plain_chain(BUMP, 6, u, tuple(seed_key(3)) + (j,), 320, obs)["series"]
+            for i in range(2):
+                assert (vs.values[j, i], vs.stderr[j, i]) == batch_means(series[i])[:2]
+
+
+def _counting(pot, counts):
+    """Copy of ``pot`` whose callables named in ``counts`` count their calls."""
+    def counted(name):
+        fn = getattr(pot, name)
+        return lambda x: (counts.__setitem__(name, counts[name] + 1), fn(x))[1]
+    return dataclasses.replace(pot, **{name: counted(name) for name in counts})
+
+
+class TestOnePassPerProposal:
+    @pytest.mark.parametrize("tilt", [(0.5,), (0.5, 0.0), (0.5, 0.0, 0.2)])
+    @pytest.mark.parametrize("kind", ["mala", "ula"])
+    def test_potential_calls_per_sweep(self, tilt, kind):
+        counts = {"v": 0, "vp": 0}
+        s = make_sampler(_counting(COSINE, counts), 4, tilt, kind=kind, step=0.05,
+                         burn_in=1, seed=0)
+        s.prepare()
+        counts.update(v=0, vp=0)
+        for _ in range(10):
+            s._sweep()
+        d = len(tilt)
+        assert counts == {"v": 10 * d, "vp": 10 * d}
+
+    def test_decompose_flux_curvature_calls(self):
+        counts = {"v0pp": 0}
+        decompose_flux(_counting(BUMP, counts), 4, (0.5, 0.0), sweeps=64,
+                       step=0.05, burn_in=0)
+        assert counts["v0pp"] == 64 * 2  # one V0'' call per axis and sample
+
+    def test_collect_reads_cached_differences(self, monkeypatch):
+        calls = []
+        inner = TiltedPeriodicSystem.eta_tilde
+        monkeypatch.setattr(
+            TiltedPeriodicSystem, "eta_tilde",
+            lambda self: (calls.append(1), inner(self))[1],
+        )
+        s = make_sampler(COSINE, 6, (0.5, 0.0), seed=0)
+        s.collect(40, {"m": lambda et: float(et[0].mean())})
+        list(sample(s, 10))
+        assert calls == []
+
+    def test_observables_cannot_write_the_cache(self):
+        s = make_sampler(COSINE, 6, (0.5, 0.0), step=0.05, burn_in=0, seed=0)
+
+        def scribble(et):
+            et[0][0, 0] = 1.0
+            return 0.0
+
+        with pytest.raises(ValueError):
+            s.collect(1, {"x": scribble})
