@@ -163,7 +163,7 @@ def cmd_sample_gibbs(cfg: RunConfig, meta, outdir) -> int:
     sampler = make_sampler(
         pot, cfg.lattice.N, u, kind=s.kind,
         step=s.step or None, burn_in=None if s.burn_in < 0 else s.burn_in,
-        thin=s.thin, seed=cfg.seed, n_batches=s.n_batches,
+        thin=s.thin, seed=cfg.seed,
     )
     reports = [estimate_bond_variance(sampler, i, s.sweeps) for i in range(len(u))]
     reports.append(estimate_identity2(sampler, s.sweeps))

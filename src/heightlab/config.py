@@ -62,7 +62,6 @@ class SamplerConfig:
     step: float = 0.0           # 0 -> auto-tuned
     burn_in: int = -1           # -1 -> adaptive
     thin: int = 1
-    n_batches: int = 32
 
 
 @dataclass

@@ -111,21 +111,23 @@ class TiltedPeriodicSystem:
         """Tilted bond variables eta_tilde + tilt."""
         return [e + self.tilt[i] for i, e in enumerate(self.eta_tilde())]
 
-    def bond_pass(self, phi: np.ndarray):
+    def bond_pass(self, phi: np.ndarray, with_energy: bool = True):
         """(energy, dH/dphi, eta_tilde) of the heights ``phi`` in one pass.
 
         ``phi`` has this system's lattice axes last, after any replica
-        axes; the energy is per replica.  Each axis evaluates V and V' once
-        on its tilted bonds.
+        axes; the energy is per replica.  Each axis evaluates V' once on
+        its tilted bonds, and V once unless ``with_energy`` is false, in
+        which case the energy is None.
         """
         d = self.lattice.d
         axes = tuple(range(phi.ndim - d, phi.ndim))
         diffs = _forward_differences(phi, d)
-        energy = 0.0
+        energy = 0.0 if with_energy else None
         grad = np.zeros_like(phi)
         for i, e in enumerate(diffs):
             bond = e + self.tilt[i]
-            energy = energy + self.pot.v(bond).sum(axis=axes)
+            if with_energy:
+                energy = energy + self.pot.v(bond).sum(axis=axes)
             a = self.pot.vp(bond)
             # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x)
             first, rest, last, init = _wrap_slices(axes[i])
@@ -139,7 +141,7 @@ class TiltedPeriodicSystem:
 
     def drift(self) -> np.ndarray:
         """-dH/dphi, vectorized over sites and replicas."""
-        return -self.bond_pass(self.phi)[1]
+        return -self.bond_pass(self.phi, with_energy=False)[1]
 
     def mean_gradient(self) -> np.ndarray:
         """Spatial mean of the tilted bond variable per axis."""

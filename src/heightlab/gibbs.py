@@ -121,8 +121,13 @@ class GibbsSampler:
     # -- kernels ------------------------------------------------------------
 
     def _bonds(self, phi: np.ndarray):
-        """(energy, masked gradient, read-only eta_tilde) of ``phi``."""
-        energy, grad, diffs = self.system.bond_pass(phi)
+        """(energy, masked gradient, read-only eta_tilde) of ``phi``.
+
+        Only MALA's accept test reads the energy, so ULA does not form it.
+        """
+        energy, grad, diffs = self.system.bond_pass(
+            phi, with_energy=self.kind == "mala"
+        )
         for e in diffs:
             e.flags.writeable = False
         return energy, grad * self._mask, diffs
@@ -250,15 +255,12 @@ def make_sampler(
     thin: int = 1,
     seed=0,
     phi0=None,
-    n_batches: int = 32,
 ) -> GibbsSampler:
     """Sampler for the tilt-u ensemble on the (Z/NZ)^d torus, d = len(tilt)."""
     tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
     lat = TorusLattice(N, len(tilt))
     system = TiltedPeriodicSystem(lat, pot, tilt, phi=phi0, seed=seed)
-    return GibbsSampler(
-        system, kind=kind, step=step, burn_in=burn_in, thin=thin, n_batches=n_batches
-    )
+    return GibbsSampler(system, kind=kind, step=step, burn_in=burn_in, thin=thin)
 
 
 def sample(sampler: GibbsSampler, sweeps: int):

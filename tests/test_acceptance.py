@@ -2,10 +2,11 @@
 
 Each test pins one headline capability with fixed seeds and sizes and
 writes its single PASS/FAIL line into acceptance_report.txt at the repo
-root, replacing its own earlier line and keeping the others in criterion
-order, so a full run leaves a ten-line summary next to the package and a
-partial run updates only the criteria it ran.  The report holds the
-margins only; wall times are printed to stdout.
+root, keeping the other lines in criterion order.  A session first drops
+the old lines of the criteria it selected, so a full run leaves a
+ten-line summary next to the package, a partial run updates only the
+criteria it ran, and a criterion that crashes leaves no line.  The report
+holds the margins only; wall times are printed to stdout.
 Tolerances are three error bars throughout, with error bars combined in
 quadrature when two independent estimates are compared.
 """
@@ -14,6 +15,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from heightlab import (
     DomainSpec,
@@ -42,19 +44,42 @@ from oracles import heat_solution
 REPORT = Path(__file__).resolve().parents[1] / "acceptance_report.txt"
 
 
+def _report_lines() -> dict[int, str]:
+    lines = {}
+    if REPORT.exists():
+        for old in REPORT.read_text().splitlines():
+            if old.startswith("criterion "):
+                lines[int(old.split()[1])] = old
+    return lines
+
+
+def _write_report(lines: dict[int, str]) -> None:
+    REPORT.write_text("".join(lines[k] + "\n" for k in sorted(lines)))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_lines_of_selected_criteria(request):
+    # A criterion that raises before record() must not keep its line from
+    # an earlier run, so every criterion selected in this session loses its
+    # line up front; the criteria not selected keep theirs.
+    selected = {
+        int(item.name.split("_")[1])
+        for item in request.session.items
+        if item.module is request.module
+    }
+    lines = _report_lines()
+    _write_report({k: v for k, v in lines.items() if k not in selected})
+
+
 def record(
     num: int, label: str, ok: bool, detail: str, t0: float | None = None
 ) -> None:
     # Wall times vary from run to run, so they go to stdout only: a rerun
     # with unchanged margins rewrites the report byte for byte.
     line = f"criterion {num:2d} [{label}]: {'PASS' if ok else 'FAIL'} ({detail}"
-    lines = {}
-    if REPORT.exists():
-        for old in REPORT.read_text().splitlines():
-            if old.startswith("criterion "):
-                lines[int(old.split()[1])] = old
+    lines = _report_lines()
     lines[num] = line + ")"
-    REPORT.write_text("".join(lines[k] + "\n" for k in sorted(lines)))
+    _write_report(lines)
     if t0 is not None:
         line += f" t={time.time() - t0:.0f}s"
     print(line + ")")
