@@ -156,15 +156,20 @@ def cmd_certify_potential(cfg: RunConfig, meta, outdir) -> int:
     return 0 if rep.ok else 3
 
 
+def _chain_options(s) -> dict:
+    """Sampler keyword arguments from the ``sampler`` config section:
+    ``step`` 0 means auto-tuned and ``burn_in`` -1 adaptive."""
+    return {
+        "kind": s.kind, "step": s.step or None,
+        "burn_in": None if s.burn_in < 0 else s.burn_in, "thin": s.thin,
+    }
+
+
 def cmd_sample_gibbs(cfg: RunConfig, meta, outdir) -> int:
     pot = build_potential(cfg.potential)
     u = tilt_vector(cfg.lattice)
     s = cfg.sampler
-    sampler = make_sampler(
-        pot, cfg.lattice.N, u, kind=s.kind,
-        step=s.step or None, burn_in=None if s.burn_in < 0 else s.burn_in,
-        thin=s.thin, seed=cfg.seed,
-    )
+    sampler = make_sampler(pot, cfg.lattice.N, u, seed=cfg.seed, **_chain_options(s))
     reports = [estimate_bond_variance(sampler, i, s.sweeps) for i in range(len(u))]
     reports.append(estimate_identity2(sampler, s.sweeps))
     print(
@@ -202,7 +207,7 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
 
         table = build_table(
             pot, cfg.lattice.N, axes, sweeps=sf.sweeps, seed=cfg.seed,
-            kind=s.kind, thin=s.thin, workers=cfg.workers,
+            **_chain_options(s), workers=cfg.workers,
         )
         table.meta.update(config=meta["config"])
         path = os.path.join(outdir, "surface_table.csv")
@@ -212,11 +217,11 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
         return 0
     est = sigma(
         pot, cfg.lattice.N, u, nodes=sf.nodes, sweeps=sf.sweeps,
-        seed=cfg.seed, kind=s.kind, thin=s.thin,
+        seed=cfg.seed, **_chain_options(s),
     )
     grad, gerr = grad_sigma(
         pot, cfg.lattice.N, u, sweeps=sf.sweeps, seed=cfg.seed,
-        kind=s.kind, thin=s.thin,
+        **_chain_options(s),
     )
     u_label = "(" + ",".join(f"{x:g}" for x in u) + ")"
     print(f"sigma({u_label}) = {est.value:.6f} +/- {est.stderr:.6f}")
@@ -255,7 +260,7 @@ def cmd_convexity_probe(cfg: RunConfig, meta, outdir, args) -> int:
     def provider(w):
         return grad_sigma(
             pot, cfg.lattice.N, w, sweeps=sf.sweeps, seed=cfg.seed,
-            kind=s.kind, thin=s.thin,
+            **_chain_options(s),
         )
 
     rep = convexity_probe(provider, [(u, v)])
@@ -286,11 +291,11 @@ def cmd_decompose_flux(cfg: RunConfig, meta, outdir) -> int:
     s, sf = cfg.sampler, cfg.surface
     dec = decompose_flux(
         pot, cfg.lattice.N, u, sweeps=sf.sweeps, seed=cfg.seed,
-        nodes=sf.nodes, kind=s.kind, thin=s.thin,
+        nodes=sf.nodes, **_chain_options(s),
     )
     grad, gerr = grad_sigma(
         pot, cfg.lattice.N, u, sweeps=sf.sweeps, seed=cfg.seed,
-        kind=s.kind, thin=s.thin,
+        **_chain_options(s),
     )
     recon, recon_err = dec.reconstruct()
     print(f"A diag = {dec.A}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,30 +79,70 @@ def _forward_differences(phi: np.ndarray, d: int) -> list[np.ndarray]:
     return out
 
 
+class BondPass(NamedTuple):
+    """One pass over the tilted bonds of a height array, per axis i.
+
+    Arrays keep the leading chain or replica axes of the heights; the
+    energy and the V sums are per chain (a scalar without leading axes).
+    """
+
+    energy: np.ndarray | float | None  # sum of v_sums in axis order; None without V
+    grad: np.ndarray                   # dH/dphi
+    diffs: list                        # untilted differences eta_tilde
+    vp: list                           # V' on the tilted bonds
+    v_sums: list | None                # sums of V over the tilted bonds; None without V
+
+
 class TiltedPeriodicSystem:
     """Representative heights on a torus with a frozen mean tilt.
 
     ``phi`` stores the zero-winding part; the physical bond variable
-    along axis i is phi(x + e_i) - phi(x) + tilt_i.  Leading axes of
-    ``phi`` beyond the lattice shape are independent replicas.
+    along axis i is phi(x + e_i) - phi(x) + tilt_i.  With a tilt of
+    shape (d,), leading axes of ``phi`` beyond the lattice shape are
+    independent replicas that share it and one stream, ``seed``.  With a
+    tilt of shape (B, d), ``phi`` holds B chains, chain j carries tilt
+    row j and draws from its own stream ``seed[j]``; ``rngs`` lists the
+    streams and ``rng`` is the first.  The tilt is fixed at construction.
     """
 
-    def __init__(self, lattice: TorusLattice, pot, tilt, phi=None, seed: int = 0):
+    def __init__(self, lattice: TorusLattice, pot, tilt, phi=None, seed=0):
         tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
-        if tilt.shape != (lattice.d,):
+        if tilt.ndim > 2 or tilt.shape[-1] != lattice.d:
             raise ValueError(f"tilt must have {lattice.d} components")
+        chains = tilt.shape[:-1]
+        tilt.flags.writeable = False
         self.lattice = lattice
         self.pot = pot
-        self.tilt = tilt
+        self._tilt = tilt
         if phi is None:
-            phi = np.zeros(lattice.shape)
+            phi = np.zeros(chains + lattice.shape)
         phi = np.asarray(phi, dtype=float)
         if phi.shape[-lattice.d :] != lattice.shape:
             raise ValueError("phi trailing axes must match the lattice shape")
+        if chains:
+            phi = np.broadcast_to(phi, chains + lattice.shape)
         self.phi = phi.copy()
         self.t = 0.0
         self.seed = seed
-        self.rng = stream(*seed_key(seed), 0)
+        seeds = (list(seed) if np.iterable(seed) else []) if chains else [seed]
+        if len(seeds) != (chains[0] if chains else 1):
+            raise ValueError("a batch of chains needs one seed per chain")
+        self.rngs = [stream(*seed_key(s), 0) for s in seeds]
+        self.rng = self.rngs[0]
+        # tilt of axis i at index i: a scalar, or per chain a full array,
+        # which numpy adds faster than a broadcast column
+        self._axis_tilts = tilt
+        if chains:
+            column = (-1,) + (1,) * lattice.d
+            self._axis_tilts = [
+                np.broadcast_to(t.reshape(column), self.phi.shape).copy()
+                for t in tilt.T
+            ]
+
+    @property
+    def tilt(self) -> np.ndarray:
+        """Mean tilt, (d,) or one row per chain (B, d); read-only."""
+        return self._tilt
 
     def eta_tilde(self) -> list[np.ndarray]:
         """Untilted bond differences, component i on bonds (x + e_i, x)."""
@@ -109,39 +150,47 @@ class TiltedPeriodicSystem:
 
     def eta(self) -> list[np.ndarray]:
         """Tilted bond variables eta_tilde + tilt."""
-        return [e + self.tilt[i] for i, e in enumerate(self.eta_tilde())]
+        return [e + self._axis_tilts[i] for i, e in enumerate(self.eta_tilde())]
 
-    def bond_pass(self, phi: np.ndarray, with_energy: bool = True):
-        """(energy, dH/dphi, eta_tilde) of the heights ``phi`` in one pass.
+    def bond_pass(self, phi: np.ndarray, with_energy: bool = True) -> BondPass:
+        """Energy, dH/dphi, eta_tilde and V' of the heights ``phi`` in one pass.
 
-        ``phi`` has this system's lattice axes last, after any replica
-        axes; the energy is per replica.  Each axis evaluates V' once on
-        its tilted bonds, and V once unless ``with_energy`` is false, in
-        which case the energy is None.
+        ``phi`` has this system's lattice axes last, after its replica or
+        chain axes.  Each axis evaluates V' once on its tilted bonds, and
+        V once unless ``with_energy`` is false, in which case the energy
+        and the V sums are None.
         """
         d = self.lattice.d
         axes = tuple(range(phi.ndim - d, phi.ndim))
+        tilts = self._axis_tilts
         diffs = _forward_differences(phi, d)
-        energy = 0.0 if with_energy else None
+        v_sums = [] if with_energy else None
+        vps = []
         grad = np.zeros_like(phi)
         for i, e in enumerate(diffs):
-            bond = e + self.tilt[i]
+            bond = e + tilts[i]
             if with_energy:
-                energy = energy + self.pot.v(bond).sum(axis=axes)
+                v_sums.append(self.pot.v(bond).sum(axis=axes))
             a = self.pot.vp(bond)
+            vps.append(a)
             # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x)
             first, rest, last, init = _wrap_slices(axes[i])
             grad[rest] += a[init] - a[rest]
             grad[first] += a[last] - a[first]
-        return energy, grad, diffs
+        energy = None
+        if with_energy:
+            energy = 0.0
+            for s in v_sums:
+                energy = energy + s
+        return BondPass(energy, grad, diffs, vps, v_sums)
 
     def energy(self) -> np.ndarray | float:
         """H = sum of V over undirected tilted bonds (per replica)."""
-        return self.bond_pass(self.phi)[0]
+        return self.bond_pass(self.phi).energy
 
     def drift(self) -> np.ndarray:
         """-dH/dphi, vectorized over sites and replicas."""
-        return -self.bond_pass(self.phi, with_energy=False)[1]
+        return -self.bond_pass(self.phi, with_energy=False).grad
 
     def mean_gradient(self) -> np.ndarray:
         """Spatial mean of the tilted bond variable per axis."""

@@ -84,11 +84,21 @@ class EstimatorReport:
 
 
 class GibbsSampler:
-    """MALA/ULA chain on gauge-fixed torus heights.
+    """MALA/ULA chains on gauge-fixed torus heights, advanced as one batch.
 
-    The energy, masked gradient and bond differences of the current state
-    are kept from the bond pass that produced it, so a sweep makes one
-    pass, on the proposal, and observables read the kept differences.
+    A system with a tilt of shape (B, d) holds B chains in one
+    (B,) + lattice array; a system with a tilt of shape (d,) holds one
+    chain, run as a batch of one and seen without the chain axis.  Each
+    chain has its own Philox stream, one ``standard_normal`` fill and, for
+    MALA, one ``uniform()`` per sweep, and its own step, tuning rounds and
+    adaptive burn-in, so it reproduces the same chain run alone bit for
+    bit.  Phases run in lockstep: a chain that finishes its tuning or
+    burn-in early waits, drawing nothing, until all have.  Acceptance is
+    counted over all chains together.
+
+    The bond pass of the current state (energy, masked gradient,
+    differences, V' and V sums) is kept, so a sweep makes one pass, on
+    the proposal, and observables and burn-in probes read the kept one.
     """
 
     def __init__(
@@ -102,147 +112,235 @@ class GibbsSampler:
     ):
         if kind not in ("mala", "ula"):
             raise ValueError("kind must be 'mala' or 'ula'")
-        if system.phi.ndim != system.lattice.d:
-            raise ValueError("sampler needs a single-replica system")
+        lat = system.lattice
+        chains = system.tilt.shape[:-1]
+        if system.phi.shape != chains + lat.shape:
+            raise ValueError("sampler needs one height array per chain")
         self.system = system
         self.kind = kind
         self.thin = max(1, int(thin))
         self.n_batches = int(n_batches)
-        self._step = step
         self.burn_in = burn_in
-        mask = np.ones(system.lattice.shape)
-        mask[(0,) * system.lattice.d] = 0.0  # gauge: phi(0) pinned at 0
+        self._batched = bool(chains)
+        self._n = chains[0] if chains else 1
+        self._axes = tuple(range(1, lat.d + 1))  # lattice axes after the chain axis
+        mask = np.ones(lat.shape)
+        mask[(0,) * lat.d] = 0.0  # gauge: phi(0) pinned at 0
         self._mask = mask
+        self._step = None
+        if step is not None:
+            self._set_step(np.full(self._n, step, dtype=float))
         self._prepared = False
-        self._cur = None  # (energy, masked gradient, eta_tilde) of system.phi
-        self._accepts = 0
+        self._probing = False  # the adaptive burn-in probes read the V sums
+        self._cur = None  # BondPass of the current state, masked gradient
+        self._everyone = np.ones(self._n, dtype=bool)
+        self._accepts = 0  # pooled over the chains
         self._proposals = 0
 
     # -- kernels ------------------------------------------------------------
 
+    def _set_step(self, step: np.ndarray) -> None:
+        """Set the per-chain steps h and the factors a sweep uses: h and
+        sqrt(2 h) as full arrays, which numpy multiplies faster than
+        broadcast columns, then 2 h and 4 h per chain."""
+        self._step = step
+        shape = (self._n,) + self._mask.shape
+        h = np.broadcast_to(step.reshape((-1,) + (1,) * len(self._axes)), shape).copy()
+        self._factors = (h, np.sqrt(2.0 * h), 2.0 * step, 4.0 * step)
+
+    def _phi(self) -> np.ndarray:
+        """The heights with the chain axis first."""
+        return self.system.phi if self._batched else self.system.phi[None]
+
+    def _view(self, arrays: list) -> list:
+        """Kept per-axis arrays, made read-only, as a caller sees them: without
+        the chain axis when unbatched."""
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays if self._batched else [a[0] for a in arrays]
+
     def _bonds(self, phi: np.ndarray):
-        """(energy, masked gradient, read-only eta_tilde) of ``phi``.
+        """BondPass of ``phi`` with the gauge-masked gradient.
 
-        Only MALA's accept test reads the energy, so ULA does not form it.
+        Only MALA's accept test and the burn-in probes read V, so ULA
+        outside the probes does not evaluate it.
         """
-        energy, grad, diffs = self.system.bond_pass(
-            phi, with_energy=self.kind == "mala"
+        b = self.system.bond_pass(
+            phi, with_energy=self.kind == "mala" or self._probing
         )
-        for e in diffs:
-            e.flags.writeable = False
-        return energy, grad * self._mask, diffs
+        np.multiply(b.grad, self._mask, out=b.grad)
+        return b
 
-    def _mala_sweep(self) -> bool:
-        sys = self.system
-        h = self._step
-        phi = sys.phi
+    def _adopt(self, prop: np.ndarray, new, moved: np.ndarray, n_moved: int) -> None:
+        """Make ``prop`` and its pass ``new`` current for the ``n_moved``
+        chains flagged in ``moved``.
+
+        The other rows of the fresh arrays are overwritten with the kept
+        state, so arrays already handed to observables never change.
+        """
+        if n_moved < self._n:
+            if n_moved == 0:
+                return
+            stay = ~moved
+            cur = self._cur
+            pairs = [(prop, self._phi()), (new.grad, cur.grad)]
+            pairs += zip(new.diffs + new.vp, cur.diffs + cur.vp)
+            if new.energy is not None:
+                pairs += [(new.energy, cur.energy)] + list(zip(new.v_sums, cur.v_sums))
+            for a, b in pairs:
+                a[stay] = b[stay]
+        self.system.phi = prop if self._batched else prop[0]
+        self._cur = new
+
+    def _sweep(self, active: np.ndarray | None = None) -> np.ndarray:
+        """One sweep of the chains flagged in ``active`` (all when None).
+
+        The other chains wait: they draw nothing and keep their state.
+        Returns the mask of chains that moved (accepted, for MALA).
+        """
+        if active is not None and active.all():
+            active = None
+        phi = self._phi()
         if self._cur is None:
             self._cur = self._bonds(phi)
-        e_cur, g, _ = self._cur
-        xi = sys.rng.standard_normal(phi.shape) * self._mask
-        prop = phi - h * g + np.sqrt(2.0 * h) * xi
-        proposed = self._bonds(prop)
-        e_prop, gp, _ = proposed
-        fwd = 2.0 * h * float(np.sum(xi**2))
-        rev = float(np.sum((phi - prop + h * gp) ** 2))
-        log_alpha = e_cur - e_prop + (fwd - rev) / (4.0 * h)
-        self._proposals += 1
-        if np.log(sys.rng.uniform()) < log_alpha:
-            sys.phi = prop
-            self._cur = proposed
-            self._accepts += 1
-            return True
-        return False
-
-    def _ula_sweep(self) -> bool:
-        sys = self.system
-        h = self._step
-        if self._cur is None:
-            self._cur = self._bonds(sys.phi)
-        xi = sys.rng.standard_normal(sys.phi.shape) * self._mask
-        sys.phi = sys.phi - h * self._cur[1] + np.sqrt(2.0 * h) * xi
-        self._cur = self._bonds(sys.phi)
-        return True
-
-    def _sweep(self) -> bool:
-        return self._mala_sweep() if self.kind == "mala" else self._ula_sweep()
+        cur = self._cur
+        rngs = self.system.rngs
+        rows = range(self._n) if active is None else np.flatnonzero(active)
+        xi = np.empty_like(phi) if active is None else np.zeros_like(phi)
+        for j in rows:
+            rngs[j].standard_normal(out=xi[j])
+        xi *= self._mask
+        h, noise, two_h, four_h = self._factors
+        prop = phi - h * cur.grad + noise * xi
+        new = self._bonds(prop)
+        if self.kind == "mala":
+            fwd = two_h * (xi**2).sum(axis=self._axes)
+            rev = ((phi - prop + h * new.grad) ** 2).sum(axis=self._axes)
+            log_alpha = cur.energy - new.energy + (fwd - rev) / four_h
+            log_u = np.full(self._n, np.inf)  # a waiting chain never moves
+            for j in rows:
+                log_u[j] = rngs[j].uniform()
+            moved = np.log(log_u, out=log_u) < log_alpha
+            n_moved = int(np.count_nonzero(moved))
+            self._proposals += len(rows)
+            self._accepts += n_moved
+        else:
+            moved = self._everyone if active is None else active
+            n_moved = len(rows)
+        self._adopt(prop, new, moved, n_moved)
+        return moved
 
     # -- preparation ----------------------------------------------------------
 
     def _tune(self, rounds: int = 40, per_round: int = 25):
         lo, hi = 0.50, 0.65
+        tuning = np.ones(self._n, dtype=bool)
         for _ in range(rounds):
-            acc = sum(self._mala_sweep() for _ in range(per_round)) / per_round
-            if acc > hi:
-                self._step *= 1.2
-            elif acc < lo:
-                self._step /= 1.2
-            else:
+            acc = sum(self._sweep(tuning) for _ in range(per_round)) / per_round
+            up, down = tuning & (acc > hi), tuning & (acc < lo)
+            step = self._step.copy()
+            step[up] *= 1.2
+            step[down] /= 1.2
+            self._set_step(step)
+            tuning = up | down
+            if not tuning.any():
                 break
-        self._accepts = 0
-        self._proposals = 0
+
+    def _adaptive_burn_in(self, base: int = 1000):
+        """``base`` probed sweeps, then each chain up to 10 IACT of its probes.
+
+        The probes are the mean of V over all bonds (summed over axes) and
+        of V' over axis 0, read from the kept pass: each sum divided by the
+        bond count is what ``.mean()`` computes.
+        """
+        n_bonds = self.system.lattice.n_sites
+        probes = np.empty((2, self._n, base))
+        self._probing = True
+        for k in range(base):
+            self._sweep()
+            cur = self._cur
+            energy = cur.v_sums[0] / n_bonds
+            for v_sum in cur.v_sums[1:]:
+                energy = energy + v_sum / n_bonds
+            probes[0, :, k] = energy
+            probes[1, :, k] = cur.vp[0].sum(axis=self._axes) / n_bonds
+        self._probing = False
+        tau = [max(integrated_autocorr_time(p[j]) for p in probes)
+               for j in range(self._n)]
+        extra = np.array([max(0, int(np.ceil(10 * t)) - base) for t in tau])
+        for k in range(extra.max()):
+            self._sweep(extra > k)
 
     def prepare(self) -> None:
-        """Tune the step (MALA, if unset) and burn in; idempotent."""
+        """Tune the steps (MALA, if unset) and burn in; idempotent."""
         if self._prepared:
             return
         sys = self.system
-        d = sys.lattice.d
         if self._step is None:
+            n, d = sys.lattice.n_sites, sys.lattice.d
             if self.kind == "mala":
                 lip = max(sys.pot.drift_lipschitz, 1e-6)
-                self._step = sys.lattice.n_sites ** (-1.0 / 3.0) / lip
+                self._set_step(np.full(self._n, n ** (-1.0 / 3.0) / lip))
                 self._tune()
             else:
-                self._step = 0.5 * min(step_cap(sys.pot, d), 1.0)
+                self._set_step(np.full(self._n, 0.5 * min(step_cap(sys.pot, d), 1.0)))
         if self.burn_in is not None:
             for _ in range(self.burn_in):
                 self._sweep()
         else:
-            probes = {"energy": [], "vprime": []}
-            pot, u = sys.pot, sys.tilt
-            base = 1000
-            for _ in range(base):
-                self._sweep()
-                et = self._cur[2]
-                probes["energy"].append(
-                    sum(float(pot.v(e + u[i]).mean()) for i, e in enumerate(et))
-                )
-                probes["vprime"].append(float(pot.vp(et[0] + u[0]).mean()))
-            tau = max(integrated_autocorr_time(np.array(p)) for p in probes.values())
-            for _ in range(max(0, int(np.ceil(10 * tau)) - base)):
-                self._sweep()
-        self._accepts = 0
-        self._proposals = 0
+            self._adaptive_burn_in()
+        self._accepts = self._proposals = 0
         self._prepared = True
 
     @property
-    def step(self) -> float | None:
-        return self._step
+    def step(self):
+        """The step: a float for one unbatched chain, else one per chain."""
+        if self._step is None:
+            return None
+        return self._step.copy() if self._batched else float(self._step[0])
 
     @property
     def acceptance_rate(self) -> float:
+        """Accepted over proposed sweeps, pooled over the chains."""
         if self._proposals == 0:
             return float("nan")
         return self._accepts / self._proposals
+
+    @property
+    def eta_tilde(self) -> list:
+        """Untilted bond differences of the current state, per axis (read-only)."""
+        return self._view(self._cur.diffs)
+
+    @property
+    def vprime(self) -> list:
+        """V' on the tilted bonds of the current state, per axis (read-only)."""
+        return self._view(self._cur.vp)
 
     # -- collection -----------------------------------------------------------
 
     def collect(self, sweeps: int, observables: dict) -> dict:
         """Run ``sweeps`` post-burn sweeps, recording every ``thin``-th.
 
-        Each observable maps the list of untilted bond components to a
-        scalar; the arrays are read-only.
+        Each observable maps the list of untilted bond components (the
+        read-only ``eta_tilde``) to a value: a scalar for an unbatched
+        sampler, an array with one entry per chain for a batch, which
+        records as (samples, B).  An observable may also read ``vprime``.
         """
         self.prepare()
-        out = {name: [] for name in observables}
+        n_rec = sweeps // self.thin
+        out = {name: np.empty(0) for name in observables}
         for s in range(sweeps):
             self._sweep()
             if (s + 1) % self.thin == 0:
-                et = self._cur[2]
+                k = s // self.thin
+                et = self.eta_tilde
                 for name, fn in observables.items():
-                    out[name].append(fn(et))
-        return {name: np.asarray(vals) for name, vals in out.items()}
+                    v = fn(et)
+                    if k == 0:  # one array per series, shaped by the first record
+                        v = np.asarray(v)
+                        out[name] = np.empty((n_rec,) + v.shape, v.dtype)
+                    out[name][k] = v
+        return out
 
 
 def make_sampler(
@@ -256,21 +354,27 @@ def make_sampler(
     seed=0,
     phi0=None,
 ) -> GibbsSampler:
-    """Sampler for the tilt-u ensemble on the (Z/NZ)^d torus, d = len(tilt)."""
+    """Sampler for the tilt-u ensemble on the (Z/NZ)^d torus, d = len(tilt).
+
+    A tilt of shape (B, d) makes a batch of B chains instead; ``seed``
+    then lists one seed per chain.
+    """
     tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
-    lat = TorusLattice(N, len(tilt))
+    lat = TorusLattice(N, tilt.shape[-1])
     system = TiltedPeriodicSystem(lat, pot, tilt, phi=phi0, seed=seed)
     return GibbsSampler(system, kind=kind, step=step, burn_in=burn_in, thin=thin)
 
 
 def sample(sampler: GibbsSampler, sweeps: int):
     """Yield tilted gradient configurations, one per ``thin`` sweeps."""
+    if sampler._batched:
+        raise ValueError("sample needs a single-chain sampler")
     sampler.prepare()
     sys = sampler.system
     for s in range(sweeps):
         sampler._sweep()
         if (s + 1) % sampler.thin == 0:
-            comps = np.stack([e + sys.tilt[i] for i, e in enumerate(sampler._cur[2])])
+            comps = np.stack([e + sys.tilt[i] for i, e in enumerate(sampler.eta_tilde)])
             yield GradientField(sys.lattice, comps)
 
 
@@ -395,25 +499,22 @@ def variance_sweep(
     burn_in: int | None = None,
     thin: int = 1,
 ) -> VarianceSweep:
-    """Bond variances across a grid of tilts, one fresh chain per tilt."""
+    """Bond variances across a grid of tilts, one chain per tilt, all
+    advanced as one batch; chain j is seeded (*seed, j)."""
     tilts = np.atleast_2d(np.asarray(tilts, dtype=float))
     n, d = tilts.shape
+    sampler = make_sampler(
+        pot, N, tilts, kind=kind, step=step, burn_in=burn_in, thin=thin,
+        seed=[tuple(seed_key(seed)) + (j,) for j in range(n)],
+    )
+    axes = tuple(range(1, d + 1))
+    obs = {i: (lambda et, i=i: np.square(et[i]).mean(axis=axes)) for i in range(d)}
+    series = sampler.collect(sweeps, obs)
     values = np.zeros((n, d))
     errors = np.zeros((n, d))
-    for j, u in enumerate(tilts):
-        sampler = make_sampler(
-            pot, N, u, kind=kind, step=step, burn_in=burn_in, thin=thin,
-            seed=tuple(seed_key(seed)) + (j,),
-        )
-        obs = {
-            f"var{i}": (lambda et, i=i: float(np.square(et[i]).mean()))
-            for i in range(d)
-        }
-        series = sampler.collect(sweeps, obs)
-        for i in range(d):
-            v, se, _ = batch_means(series[f"var{i}"], sampler.n_batches)
-            values[j, i] = v
-            errors[j, i] = se
+    for i in range(d):
+        for j, x in enumerate(np.ascontiguousarray(series[i].T)):
+            values[j, i], errors[j, i], _ = batch_means(x, sampler.n_batches)
     return VarianceSweep(tilts, values, errors, sweeps, pot.name, N)
 
 
@@ -545,11 +646,12 @@ def dlr_check(
 
     h = 0.5 / max(pot.drift_lipschitz, 0.5)
     logp = target.logp(phi)
-    accept_window = (0.5, 0.65)
-    for it in range(burn):
-        g = target.grad_neg_logp(phi)
+    grad = target.grad_neg_logp(phi)
+
+    def mala_update(h):
+        """One MALA step of every chain; the gradient is kept at the accepted state."""
         xi = rng.standard_normal(phi.shape)
-        prop = phi - h * g + np.sqrt(2.0 * h) * xi
+        prop = phi - h * grad + np.sqrt(2.0 * h) * xi
         logp_prop = target.logp(prop)
         gp = target.grad_neg_logp(prop)
         fwd = 2.0 * h * np.sum(xi**2, axis=1)
@@ -558,6 +660,12 @@ def dlr_check(
         acc = np.log(rng.uniform(size=chains)) < log_alpha
         phi[acc] = prop[acc]
         logp[acc] = logp_prop[acc]
+        grad[acc] = gp[acc]
+        return acc
+
+    accept_window = (0.5, 0.65)
+    for it in range(burn):
+        acc = mala_update(h)
         if it < burn // 2 and (it + 1) % 50 == 0:
             rate = acc.mean()
             if rate > accept_window[1]:
@@ -569,17 +677,7 @@ def dlr_check(
     out = np.empty((keep, chains))
     for k in range(keep):
         for _ in range(thin):
-            g = target.grad_neg_logp(phi)
-            xi = rng.standard_normal(phi.shape)
-            prop = phi - h * g + np.sqrt(2.0 * h) * xi
-            logp_prop = target.logp(prop)
-            gp = target.grad_neg_logp(prop)
-            fwd = 2.0 * h * np.sum(xi**2, axis=1)
-            rev = np.sum((phi - prop + h * gp) ** 2, axis=1)
-            log_alpha = logp_prop - logp + (fwd - rev) / (4.0 * h)
-            acc = np.log(rng.uniform(size=chains)) < log_alpha
-            phi[acc] = prop[acc]
-            logp[acc] = logp_prop[acc]
+            mala_update(h)
         out[k] = phi[:, 0]  # representative site (the window origin)
 
     samples = out.ravel()[:n_samples]

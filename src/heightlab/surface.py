@@ -43,18 +43,30 @@ def grad_sigma(
 ):
     """Monte Carlo estimate of grad sigma(u); returns (vector, stderr)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = len(u)
-    sampler = make_sampler(
-        pot, N, u, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seed
+    vec, err = _grad_sigma_chains(
+        pot, N, u[None], [seed], sweeps, kind, step, burn_in, thin
     )
-    obs = {
-        f"g{i}": (lambda et, i=i: float(pot.vp(et[i] + u[i]).mean())) for i in range(d)
-    }
+    return vec[0], err[0]
+
+
+def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, kind, step, burn_in, thin):
+    """grad sigma at each row of ``tilts`` (B, d), chain j seeded ``seeds[j]``,
+    all chains advanced as one batch; returns (values, stderr), each (B, d).
+
+    The observable is the mean of the V' that the sampler's bond pass kept.
+    """
+    sampler = make_sampler(
+        pot, N, tilts, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seeds
+    )
+    B, d = tilts.shape
+    axes = tuple(range(1, d + 1))
+    obs = {i: (lambda et, i=i: sampler.vprime[i].mean(axis=axes)) for i in range(d)}
     series = sampler.collect(sweeps, obs)
-    vec = np.zeros(d)
-    err = np.zeros(d)
+    vec = np.zeros((B, d))
+    err = np.zeros((B, d))
     for i in range(d):
-        vec[i], err[i], _ = batch_means(series[f"g{i}"], sampler.n_batches)
+        for j, x in enumerate(np.ascontiguousarray(series[i].T)):
+            vec[j, i], err[j, i], _ = batch_means(x, sampler.n_batches)
     return vec, err
 
 
@@ -83,6 +95,9 @@ def sigma(
 ) -> SigmaEstimate:
     """Thermodynamic integration of grad sigma along the ray to u.
 
+    The chains at the ``nodes`` Gauss-Legendre abscissae run as one
+    batch; node j is seeded (*seed, j).
+
     The quadrature error proxy is the magnitude of the two highest
     Legendre coefficients the node values can resolve; for the smooth
     integrands here it is dominated by the Monte Carlo error.
@@ -94,15 +109,12 @@ def sigma(
     x, w = np.polynomial.legendre.leggauss(nodes)
     s = (x + 1.0) / 2.0
     ws = w / 2.0
-    vals = np.zeros(nodes)
-    errs = np.zeros(nodes)
-    for j in range(nodes):
-        g, ge = grad_sigma(
-            pot, N, s[j] * u, sweeps=sweeps, kind=kind, step=step,
-            burn_in=burn_in, thin=thin, seed=tuple(seed_key(seed)) + (j,),
-        )
-        vals[j] = float(u @ g)
-        errs[j] = float(np.sqrt(np.sum(u**2 * ge**2)))
+    seeds = [tuple(seed_key(seed)) + (j,) for j in range(nodes)]
+    g, ge = _grad_sigma_chains(
+        pot, N, np.outer(s, u), seeds, sweeps, kind, step, burn_in, thin
+    )
+    vals = np.array([float(u @ g[j]) for j in range(nodes)])
+    errs = np.array([float(np.sqrt(np.sum(u**2 * ge[j] ** 2))) for j in range(nodes)])
     value = float(ws @ vals)
     mc_err = float(np.sqrt(np.sum(ws**2 * errs**2)))
     coeffs = np.array(
@@ -462,13 +474,10 @@ class SurfaceTensionTable:
         return cls(axes, dsig, dsig_err, sigma_vals, sigma_err, meta)
 
 
-def _table_node(args):
-    spec, N, u, sweeps, seed_tuple, kind, step, burn_in, thin = args
+def _table_batch(args):
+    spec, N, tilts, seeds, sweeps, kind, step, burn_in, thin = args
     pot = potential_from_spec(spec)
-    return grad_sigma(
-        pot, N, u, sweeps=sweeps, seed=seed_tuple, kind=kind, step=step,
-        burn_in=burn_in, thin=thin,
-    )
+    return _grad_sigma_chains(pot, N, tilts, seeds, sweeps, kind, step, burn_in, thin)
 
 
 def build_table(
@@ -485,9 +494,10 @@ def build_table(
 ) -> SurfaceTensionTable:
     """Tabulate grad sigma on a tensor grid and integrate for sigma.
 
-    Each node runs an independent chain streamed by its flat index, so a
-    process pool (``workers > 0``) returns bit-identical numbers to the
-    serial run.  The grid must contain the origin, which anchors
+    Each node runs its own chain, streamed by its flat index.  The chains
+    run as one batch, or with ``workers > 1`` as one batch per worker
+    process; a chain's numbers do not depend on its batch, so both give
+    the same bits.  The grid must contain the origin, which anchors
     sigma = 0.
     """
     axes = _increasing_axes(axes)
@@ -503,25 +513,20 @@ def build_table(
 
     idx = np.indices(grid_shape).reshape(d, -1).T
     tilts = np.stack([axes[i][idx[:, i]] for i in range(d)], axis=-1)
+    seeds = [tuple(seed_key(seed)) + (j,) for j in range(len(tilts))]
+    parts = np.array_split(np.arange(len(tilts)), max(1, min(workers or 1, len(tilts))))
     jobs = [
-        (
-            spec_of(pot), N, tilts[j], sweeps,
-            tuple(seed_key(seed)) + (j,), kind, step, burn_in, thin,
-        )
-        for j in range(len(tilts))
+        (spec_of(pot), N, tilts[part], [seeds[j] for j in part], sweeps,
+         kind, step, burn_in, thin)
+        for part in parts
     ]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_table_node, jobs))
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            results = list(pool.map(_table_batch, jobs))
     else:
-        results = [_table_node(job) for job in jobs]
-
-    dsigma = np.zeros(grid_shape + (d,))
-    dsigma_err = np.zeros(grid_shape + (d,))
-    for j, (g, e) in enumerate(results):
-        key = tuple(idx[j])
-        dsigma[key] = g
-        dsigma_err[key] = e
+        results = [_table_batch(jobs[0])]
+    dsigma = np.concatenate([g for g, _ in results]).reshape(grid_shape + (d,))
+    dsigma_err = np.concatenate([e for _, e in results]).reshape(grid_shape + (d,))
 
     sigma_vals = np.zeros(grid_shape)
     sigma_var = np.zeros(grid_shape)

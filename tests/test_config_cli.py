@@ -256,6 +256,32 @@ class TestCliCommands:
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key", ["sampler.step=0.05", "sampler.burn_in=30"])
+    @pytest.mark.parametrize("command, csv, flags", [
+        pytest.param("surface-tension", "surface.csv", ("--u", "0.5"), id="surface-tension"),
+        pytest.param("surface-tension", "surface_table.csv",
+                     ("--table", "--d", "1", "--set", "surface.grid=[-0.5,0.5,3]"),
+                     id="surface-tension-table"),
+        pytest.param("convexity-probe", "convexity.csv", ("--u", "0.5", "--v=-0.5"),
+                     id="convexity-probe"),
+        pytest.param("decompose-flux", "flux.csv", ("--u", "0.5"), id="decompose-flux"),
+    ])
+    def test_sampler_key_changes_the_csv(self, cli_env, capsys, key, command, csv, flags):
+        # the key reaches the chains: the data rows change, not only the
+        # config hash in the header
+        base = (command, "--pot", "cosine", "--N", "4", *flags,
+                "--set", "surface.sweeps=64", "--set", "surface.nodes=2")
+        assert run_cli(*base, "--out", "default") == 0
+        assert run_cli(*base, "--set", key, "--out", "keyed") == 0
+        rows = [
+            [line for line in (next((cli_env / out).iterdir()) / csv).read_text().splitlines()
+             if not line.startswith("#")]
+            for out in ("default", "keyed")
+        ]
+        assert rows[0][0] == rows[1][0]   # same columns
+        assert rows[0][1:] != rows[1][1:]
+        capsys.readouterr()
+
     def test_output_root_precedence(self, cli_env, monkeypatch, capsys):
         flags = ("certify-potential", "--pot", "gaussian")
         assert run_cli(*flags) == 0                      # config default root

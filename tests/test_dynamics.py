@@ -97,24 +97,54 @@ class TestDriftAgainstEnergy:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("pot", [make_cosine_perturbed(0.8, 1.3), make_split_bump()])
     def test_bond_pass_matches_roll_form(self, d, pot):
-        # per replica: energy, gradient and differences of the np.roll passes
+        # per replica: energy, gradient, differences, V' and V sums of the
+        # np.roll passes
         lat = TorusLattice(5 if d < 3 else 3, d)
         tilt = np.linspace(-0.4, 0.7, d)
         rng = np.random.default_rng(d)
         phi = rng.normal(size=(4,) + lat.shape)
         sys = TiltedPeriodicSystem(lat, pot, tilt, phi=phi)
-        energy, grad, diffs = sys.bond_pass(phi)
+        b = sys.bond_pass(phi)
         for r in range(len(phi)):
             want_grad = np.zeros(lat.shape)
             for i in range(d):
-                a = pot.vp(np.roll(phi[r], -1, axis=i) - phi[r] + tilt[i])
+                bond = np.roll(phi[r], -1, axis=i) - phi[r] + tilt[i]
+                a = pot.vp(bond)
                 want_grad += np.roll(a, 1, axis=i) - a
-                assert np.array_equal(diffs[i][r], np.roll(phi[r], -1, axis=i) - phi[r])
-            assert energy[r] == hamiltonian_torus(pot.v, phi[r], tilt)
-            assert np.array_equal(grad[r], want_grad)
-        assert np.array_equal(sys.energy(), energy)
-        assert np.array_equal(sys.drift(), -grad)
-        assert all(np.array_equal(a, b) for a, b in zip(sys.eta_tilde(), diffs))
+                assert np.array_equal(b.diffs[i][r], np.roll(phi[r], -1, axis=i) - phi[r])
+                assert np.array_equal(b.vp[i][r], a)
+                assert b.v_sums[i][r] == pot.v(bond).sum()
+            assert b.energy[r] == hamiltonian_torus(pot.v, phi[r], tilt)
+            assert np.array_equal(b.grad[r], want_grad)
+        assert np.array_equal(sys.energy(), b.energy)
+        assert np.array_equal(sys.drift(), -b.grad)
+        assert all(np.array_equal(x, y) for x, y in zip(sys.eta_tilde(), b.diffs))
+        skipped = sys.bond_pass(phi, with_energy=False)
+        assert skipped.energy is None and skipped.v_sums is None
+        assert np.array_equal(skipped.grad, b.grad)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bond_pass_per_chain_tilts(self, d):
+        # a (B, d) tilt gives chain j exactly the pass of a system tilted by row j
+        pot = make_split_bump()
+        lat = TorusLattice(4, d)
+        tilts = np.random.default_rng(d).normal(size=(3, d))
+        phi = np.random.default_rng(d + 10).normal(size=(3,) + lat.shape)
+        batch = TiltedPeriodicSystem(lat, pot, tilts, phi=phi, seed=[0, 1, 2])
+        b = batch.bond_pass(phi)
+        for j in range(3):
+            single = TiltedPeriodicSystem(lat, pot, tilts[j], phi=phi[j])
+            one = single.bond_pass(phi[j])
+            assert b.energy[j] == one.energy
+            assert np.array_equal(b.grad[j], one.grad)
+            for name in ("diffs", "vp", "v_sums"):
+                assert all(
+                    np.array_equal(x[j], y) for x, y in zip(getattr(b, name), getattr(one, name))
+                )
+            assert np.array_equal(batch.mean_gradient()[:, j], single.mean_gradient())
+        for seed in ([0, 1], 0):
+            with pytest.raises(ValueError):
+                TiltedPeriodicSystem(lat, pot, tilts, seed=seed)
 
     def test_pointwise_reference_matches_vectorized(self):
         pot = make_cosine_perturbed(0.4, 2.0)

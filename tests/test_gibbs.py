@@ -17,6 +17,7 @@ from heightlab import (
     sample,
     variance_sweep,
 )
+from heightlab import gibbs
 from heightlab.dynamics import TiltedPeriodicSystem
 from heightlab.rng import seed_key, stream
 from heightlab.surface import build_table, decompose_flux, grad_sigma
@@ -185,6 +186,15 @@ class TestVarianceSweep:
         assert lo <= hi or sweep.ratio < 1.1
         assert np.isfinite(sweep.values).all()
 
+    @pytest.mark.parametrize("kw", [{}, {"kind": "ula", "thin": 3}])
+    def test_batch_equals_per_tilt_loop(self, kw):
+        pot = make_cosine_perturbed(0.5, 1.0)
+        tilts = [(0.0,), (0.5,), (1.0,), (2.0,)]
+        vs = variance_sweep(pot, 6, tilts, sweeps=192, seed=4, **kw)
+        for j, u in enumerate(tilts):
+            rep = estimate_bond_variance(make_sampler(pot, 6, u, seed=(4, j), **kw), 0, 192)
+            assert (vs.values[j, 0], vs.stderr[j, 0]) == (rep.value, rep.stderr)
+
     def test_scale_uniformity_at_zero_tilt(self):
         pot = make_cosine_perturbed(0.5, 1.0)
         a = variance_sweep(pot, 8, [(0.0,)], sweeps=5000, seed=14)
@@ -251,14 +261,22 @@ def _plain_chain(pot, N, tilt, seed, sweeps, observables=None, **kw):
 
 
 def _record_states(sampler):
-    """List that receives a copy of the heights after every sweep."""
-    phis = []
-    for name in ("_mala_sweep", "_ula_sweep"):
-        def recorded(inner=getattr(sampler, name)):
-            accepted = inner()
-            phis.append(sampler.system.phi.copy())
-            return accepted
-        setattr(sampler, name, recorded)
+    """Per chain, a list that receives a copy of its heights after every
+    sweep that chain makes; a chain waiting in lockstep records nothing."""
+    sys = sampler.system
+    n = len(sys.rngs)
+    phis = [[] for _ in range(n)]
+    inner = sampler._sweep
+
+    def recorded(active=None):
+        moved = inner(active)
+        phi = sys.phi.reshape((n,) + sys.lattice.shape)
+        for j in range(n):
+            if active is None or active[j]:
+                phis[j].append(phi[j].copy())
+        return moved
+
+    sampler._sweep = recorded
     return phis
 
 
@@ -301,7 +319,7 @@ class TestMatchesPlainLoop:
     def test_states_counts_and_series(self, pot, N, tilt, kw):
         seed = (N, len(tilt), len(kw))
         s = make_sampler(pot, N, tilt, seed=seed, **kw)
-        phis = _record_states(s)
+        phis = _record_states(s)[0]
         got = s.collect(120, _observables(pot, tilt))
         want = _plain_chain(pot, N, tilt, seed, 120, _observables(pot, tilt), **kw)
         assert len(phis) == len(want["phis"])
@@ -394,6 +412,97 @@ class TestMatchesPlainLoop:
                 assert (vs.values[j, i], vs.stderr[j, i]) == batch_means(series[i])[:2]
 
 
+# ---------------------------------------------------------------------------
+# batches: every chain is the plain chain on its own stream
+
+
+def _batch_observables(pot, tilts, sampler):
+    """``_observables`` of every chain at once, plus the mean of the kept V'."""
+    d = tilts.shape[1]
+    axes = tuple(range(1, d + 1))
+    col = tilts[:, 0].reshape((-1,) + (1,) * d)
+    return {
+        "vp0": lambda et: pot.vp(et[0] + col).mean(axis=axes),
+        "kept_vp0": lambda et: sampler.vprime[0].mean(axis=axes),
+        "sq": lambda et: np.square(et[-1]).mean(axis=axes),
+        "bonds": lambda et: np.stack(et, axis=1),
+    }
+
+
+BATCHES = [
+    pytest.param(BUMP, 6, [(0.5, 0.0)], {}, id="B1-bump-d2"),
+    pytest.param(COSINE, 8, [(0.0,), (0.6,), (1.5,)], {}, id="B3-cosine-d1"),
+    pytest.param(BUMP, 6, [(1.0, -0.5), (0.0, 0.0), (0.5, 0.3)], {}, id="B3-bump-d2"),
+    pytest.param(COSINE, 4, [(0.3, 0.0, -0.2), (0.0, 0.0, 0.0), (1.0, 0.5, 0.0)], {},
+                 id="B3-cosine-d3"),
+    pytest.param(COSINE, 4, [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)], {},
+                 id="B9-cosine-d2"),
+    pytest.param(BUMP, 4, [(0.2, 0.1, 0.0), (0.0, 0.0, 0.0), (0.6, -0.4, 0.3)],
+                 {"step": 0.05, "burn_in": 100, "thin": 3}, id="B3-bump-d3-fixed-step-thin3"),
+    pytest.param(BUMP, 8, [(0.1 * j,) for j in range(9)],
+                 {"step": 0.1, "burn_in": 60, "thin": 3}, id="B9-bump-d1-fixed-step-thin3"),
+    pytest.param(BUMP, 6, [(0.4, 0.0), (0.0, 0.8), (-0.3, 0.2)], {"kind": "ula"},
+                 id="B3-bump-d2-ula"),
+    pytest.param(COSINE, 8, [(0.3,), (1.2,), (0.0,)], {"kind": "ula", "burn_in": 100, "thin": 3},
+                 id="B3-cosine-d1-ula-fixed-burn-thin3"),
+]
+
+
+class TestBatchMatchesPlainLoop:
+    """Each chain of a batch reproduces the plain chain on its own stream."""
+
+    @pytest.mark.parametrize("pot, N, tilts, kw", BATCHES)
+    def test_every_chain_every_sweep(self, pot, N, tilts, kw):
+        tilts = np.asarray(tilts, dtype=float)
+        B, d = tilts.shape
+        seeds = [(B, d, len(kw), j) for j in range(B)]
+        s = make_sampler(pot, N, tilts, seed=seeds, **kw)
+        phis = _record_states(s)
+        got = s.collect(90, _batch_observables(pot, tilts, s))
+        accepts = proposals = 0
+        for j in range(B):
+            obs = _observables(pot, tilts[j])
+            obs["kept_vp0"] = obs["vp0"]
+            want = _plain_chain(pot, N, tilts[j], seeds[j], 90, obs, **kw)
+            assert len(phis[j]) == len(want["phis"])
+            assert all(np.array_equal(a, b) for a, b in zip(phis[j], want["phis"]))
+            assert s.step[j] == want["step"]
+            for name, series in want["series"].items():
+                assert np.array_equal(got[name][:, j], series)
+            accepts += want["accepts"]
+            proposals += want["proposals"]
+        assert (s._accepts, s._proposals) == (accepts, proposals)
+
+    @pytest.mark.parametrize("kw", [
+        pytest.param({"burn_in": 40}, id="tuning"),
+        pytest.param({"step": 0.05}, id="adaptive-burn-in"),
+    ])
+    def test_waiting_chains_draw_nothing(self, kw, monkeypatch):
+        # chain-dependent IACTs in [100, 130) give each chain its own extra
+        # burn-in; the plain chains read the same stand-in
+        monkeypatch.setattr(
+            gibbs, "integrated_autocorr_time",
+            lambda x: 100.0 + float(np.sum(x) * 1e3 % 30.0),
+        )
+        tilts = np.array([(0.0, 0.0), (1.0, -0.5), (0.5, 0.5), (1.5, 0.0)])
+        seeds = [(21, j) for j in range(len(tilts))]
+        s = make_sampler(BUMP, 4, tilts, seed=seeds, **kw)
+        phis = _record_states(s)
+        s.prepare()
+        for j, u in enumerate(tilts):
+            rng = stream(*seed_key(seeds[j]), 0)
+            want = reference_mala_chain(
+                BUMP.v, BUMP.vp, u, np.zeros((4, 4)), rng, 0,
+                lipschitz=BUMP.drift_lipschitz, **kw,
+            )
+            # both streams stand at the same draw
+            assert np.array_equal(s.system.rngs[j].random(8), rng.random(8))
+            assert all(np.array_equal(a, b) for a, b in zip(phis[j], want["phis"]))
+            assert len(phis[j]) == len(want["phis"])
+        # the chains made different numbers of sweeps, so some waited
+        assert len({len(p) for p in phis}) > 1
+
+
 def _counting(pot, counts):
     """Copy of ``pot`` whose callables named in ``counts`` count their calls."""
     def counted(name):
@@ -416,6 +525,23 @@ class TestOnePassPerProposal:
         d = len(tilt)
         # ULA needs no energy, so its pass evaluates V' only
         assert counts == {"v": 10 * d if kind == "mala" else 0, "vp": 10 * d}
+
+    @pytest.mark.parametrize("tilt", [(0.5,), (0.5, 0.0), (0.5, 0.0, 0.2)])
+    @pytest.mark.parametrize("kind", ["mala", "ula"])
+    def test_burn_in_probes_read_the_pass(self, tilt, kind, monkeypatch):
+        # no extra burn-in: the first pass, then 1000 probe sweeps, each of
+        # one pass with V and V' on every axis and no further potential call
+        monkeypatch.setattr(gibbs, "integrated_autocorr_time", lambda x: 1.0)
+        counts = {"v": 0, "vp": 0}
+        s = make_sampler(_counting(COSINE, counts), 4, tilt, kind=kind, step=0.05, seed=0)
+        s.prepare()
+        d = len(tilt)
+        assert counts == {"v": 1001 * d, "vp": 1001 * d}
+
+    def test_grad_sigma_reads_the_kept_vprime(self):
+        counts = {"v": 0, "vp": 0}
+        grad_sigma(_counting(COSINE, counts), 4, (0.5, 0.0), sweeps=64, step=0.05, burn_in=0)
+        assert counts == {"v": 65 * 2, "vp": 65 * 2}  # the first pass and one per sweep
 
     def test_decompose_flux_curvature_calls(self):
         counts = {"v0pp": 0}

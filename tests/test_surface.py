@@ -57,6 +57,16 @@ class TestSigma:
         assert est.value == 0.0 and est.stderr == 0.0
         assert not est.node_values.any()
 
+    def test_batch_equals_per_node_loop(self):
+        # node j is grad_sigma's chain at s_j u, seeded (*seed, j)
+        pot, u, nodes = make_split_bump(), np.array([0.6, -0.3]), 4
+        est = sigma(pot, 4, u, nodes=nodes, sweeps=160, seed=3)
+        s = (np.polynomial.legendre.leggauss(nodes)[0] + 1.0) / 2.0
+        for j in range(nodes):
+            g, ge = grad_sigma(pot, 4, s[j] * u, sweeps=160, seed=(3, j))
+            assert est.node_values[j] == float(u @ g)
+            assert est.node_stderr[j] == float(np.sqrt(np.sum(u**2 * ge**2)))
+
     def test_error_budget_sums(self):
         est = sigma(make_cosine_perturbed(0.3, 1.0), 8, (0.5,), nodes=4,
                     sweeps=400, seed=1)
@@ -244,6 +254,15 @@ class TestSurfaceTensionTable:
         assert np.array_equal(serial.dsigma, forked.dsigma)
         assert np.array_equal(serial.sigma, forked.sigma)
         assert np.array_equal(serial.dsigma_err, forked.dsigma_err)
+
+    def test_uneven_worker_batches_match_one_batch(self):
+        # six nodes over four workers: batches of 2, 2, 1 and 1 chains
+        pot = make_split_bump()
+        axes = [np.array([-0.5, 0.0, 0.5]), np.array([-0.3, 0.0])]
+        serial = build_table(pot, 4, axes, sweeps=160, seed=8, burn_in=50)
+        forked = build_table(pot, 4, axes, sweeps=160, seed=8, burn_in=50, workers=4)
+        for name in ("dsigma", "dsigma_err", "sigma", "sigma_err"):
+            assert np.array_equal(getattr(serial, name), getattr(forked, name))
 
 
 @st.composite
