@@ -63,7 +63,6 @@ from .gibbs import (
     dlr_check,
     estimate_bond_variance,
     estimate_identity2,
-    estimate_vprime_mean,
     integrated_autocorr_time,
     make_sampler,
     sample,

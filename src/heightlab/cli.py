@@ -211,7 +211,6 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
         )
         table.meta.update(config=meta["config"])
         path = os.path.join(outdir, "surface_table.csv")
-        os.makedirs(outdir, exist_ok=True)
         table.to_csv(path)
         print(f"surface table: {table.sigma.size} nodes -> {path}")
         return 0
@@ -407,16 +406,12 @@ def cmd_hydro(cfg: RunConfig, meta, outdir) -> int:
     spec = build_domain(cfg.domain, d)
     f = build_profile(cfg.boundary, d)
     h0 = build_profile(cfg.initial, d)
-    if cfg.pde.flux == "gaussian":
-        flux = "gaussian"
-    else:
-        flux = SurfaceTensionTable.from_csv(cfg.pde.flux)
     exp = HydroExperiment(
         pot=pot, spec=spec, boundary=f, initial=h0,
         scales=tuple(cfg.hydro.scales), times=tuple(cfg.hydro.times),
         realizations=cfg.hydro.realizations, seed=cfg.seed,
         dt=cfg.dynamics.dt or None, pde_spacing=cfg.pde.spacing or None,
-        flux=flux,
+        flux=_resolve_flux_arg(cfg.pde.flux),
     )
     table = hydro_run(exp)
     for row in table.rows:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .hydro import make_bump, make_linear, profile_zero
 from .lattice import DomainSpec
-from .potential import potential_from_spec
+from .potential import STOCK_KINDS, potential_from_spec
 
 
 @dataclass
@@ -217,13 +217,10 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
 # -- builders -------------------------------------------------------------
 
 def build_potential(cfg: PotentialConfig):
-    spec = {"kind": cfg.kind}
-    if cfg.kind == "cosine":
-        spec.update(a=cfg.a, kappa=cfg.kappa)
-    elif cfg.kind == "split_bump":
-        spec.update(a=cfg.a, w=cfg.w, M=cfg.M)
-    elif cfg.kind != "gaussian":
+    if cfg.kind not in STOCK_KINDS:
         raise ConfigError(f"unknown potential kind '{cfg.kind}'")
+    params = STOCK_KINDS[cfg.kind][1]
+    spec = {"kind": cfg.kind} | {k: getattr(cfg, k) for k in params}
     return potential_from_spec(spec)
 
 

@@ -10,9 +10,9 @@ gradient ensemble with mean tilt u.  The default kernel is MALA, whose
 Metropolis correction makes the invariant law exact; the unadjusted
 Langevin chain (``kind="ula"``) is kept for bias cross-checks.
 
-Error bars use batch means (32 batches by default) and effective sample
-sizes are the ratio of series variance to squared standard error.  The
-sampler tunes its step during burn-in toward the 0.50-0.65 acceptance
+Error bars use batch means over ``N_BATCHES`` = 32 batches and effective
+sample sizes are the ratio of series variance to squared standard error.
+The sampler tunes its step during burn-in toward the 0.50-0.65 acceptance
 window, freezes it, then burns for at least max(1000, 10 IACT) sweeps
 before any estimate.
 """
@@ -31,8 +31,10 @@ from .rng import seed_key, stream
 # ---------------------------------------------------------------------------
 # time-series statistics
 
+N_BATCHES = 32  # batches behind every error bar
 
-def batch_means(series, n_batches: int = 32):
+
+def batch_means(series, n_batches: int = N_BATCHES):
     """(mean, stderr, ess) of a stationary series via batch means."""
     x = np.asarray(series, dtype=float)
     if len(x) < n_batches:
@@ -108,7 +110,6 @@ class GibbsSampler:
         step: float | None = None,
         burn_in: int | None = None,
         thin: int = 1,
-        n_batches: int = 32,
     ):
         if kind not in ("mala", "ula"):
             raise ValueError("kind must be 'mala' or 'ula'")
@@ -119,7 +120,6 @@ class GibbsSampler:
         self.system = system
         self.kind = kind
         self.thin = max(1, int(thin))
-        self.n_batches = int(n_batches)
         self.burn_in = burn_in
         self._batched = bool(chains)
         self._n = chains[0] if chains else 1
@@ -382,74 +382,56 @@ def sample(sampler: GibbsSampler, sweeps: int):
 # estimators
 
 
-def estimate_vprime_mean(
-    sampler: GibbsSampler, axis: int = 0, sweeps: int = 20000
-) -> EstimatorReport:
-    """Mean of V' over the tilted bonds along one axis.
-
-    By tilt-differentiation of the free energy this equals the
-    corresponding component of the surface-tension gradient.
-    """
+def _report(sampler: GibbsSampler, name: str, sweeps: int, obs) -> EstimatorReport:
+    """Batch-means report of the scalar observable ``obs`` over ``sweeps``."""
     sys = sampler.system
-    pot, u = sys.pot, sys.tilt
-
-    def obs(et):
-        return float(pot.vp(et[axis] + u[axis]).mean())
-
     series = sampler.collect(sweeps, {"o": obs})["o"]
-    value, stderr, ess = batch_means(series, sampler.n_batches)
+    value, stderr, ess = batch_means(series)
     return EstimatorReport(
-        name=f"vprime_mean[{axis}]",
-        value=value,
-        stderr=stderr,
-        ess=ess,
-        sweeps=sweeps,
-        meta={"potential": pot.name, "N": sys.lattice.N, "tilt": tuple(u)},
-    )
-
-
-def estimate_identity2(sampler: GibbsSampler, sweeps: int = 20000) -> EstimatorReport:
-    """Estimate sum_i E[eta(e_i) V'(eta(e_i))], which equals u . grad sigma + 1
-    in the infinite-volume limit (finite-N value differs at O(N^-d))."""
-    sys = sampler.system
-    pot, u = sys.pot, sys.tilt
-
-    def obs(et):
-        return float(
-            sum(((e + u[i]) * pot.vp(e + u[i])).mean() for i, e in enumerate(et))
-        )
-
-    series = sampler.collect(sweeps, {"o": obs})["o"]
-    value, stderr, ess = batch_means(series, sampler.n_batches)
-    return EstimatorReport(
-        name="eta_vprime_identity",
-        value=value,
-        stderr=stderr,
-        ess=ess,
-        sweeps=sweeps,
-        meta={"potential": pot.name, "N": sys.lattice.N, "tilt": tuple(u)},
-    )
-
-
-def estimate_bond_variance(
-    sampler: GibbsSampler, axis: int = 0, sweeps: int = 20000
-) -> EstimatorReport:
-    """Variance of the bond variable along one axis (tilt drops out)."""
-    sys = sampler.system
-
-    def obs(et):
-        return float(np.square(et[axis]).mean())
-
-    series = sampler.collect(sweeps, {"o": obs})["o"]
-    value, stderr, ess = batch_means(series, sampler.n_batches)
-    return EstimatorReport(
-        name=f"bond_variance[{axis}]",
+        name=name,
         value=value,
         stderr=stderr,
         ess=ess,
         sweeps=sweeps,
         meta={"potential": sys.pot.name, "N": sys.lattice.N, "tilt": tuple(sys.tilt)},
     )
+
+
+def estimate_identity2(sampler: GibbsSampler, sweeps: int = 20000) -> EstimatorReport:
+    """Estimate sum_i E[eta(e_i) V'(eta(e_i))], which equals u . grad sigma + 1
+    in the infinite-volume limit (finite-N value differs at O(N^-d))."""
+    pot, u = sampler.system.pot, sampler.system.tilt
+
+    def obs(et):
+        return float(
+            sum(((e + u[i]) * pot.vp(e + u[i])).mean() for i, e in enumerate(et))
+        )
+
+    return _report(sampler, "eta_vprime_identity", sweeps, obs)
+
+
+def estimate_bond_variance(
+    sampler: GibbsSampler, axis: int = 0, sweeps: int = 20000
+) -> EstimatorReport:
+    """Variance of the bond variable along one axis (tilt drops out)."""
+    return _report(
+        sampler, f"bond_variance[{axis}]", sweeps,
+        lambda et: float(np.square(et[axis]).mean()),
+    )
+
+
+def chain_means(sampler: GibbsSampler, sweeps: int, obs):
+    """Batch means over ``sweeps`` of ``obs(et, i)``, an array with one entry
+    per chain of a batched sampler, for each lattice axis i; returns
+    (values, stderr), each (chains, d)."""
+    d = sampler.system.lattice.d
+    series = sampler.collect(sweeps, {i: (lambda et, i=i: obs(et, i)) for i in range(d)})
+    values = np.zeros((sampler._n, d))
+    errors = np.zeros((sampler._n, d))
+    for i in range(d):
+        for j, x in enumerate(np.ascontiguousarray(series[i].T)):
+            values[j, i], errors[j, i], _ = batch_means(x)
+    return values, errors
 
 
 @dataclass
@@ -508,13 +490,9 @@ def variance_sweep(
         seed=[tuple(seed_key(seed)) + (j,) for j in range(n)],
     )
     axes = tuple(range(1, d + 1))
-    obs = {i: (lambda et, i=i: np.square(et[i]).mean(axis=axes)) for i in range(d)}
-    series = sampler.collect(sweeps, obs)
-    values = np.zeros((n, d))
-    errors = np.zeros((n, d))
-    for i in range(d):
-        for j, x in enumerate(np.ascontiguousarray(series[i].T)):
-            values[j, i], errors[j, i], _ = batch_means(x, sampler.n_batches)
+    values, errors = chain_means(
+        sampler, sweeps, lambda et, i: np.square(et[i]).mean(axis=axes)
+    )
     return VarianceSweep(tilts, values, errors, sweeps, pot.name, N)
 
 

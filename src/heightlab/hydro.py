@@ -10,7 +10,6 @@ grows; the convergence table records exactly that.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from .dynamics import DirichletSystem, macro_height, run_dirichlet, step_cap
 from .errors import PlotSkipped
+from .io import write_csv
 from .lattice import DomainSpec, boundary_height, cell_average, discretize_domain
 from .pde import (
     GaussianFlux,
@@ -104,7 +104,7 @@ class ConvergenceTable:
 
 def resolve_flux(flux, pot):
     if flux == "auto":
-        if pot.name == "gaussian":
+        if pot.spec == {"kind": "gaussian"}:
             return GaussianFlux()
         raise ValueError(
             "no closed-form flux for this potential; pass a surface table"
@@ -220,30 +220,19 @@ def report(table: ConvergenceTable, outdir, meta: dict | None = None) -> list:
     if not table.rows:
         raise ValueError("empty convergence table")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     header_meta = dict(meta or {})
     for key in ("potential", "domain", "d", "flux", "realizations"):
         if key in table.meta:
             header_meta.setdefault(key, table.meta[key])
 
-    paths = []
-    csv_path = outdir / "convergence.csv"
-    with open(csv_path, "w", newline="") as fh:
-        for key in sorted(header_meta):
-            fh.write(f"# {key}={header_meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["N", "t", "mean_sq_gap", "stderr", "realizations"])
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row["N"],
-                    repr(row["t"]),
-                    repr(row["mean_sq_gap"]),
-                    repr(row["stderr"]),
-                    row["realizations"],
-                ]
-            )
-    paths.append(csv_path)
+    columns = ("N", "t", "mean_sq_gap", "stderr", "realizations")
+    paths = [
+        write_csv(
+            outdir / "convergence.csv",
+            {c: [row[c] for row in table.rows] for c in columns},
+            header_meta,
+        )
+    ]
 
     dat_path = outdir / "gap_vs_N.dat"
     with open(dat_path, "w") as fh:

@@ -33,7 +33,11 @@ def write_csv(path, columns: dict, meta: dict | None = None) -> Path:
 
 
 def read_csv(path):
-    """Inverse of write_csv: (columns dict of float arrays, meta dict)."""
+    """Inverse of write_csv: (columns dict of float arrays, meta dict).
+
+    Blank lines are skipped.  A file with no header row, or a row whose
+    cell count differs from the header's, raises ``ValueError``.
+    """
     meta: dict = {}
     rows = []
     with open(path) as fh:
@@ -43,14 +47,17 @@ def read_csv(path):
                 meta[key.strip()] = val
                 continue
             rows.append(line)
-    parsed = list(csv.reader(rows))
-    names = parsed[0]
-    cols = {n: [] for n in names}
-    for row in parsed[1:]:
-        for n, cell in zip(names, row):
-            cols[n].append(cell)
+    parsed = [row for row in csv.reader(rows) if row]
+    if not parsed:
+        raise ValueError(f"no header row in {path}")
+    names, body = parsed[0], parsed[1:]
+    for k, row in enumerate(body, start=1):
+        if len(row) != len(names):
+            raise ValueError(
+                f"{path}: data row {k} has {len(row)} cells, the header {len(names)}"
+            )
     out = {}
-    for n, cells in cols.items():
+    for n, cells in zip(names, zip(*body) if body else [()] * len(names)):
         try:
             out[n] = np.array([float(c) for c in cells])
         except ValueError:

@@ -10,7 +10,7 @@ known to behave like the unperturbed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,9 @@ class Potential:
 
     All callables are numpy-vectorized.  ``c_minus``/``c_plus`` bound the
     curvature of V0, ``c_g`` bounds |g'| + |g''|; these are declared
-    values, checked against a grid scan by :func:`certify`.
+    values, checked against a grid scan by :func:`certify`.  ``spec`` is
+    the plain dict :func:`potential_from_spec` rebuilds a stock potential
+    from, and ``None`` for any other.
     """
 
     name: str
@@ -42,7 +44,7 @@ class Potential:
     c_minus: float
     c_plus: float
     c_g: float
-    params: dict = field(default_factory=dict)
+    spec: dict | None = None
 
     @property
     def drift_lipschitz(self) -> float:
@@ -69,6 +71,7 @@ def make_gaussian() -> Potential:
         c_minus=1.0,
         c_plus=1.0,
         c_g=0.0,
+        spec={"kind": "gaussian"},
     )
 
 
@@ -94,7 +97,7 @@ def make_cosine_perturbed(a: float, kappa: float) -> Potential:
         c_minus=1.0,
         c_plus=1.0,
         c_g=abs(a) * kappa + abs(a) * kappa**2,
-        params={"a": a, "kappa": kappa},
+        spec={"kind": "cosine", "a": a, "kappa": kappa},
     )
 
 
@@ -211,7 +214,6 @@ def split_potential(
         c_minus=c_minus,
         c_plus=c_plus,
         c_g=c_g,
-        params={"M": M, "alpha": alpha},
     )
 
 
@@ -220,47 +222,34 @@ def make_split_bump(a: float = 1.0, w: float = 0.5, M: float = 2.0) -> Potential
     pot = split_potential(
         *bump_callables(a, w), M=M, name=f"split_bump(a={a:g},w={w:g},M={M:g})"
     )
-    pot.params.update({"a": float(a), "w": float(w)})
-    return pot
+    return replace(
+        pot, spec={"kind": "split_bump", "a": float(a), "w": float(w), "M": float(M)}
+    )
+
+
+# kind -> (factory, parameter defaults): the one list of stock potentials
+STOCK_KINDS = {
+    "gaussian": (make_gaussian, {}),
+    "cosine": (make_cosine_perturbed, {"a": 0.2, "kappa": 1.0}),
+    "split_bump": (make_split_bump, {"a": 1.0, "w": 0.5, "M": 2.0}),
+}
 
 
 def potential_from_spec(spec: dict) -> Potential:
     """Rebuild a stock potential from a plain dict (config files, workers).
 
-    Kinds: ``gaussian``; ``cosine`` with ``a``, ``kappa``; ``split_bump``
-    with ``a``, ``w``, ``M``.
+    ``spec["kind"]`` names an entry of ``STOCK_KINDS``; parameters it
+    leaves out take that entry's defaults.
     """
     spec = dict(spec)
     kind = spec.pop("kind", None)
-    if kind == "gaussian":
-        built = make_gaussian()
-    elif kind == "cosine":
-        built = make_cosine_perturbed(spec.pop("a", 0.2), spec.pop("kappa", 1.0))
-    elif kind == "split_bump":
-        built = make_split_bump(
-            spec.pop("a", 1.0), spec.pop("w", 0.5), spec.pop("M", 2.0)
-        )
-    else:
+    if kind not in STOCK_KINDS:
         raise ValueError(f"unknown potential kind {kind!r}")
-    if spec:
-        raise ValueError(f"unexpected potential keys {sorted(spec)}")
-    return built
-
-
-def spec_of(pot: Potential) -> dict:
-    """Inverse of :func:`potential_from_spec` for stock potentials."""
-    if pot.name == "gaussian":
-        return {"kind": "gaussian"}
-    if pot.name.startswith("cosine("):
-        return {"kind": "cosine", "a": pot.params["a"], "kappa": pot.params["kappa"]}
-    if pot.name.startswith("split_bump("):
-        return {
-            "kind": "split_bump",
-            "a": pot.params["a"],
-            "w": pot.params["w"],
-            "M": pot.params["M"],
-        }
-    raise ValueError(f"potential {pot.name!r} has no dict spec")
+    factory, defaults = STOCK_KINDS[kind]
+    unknown = sorted(set(spec) - set(defaults))
+    if unknown:
+        raise ValueError(f"unexpected potential keys {unknown}")
+    return factory(**(defaults | spec))
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,15 @@ which is what makes the decomposition useful for uniqueness arguments.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._interp import Multilinear, Workspace
-from .gibbs import batch_means, make_sampler
-from .potential import potential_from_spec, spec_of
+from .gibbs import batch_means, chain_means, make_sampler
+from .io import read_csv, write_csv
+from .potential import potential_from_spec
 from .rng import seed_key
 
 
@@ -58,16 +58,8 @@ def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, kind, step, burn_in, thin):
     sampler = make_sampler(
         pot, N, tilts, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seeds
     )
-    B, d = tilts.shape
-    axes = tuple(range(1, d + 1))
-    obs = {i: (lambda et, i=i: sampler.vprime[i].mean(axis=axes)) for i in range(d)}
-    series = sampler.collect(sweeps, obs)
-    vec = np.zeros((B, d))
-    err = np.zeros((B, d))
-    for i in range(d):
-        for j, x in enumerate(np.ascontiguousarray(series[i].T)):
-            vec[j, i], err[j, i], _ = batch_means(x, sampler.n_batches)
-    return vec, err
+    axes = tuple(range(1, tilts.shape[1] + 1))
+    return chain_means(sampler, sweeps, lambda et, i: sampler.vprime[i].mean(axis=axes))
 
 
 @dataclass(frozen=True)
@@ -289,8 +281,8 @@ def decompose_flux(
     avec = np.zeros(d)
     a_err = np.zeros(d)
     for i in range(d):
-        A[i], A_err[i], _ = batch_means(series[f"A{i}"], sampler.n_batches)
-        avec[i], a_err[i], _ = batch_means(series[f"a{i}"], sampler.n_batches)
+        A[i], A_err[i], _ = batch_means(series[f"A{i}"])
+        avec[i], a_err[i], _ = batch_means(series[f"a{i}"])
     return FluxDecomposition(
         tilt=u,
         A=A,
@@ -419,51 +411,23 @@ class SurfaceTensionTable:
     # -- serialization --------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        grid_shape = tuple(len(a) for a in self.axes)
-        idx = np.indices(grid_shape).reshape(self.d, -1).T
-        with open(path, "w", newline="") as fh:
-            for key in sorted(self.meta):
-                fh.write(f"# {key}={self.meta[key]}\n")
-            writer = csv.writer(fh)
-            header = (
-                [f"u_{i}" for i in range(self.d)]
-                + ["sigma", "sigma_err"]
-                + [f"dsigma_{i}" for i in range(self.d)]
-                + [f"dsigma_err_{i}" for i in range(self.d)]
-            )
-            writer.writerow(header)
-            for multi in idx:
-                key = tuple(multi)
-                row = [repr(float(self.axes[i][multi[i]])) for i in range(self.d)]
-                row += [repr(float(self.sigma[key])), repr(float(self.sigma_err[key]))]
-                row += [repr(float(self.dsigma[key + (i,)])) for i in range(self.d)]
-                row += [repr(float(self.dsigma_err[key + (i,)])) for i in range(self.d)]
-                writer.writerow(row)
+        idx = np.indices(self.sigma.shape).reshape(self.d, -1)
+        cols = {f"u_{i}": a[idx[i]] for i, a in enumerate(self.axes)}
+        cols.update(sigma=self.sigma.ravel(), sigma_err=self.sigma_err.ravel())
+        for name, values in (("dsigma", self.dsigma), ("dsigma_err", self.dsigma_err)):
+            cols.update({f"{name}_{i}": values[..., i].ravel() for i in range(self.d)})
+        write_csv(path, cols, self.meta)
 
     @classmethod
     def from_csv(cls, path) -> "SurfaceTensionTable":
-        meta = {}
-        rows = []
-        with open(path, newline="") as fh:
-            header = None
-            for line in fh:
-                line = line.rstrip("\n")
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    meta[key.strip()] = val
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    continue
-                if line:
-                    rows.append([float(tok) for tok in line.split(",")])
-        if header is None or not rows:
+        cols, meta = read_csv(path)
+        data = np.stack(list(cols.values()), axis=1).astype(float)
+        if not len(data):
             raise ValueError(f"no table data in {path}")
-        d = sum(1 for name in header if name.startswith("u_"))
-        data = np.asarray(rows)
+        d = sum(1 for name in cols if name.startswith("u_"))
         axes = [np.unique(data[:, i]) for i in range(d)]
         grid_shape = tuple(len(a) for a in axes)
-        if int(np.prod(grid_shape)) != len(rows):
+        if int(np.prod(grid_shape)) != len(data):
             raise ValueError("table rows do not form a complete tensor grid")
         order = np.lexsort(tuple(data[:, i] for i in reversed(range(d))))
         data = data[order]
@@ -475,9 +439,12 @@ class SurfaceTensionTable:
 
 
 def _table_batch(args):
-    spec, N, tilts, seeds, sweeps, kind, step, burn_in, thin = args
-    pot = potential_from_spec(spec)
-    return _grad_sigma_chains(pot, N, tilts, seeds, sweeps, kind, step, burn_in, thin)
+    """One batch of table chains; a potential given by its spec is rebuilt
+    first, as in a worker process."""
+    pot, *rest = args
+    if isinstance(pot, dict):
+        pot = potential_from_spec(pot)
+    return _grad_sigma_chains(pot, *rest)
 
 
 def build_table(
@@ -497,8 +464,9 @@ def build_table(
     Each node runs its own chain, streamed by its flat index.  The chains
     run as one batch, or with ``workers > 1`` as one batch per worker
     process; a chain's numbers do not depend on its batch, so both give
-    the same bits.  The grid must contain the origin, which anchors
-    sigma = 0.
+    the same bits.  Workers rebuild the potential from ``pot.spec``, so a
+    potential without one runs serially only.  The grid must contain the
+    origin, which anchors sigma = 0.
     """
     axes = _increasing_axes(axes)
     d = len(axes)
@@ -514,9 +482,11 @@ def build_table(
     idx = np.indices(grid_shape).reshape(d, -1).T
     tilts = np.stack([axes[i][idx[:, i]] for i in range(d)], axis=-1)
     seeds = [tuple(seed_key(seed)) + (j,) for j in range(len(tilts))]
+    if pot.spec is None and workers > 1:
+        raise ValueError(f"potential {pot.name!r} has no spec to rebuild in workers")
     parts = np.array_split(np.arange(len(tilts)), max(1, min(workers or 1, len(tilts))))
     jobs = [
-        (spec_of(pot), N, tilts[part], [seeds[j] for j in part], sweeps,
+        (pot.spec or pot, N, tilts[part], [seeds[j] for j in part], sweeps,
          kind, step, burn_in, thin)
         for part in parts
     ]

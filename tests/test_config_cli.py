@@ -4,6 +4,7 @@ CLI runs use small sweep counts; the point here is exit codes, artifact
 layout, and byte-level reproducibility rather than statistics.
 """
 
+import hashlib
 import importlib.util
 import json
 
@@ -143,6 +144,13 @@ class TestCsvRoundTrip:
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "bad.csv", {"a": [1.0], "b": [1.0, 2.0]})
+        path = tmp_path / "read.csv"
+        for text, match in (("", "no header"), ("a,b\n1,2\n3\n", "row 2 has 1 cells")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=match):
+                read_csv(path)
+        path.write_text("# k=v\n\na,b\n1,2\n\n3,4\n")   # blank lines skipped
+        assert np.array_equal(read_csv(path)[0]["b"], [2.0, 4.0])
 
 
 @pytest.fixture()
@@ -174,7 +182,7 @@ class TestCliExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_sampler_n_batches_is_not_a_key(self, cli_env, capsys):
-        # batch-means error bars use GibbsSampler's fixed 32 batches; no key sets them
+        # batch-means error bars use the fixed gibbs.N_BATCHES; no key sets them
         assert run_cli("sample-gibbs", "--set", "sampler.n_batches=16") == 1
         assert "no config key 'sampler.n_batches'" in capsys.readouterr().err
 
@@ -254,6 +262,36 @@ class TestCliCommands:
         a = next((cli_env / "a").iterdir()) / "gibbs.csv"
         b = next((cli_env / "b").iterdir()) / "gibbs.csv"
         assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+
+    def test_readme_run_artifacts_are_pinned(self, cli_env, capsys):
+        # sha256 of the README runs' artifacts: a refactor that changes no
+        # output leaves every byte of them as it was
+        runs = [
+            ("sample-gibbs", "--u", "0.5", "--N", "8", "--seed", "5",
+             "--set", "sampler.sweeps=2000"),
+            ("surface-tension", "--u", "1", "--table",
+             "--set", "surface.grid=[-0.5,0.5,5]"),
+            ("hydro", "--set", "hydro.scales=[8,16]", "--set", "hydro.realizations=8"),
+        ]
+        for argv in runs:
+            assert run_cli(*argv, "--out", "readme") == 0
+        want = {
+            "sample-gibbs-2322286ebc85/gibbs.csv":
+                "38e006e714b8ac3cbc6796cffee88ca656daa0743b5e0c79a13a7eaf9e0cd0d3",
+            "surface-tension-d97f35cd1699/surface_table.csv":
+                "dff5373a61a6e68440f33f475ec4b7495f83b0f5b3a6360d98c02ac12c33219d",
+            "hydro-f9b7c5a35445/convergence.csv":
+                "b1cd21c9b2914fc33356ba9c2d8a5503e1bd9195e224f774369a29f4c9e3c450",
+            "hydro-f9b7c5a35445/gap_vs_N.dat":
+                "c290b4e8a7edb78e2531f6a934b9cd1465b711b2a6254077ec9b845f9d8d831e",
+        }
+        root = cli_env / "readme"
+        got = {
+            p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.suffix in (".csv", ".dat")
+        }
+        assert got == want
         capsys.readouterr()
 
     @pytest.mark.parametrize("key", ["sampler.step=0.05", "sampler.burn_in=30"])

@@ -8,7 +8,6 @@ from heightlab import (
     dlr_check,
     estimate_bond_variance,
     estimate_identity2,
-    estimate_vprime_mean,
     integrated_autocorr_time,
     make_cosine_perturbed,
     make_gaussian,
@@ -97,11 +96,11 @@ class TestMalaGaussian:
         assert rep.stderr < 0.01
 
     def test_vprime_mean_is_exact_for_quadratic(self):
-        s = make_sampler(make_gaussian(), 8, (0.7,), seed=4)
-        rep = estimate_vprime_mean(s, axis=0, sweeps=400)
-        # V' is linear, the periodic part cancels around each cycle
-        assert rep.value == pytest.approx(0.7, abs=1e-12)
-        assert rep.stderr <= 1e-12
+        # grad sigma is the mean of V'; V' is linear, and the periodic part
+        # cancels around each cycle
+        g, ge = grad_sigma(make_gaussian(), 8, (0.7,), sweeps=400, seed=4)
+        assert g[0] == pytest.approx(0.7, abs=1e-12)
+        assert ge[0] <= 1e-12
 
     def test_identity2_at_zero_tilt(self):
         s = make_sampler(make_gaussian(), 8, (0.0, 0.0), seed=5)
@@ -136,9 +135,8 @@ class TestUla:
 class TestCosineChain:
     def test_vprime_mean_vanishes_at_zero_tilt(self):
         pot = make_cosine_perturbed(0.5, 1.0)
-        s = make_sampler(pot, 8, (0.0,), seed=8)
-        rep = estimate_vprime_mean(s, axis=0, sweeps=6000)
-        assert abs(rep.value) < 3.5 * rep.stderr
+        g, ge = grad_sigma(pot, 8, (0.0,), sweeps=6000, seed=8)
+        assert abs(g[0]) < 3.5 * ge[0]
 
     def test_identity2_finite_size_value(self):
         # integration by parts gives u.grad sigma + 1 - N^-d for any V

@@ -14,7 +14,7 @@ from heightlab import (
     make_split_bump,
     split_potential,
 )
-from heightlab.potential import bump_callables, potential_from_spec, spec_of
+from heightlab.potential import bump_callables, potential_from_spec
 
 
 class TestGaussian:
@@ -198,7 +198,8 @@ class TestSpecRoundTrip:
         ids=["gaussian", "cosine", "split_bump"],
     )
     def test_roundtrip(self, pot):
-        rebuilt = potential_from_spec(spec_of(pot))
+        rebuilt = potential_from_spec(pot.spec)
+        assert rebuilt.spec == pot.spec
         x = np.linspace(-10, 10, 301)
         assert np.allclose(rebuilt.v(x), pot.v(x), atol=1e-12)
         assert rebuilt.c_minus == pot.c_minus

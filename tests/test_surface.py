@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from heightlab import (
-    estimate_vprime_mean,
     make_cosine_perturbed,
     make_gaussian,
-    make_sampler,
     make_split_bump,
+    split_potential,
 )
+from heightlab.potential import bump_callables
 from heightlab.surface import (
     SurfaceTensionTable,
     build_table,
@@ -35,13 +35,6 @@ class TestGradSigma:
         g, ge = grad_sigma(make_gaussian(), 8, (0.7, -0.3), sweeps=300, seed=0)
         assert np.allclose(g, [0.7, -0.3], atol=1e-12)
         assert np.all(ge < 1e-12)
-
-    def test_matches_vprime_estimator_on_shared_chain(self):
-        pot = make_cosine_perturbed(0.5, 1.0)
-        g, _ = grad_sigma(pot, 8, (0.4, 0.0), sweeps=400, seed=9)
-        s = make_sampler(pot, 8, (0.4, 0.0), seed=9)
-        rep = estimate_vprime_mean(s, axis=0, sweeps=400)
-        assert abs(rep.value - g[0]) < 1e-12
 
 
 class TestSigma:
@@ -263,6 +256,22 @@ class TestSurfaceTensionTable:
         forked = build_table(pot, 4, axes, sweeps=160, seed=8, burn_in=50, workers=4)
         for name in ("dsigma", "dsigma_err", "sigma", "sigma_err"):
             assert np.array_equal(getattr(serial, name), getattr(forked, name))
+
+    def test_potential_without_spec_runs_serially(self):
+        # the same callables as the stock split_bump, so the same bits
+        mine = split_potential(*bump_callables(1, 0.5), M=2, name="mine")
+        assert mine.spec is None
+        axes = [np.array([-0.5, 0.0, 0.5])]
+        got = build_table(mine, 4, axes, sweeps=64, seed=2, burn_in=20, workers=0)
+        want = build_table(make_split_bump(1, 0.5, 2), 4, axes, sweeps=64, seed=2,
+                           burn_in=20)
+        assert np.array_equal(got.dsigma, want.dsigma)
+        assert got.meta["potential"] == "mine"
+
+    def test_potential_without_spec_rejects_workers(self):
+        mine = split_potential(*bump_callables(1, 0.5), M=2, name="mine")
+        with pytest.raises(ValueError, match="'mine' has no spec"):
+            build_table(mine, 4, [np.array([-0.5, 0.0, 0.5])], sweeps=64, workers=2)
 
 
 @st.composite
