@@ -65,7 +65,6 @@ from .gibbs import (
     estimate_identity2,
     integrated_autocorr_time,
     make_sampler,
-    sample,
     variance_sweep,
 )
 from .surface import (

@@ -40,12 +40,12 @@ from .gibbs import (
     estimate_identity2,
     make_sampler,
 )
-from .hydro import HydroExperiment, report as hydro_report, run as hydro_run
+from .hydro import HydroExperiment, report as hydro_report, resolve_flux, run as hydro_run
 from .io import save_field, write_csv
 from .lattice import boundary_height, cell_average, discretize_domain
-from .pde import GaussianFlux, PdeGrid, TableFlux, solve
+from .pde import PdeGrid, solve
 from .potential import certify
-from .surface import SurfaceTensionTable, convexity_probe, decompose_flux, grad_sigma, sigma
+from .surface import build_table, convexity_probe, decompose_flux, grad_sigma, sigma
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,18 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattice interface model laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "certify-potential": "check a potential against its declared constants",
-        "sample-gibbs": "sample the tilted gradient ensemble, report estimates",
-        "surface-tension": "estimate sigma(u) by thermodynamic integration",
-        "convexity-probe": "monotonicity quotient between two tilts",
-        "decompose-flux": "uniformly elliptic flux decomposition at a tilt",
-        "simulate": "Langevin evolution in a domain with boundary data",
-        "pde-solve": "deterministic limit equation solver",
-        "hydro": "microscopic vs PDE scaling study",
-        "dlr-check": "conditional-law check in a frozen window",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument(
@@ -128,7 +117,7 @@ def _print_report(rep) -> None:
     )
 
 
-def cmd_certify_potential(cfg: RunConfig, meta, outdir) -> int:
+def cmd_certify_potential(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     rep = certify(pot)
     print(f"potential {pot.name}: c_minus={pot.c_minus!r} c_plus={pot.c_plus!r} c_g={pot.c_g!r}")
@@ -165,7 +154,7 @@ def _chain_options(s) -> dict:
     }
 
 
-def cmd_sample_gibbs(cfg: RunConfig, meta, outdir) -> int:
+def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     u = tilt_vector(cfg.lattice)
     s = cfg.sampler
@@ -200,11 +189,9 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     u = tilt_vector(cfg.lattice)
     s, sf = cfg.sampler, cfg.surface
-    if getattr(args, "table", False):
+    if args.table:
         lo, hi, count = sf.grid
         axes = [np.linspace(lo, hi, int(count)) for _ in range(cfg.lattice.d)]
-        from .surface import build_table
-
         table = build_table(
             pot, cfg.lattice.N, axes, sweeps=sf.sweeps, seed=cfg.seed,
             **_chain_options(s), workers=cfg.workers,
@@ -250,7 +237,7 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
 def cmd_convexity_probe(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     u = tilt_vector(cfg.lattice)
-    if getattr(args, "v", None):
+    if args.v:
         v = np.array([float(p) for p in args.v.split(",")])
     else:
         v = np.zeros_like(u)
@@ -284,7 +271,7 @@ def cmd_convexity_probe(cfg: RunConfig, meta, outdir, args) -> int:
     return 0 if not rep.any_nonpositive else 3
 
 
-def cmd_decompose_flux(cfg: RunConfig, meta, outdir) -> int:
+def cmd_decompose_flux(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     u = tilt_vector(cfg.lattice)
     s, sf = cfg.sampler, cfg.surface
@@ -292,8 +279,9 @@ def cmd_decompose_flux(cfg: RunConfig, meta, outdir) -> int:
         pot, cfg.lattice.N, u, sweeps=sf.sweeps, seed=cfg.seed,
         nodes=sf.nodes, **_chain_options(s),
     )
+    # its own stream, so the check compares two independent chains
     grad, gerr = grad_sigma(
-        pot, cfg.lattice.N, u, sweeps=sf.sweeps, seed=cfg.seed,
+        pot, cfg.lattice.N, u, sweeps=sf.sweeps, seed=(cfg.seed, 1),
         **_chain_options(s),
     )
     recon, recon_err = dec.reconstruct()
@@ -327,7 +315,7 @@ def cmd_decompose_flux(cfg: RunConfig, meta, outdir) -> int:
     return 0 if ok else 3
 
 
-def cmd_simulate(cfg: RunConfig, meta, outdir) -> int:
+def cmd_simulate(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     d = cfg.lattice.d
     N = cfg.lattice.N
@@ -367,19 +355,13 @@ def cmd_simulate(cfg: RunConfig, meta, outdir) -> int:
     return 0
 
 
-def _resolve_flux_arg(name: str):
-    if name == "gaussian":
-        return GaussianFlux()
-    return TableFlux(SurfaceTensionTable.from_csv(name))
-
-
-def cmd_pde_solve(cfg: RunConfig, meta, outdir) -> int:
+def cmd_pde_solve(cfg: RunConfig, meta, outdir, args) -> int:
     d = cfg.lattice.d
     spec = build_domain(cfg.domain, d)
     grid = PdeGrid(spec, cfg.pde.spacing)
     h0 = build_profile(cfg.initial, d)
     f = build_profile(cfg.boundary, d)
-    flux = _resolve_flux_arg(cfg.pde.flux)
+    flux = resolve_flux(cfg.pde.flux, build_potential(cfg.potential))
     sol = solve(
         grid, h0, flux, t_end=cfg.pde.t_end, boundary=f,
         record=cfg.pde.record or (),
@@ -400,7 +382,7 @@ def cmd_pde_solve(cfg: RunConfig, meta, outdir) -> int:
     return 0
 
 
-def cmd_hydro(cfg: RunConfig, meta, outdir) -> int:
+def cmd_hydro(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     d = cfg.lattice.d
     spec = build_domain(cfg.domain, d)
@@ -411,7 +393,7 @@ def cmd_hydro(cfg: RunConfig, meta, outdir) -> int:
         scales=tuple(cfg.hydro.scales), times=tuple(cfg.hydro.times),
         realizations=cfg.hydro.realizations, seed=cfg.seed,
         dt=cfg.dynamics.dt or None, pde_spacing=cfg.pde.spacing or None,
-        flux=_resolve_flux_arg(cfg.pde.flux),
+        flux=cfg.pde.flux,
     )
     table = hydro_run(exp)
     for row in table.rows:
@@ -430,7 +412,7 @@ def cmd_hydro(cfg: RunConfig, meta, outdir) -> int:
     return 0
 
 
-def cmd_dlr_check(cfg: RunConfig, meta, outdir) -> int:
+def cmd_dlr_check(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     u = tilt_vector(cfg.lattice)
     dl = cfg.dlr
@@ -461,6 +443,23 @@ def cmd_dlr_check(cfg: RunConfig, meta, outdir) -> int:
     return 0
 
 
+COMMANDS = {  # name -> (help, handler)
+    "certify-potential": (
+        "check a potential against its declared constants", cmd_certify_potential),
+    "sample-gibbs": (
+        "sample the tilted gradient ensemble, report estimates", cmd_sample_gibbs),
+    "surface-tension": (
+        "estimate sigma(u) by thermodynamic integration", cmd_surface_tension),
+    "convexity-probe": ("monotonicity quotient between two tilts", cmd_convexity_probe),
+    "decompose-flux": (
+        "uniformly elliptic flux decomposition at a tilt", cmd_decompose_flux),
+    "simulate": ("Langevin evolution in a domain with boundary data", cmd_simulate),
+    "pde-solve": ("deterministic limit equation solver", cmd_pde_solve),
+    "hydro": ("microscopic vs PDE scaling study", cmd_hydro),
+    "dlr-check": ("conditional-law check in a frozen window", cmd_dlr_check),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -469,26 +468,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg, meta, outdir = _load(args)
-        if args.command == "certify-potential":
-            return cmd_certify_potential(cfg, meta, outdir)
-        if args.command == "sample-gibbs":
-            return cmd_sample_gibbs(cfg, meta, outdir)
-        if args.command == "surface-tension":
-            return cmd_surface_tension(cfg, meta, outdir, args)
-        if args.command == "convexity-probe":
-            return cmd_convexity_probe(cfg, meta, outdir, args)
-        if args.command == "decompose-flux":
-            return cmd_decompose_flux(cfg, meta, outdir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, meta, outdir)
-        if args.command == "pde-solve":
-            return cmd_pde_solve(cfg, meta, outdir)
-        if args.command == "hydro":
-            return cmd_hydro(cfg, meta, outdir)
-        if args.command == "dlr-check":
-            return cmd_dlr_check(cfg, meta, outdir)
-        print(f"error: unknown command {args.command}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command][1](cfg, meta, outdir, args)
     except (HeightLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

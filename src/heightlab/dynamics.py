@@ -148,10 +148,6 @@ class TiltedPeriodicSystem:
         """Untilted bond differences, component i on bonds (x + e_i, x)."""
         return _forward_differences(self.phi, self.lattice.d)
 
-    def eta(self) -> list[np.ndarray]:
-        """Tilted bond variables eta_tilde + tilt."""
-        return [e + self._axis_tilts[i] for i, e in enumerate(self.eta_tilde())]
-
     def bond_pass(self, phi: np.ndarray, with_energy: bool = True) -> BondPass:
         """Energy, dH/dphi, eta_tilde and V' of the heights ``phi`` in one pass.
 
@@ -191,12 +187,6 @@ class TiltedPeriodicSystem:
     def drift(self) -> np.ndarray:
         """-dH/dphi, vectorized over sites and replicas."""
         return -self.bond_pass(self.phi, with_energy=False).grad
-
-    def mean_gradient(self) -> np.ndarray:
-        """Spatial mean of the tilted bond variable per axis."""
-        d = self.lattice.d
-        axes = tuple(range(self.phi.ndim - d, self.phi.ndim))
-        return np.array([e.mean(axis=axes) for e in self.eta()])
 
 
 class DirichletSystem:

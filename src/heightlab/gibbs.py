@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import TiltedPeriodicSystem, step_cap
-from .lattice import GradientField, TorusLattice
+from .lattice import TorusLattice
 from .rng import seed_key, stream
 
 
@@ -365,19 +365,6 @@ def make_sampler(
     return GibbsSampler(system, kind=kind, step=step, burn_in=burn_in, thin=thin)
 
 
-def sample(sampler: GibbsSampler, sweeps: int):
-    """Yield tilted gradient configurations, one per ``thin`` sweeps."""
-    if sampler._batched:
-        raise ValueError("sample needs a single-chain sampler")
-    sampler.prepare()
-    sys = sampler.system
-    for s in range(sweeps):
-        sampler._sweep()
-        if (s + 1) % sampler.thin == 0:
-            comps = np.stack([e + sys.tilt[i] for i, e in enumerate(sampler.eta_tilde)])
-            yield GradientField(sys.lattice, comps)
-
-
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -400,12 +387,11 @@ def _report(sampler: GibbsSampler, name: str, sweeps: int, obs) -> EstimatorRepo
 def estimate_identity2(sampler: GibbsSampler, sweeps: int = 20000) -> EstimatorReport:
     """Estimate sum_i E[eta(e_i) V'(eta(e_i))], which equals u . grad sigma + 1
     in the infinite-volume limit (finite-N value differs at O(N^-d))."""
-    pot, u = sampler.system.pot, sampler.system.tilt
+    u = sampler.system.tilt
 
     def obs(et):
-        return float(
-            sum(((e + u[i]) * pot.vp(e + u[i])).mean() for i, e in enumerate(et))
-        )
+        vp = sampler.vprime  # V' of the kept bond pass
+        return float(sum(((e + u[i]) * vp[i]).mean() for i, e in enumerate(et)))
 
     return _report(sampler, "eta_vprime_identity", sweeps, obs)
 

@@ -72,7 +72,7 @@ class HydroExperiment:
     seed: int = 0
     dt: float | None = None          # microscopic step; default 0.9 * cap
     pde_spacing: float | None = None  # default (4 max N)^-1
-    flux: object = "auto"            # "auto", flux object, or a table
+    flux: object = "auto"            # as resolve_flux takes it
 
 
 @dataclass
@@ -103,13 +103,16 @@ class ConvergenceTable:
 
 
 def resolve_flux(flux, pot):
-    if flux == "auto":
-        if pot.spec == {"kind": "gaussian"}:
-            return GaussianFlux()
-        raise ValueError(
-            "no closed-form flux for this potential; pass a surface table"
-        )
-    if flux == "gaussian":
+    """The flux that ``flux`` names for ``pot``: "auto" and "gaussian" name the
+    closed form, which only the Gaussian potential has; a surface table or its
+    CSV path is interpolated; a flux object passes through as given."""
+    if isinstance(flux, str):
+        if flux not in ("auto", "gaussian"):
+            return TableFlux(SurfaceTensionTable.from_csv(flux))
+        if pot.spec != {"kind": "gaussian"}:
+            raise ValueError(
+                f"no closed-form flux for potential {pot.name!r}; pass a surface table"
+            )
         return GaussianFlux()
     if isinstance(flux, SurfaceTensionTable):
         return TableFlux(flux)

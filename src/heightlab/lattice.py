@@ -159,22 +159,6 @@ class DomainSpec:
         vals = np.einsum("mkd,fd->mkf", corners, a)
         return np.all(np.min(vals, axis=1) < b, axis=1)
 
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        """Distance from interior points to the domain boundary."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.shape == "box":
-            lo, hi = self.bounding_box()
-            return np.min(np.minimum(pts - lo, hi - pts), axis=1)
-        if self.shape == "ball":
-            c = np.asarray(self.center, dtype=float)
-            return self.radius - np.sqrt(
-                np.einsum("ij,ij->i", pts - c, pts - c)
-            )
-        a = np.asarray(self.normals, dtype=float)
-        b = np.asarray(self.offsets, dtype=float)
-        norms = np.sqrt(np.einsum("fd,fd->f", a, a))
-        return np.min((b - pts @ a.T) / norms, axis=1)
-
 
 # ---------------------------------------------------------------------------
 # lattices
@@ -197,10 +181,6 @@ class TorusLattice:
     @property
     def directed_bond_count(self) -> int:
         return 2 * self.d * self.n_sites
-
-    def site_coords(self) -> np.ndarray:
-        """(n_sites, d) integer coordinates in lexicographic order."""
-        return np.indices(self.shape).reshape(self.d, -1).T
 
     def canonical_bonds(self):
         """(heads, tails) flat site ids, one bond (x + e_i, x) per pair.
@@ -259,12 +239,6 @@ class DiscretizedDomain:
     def layer_sites(self) -> np.ndarray:
         return self.sites[self.n_interior : self.n_interior + self.n_layer]
 
-    @property
-    def interior_mask(self) -> np.ndarray:
-        m = np.zeros(self.n_sites, dtype=bool)
-        m[: self.n_interior] = True
-        return m
-
     # bond counts follow the directed convention: each undirected bond
     # contributes both orientations
     @property
@@ -274,10 +248,6 @@ class DiscretizedDomain:
     @property
     def directed_closure_bond_count(self) -> int:
         return 2 * len(self.bonds_closure)
-
-    @property
-    def directed_crossing_bond_count(self) -> int:
-        return 2 * len(self.bonds_crossing)
 
     def site_id(self, coords) -> int:
         return self._id_of[tuple(int(c) for c in coords)]

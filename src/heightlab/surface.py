@@ -447,6 +447,31 @@ def _table_batch(args):
     return _grad_sigma_chains(pot, *rest)
 
 
+def _integrate_paths(axes, anchor, dsigma, dsigma_err):
+    """(sigma, variance) by the trapezoid rule from 0 at ``anchor``: along axis
+    0, then along axis 1 from every node filled so far, and so on.  Each run is
+    one ``np.cumsum`` from its filled node, so it adds as a node-by-node walk."""
+    sigma_vals = np.zeros(dsigma.shape[:-1])
+    sigma_var = np.zeros(dsigma.shape[:-1])
+    for k, a in enumerate(anchor):
+        # the filled sub-grid: axes up to k in full, axes after k at the anchor
+        sub = (slice(None),) * (k + 1) + anchor[k + 1 :]
+        g, e = dsigma[sub + (k,)], dsigma_err[sub + (k,)]
+        du = np.diff(axes[k])
+        # the walk squared numpy scalars, by pow and not x * x: du always, and
+        # the errors on axis 0, where each node is a scalar
+        e2 = np.float_power(e, 2) if k == 0 else e**2
+        inc = 0.5 * du * (g[..., 1:] + g[..., :-1])
+        inc_var = 0.25 * np.float_power(du, 2) * (e2[..., 1:] + e2[..., :-1])
+        runs = ((sigma_vals[sub], inc, -inc), (sigma_var[sub], inc_var, inc_var))
+        for vals, up, down in runs:
+            start = vals[..., a : a + 1]
+            vals[..., a:] = np.cumsum(np.concatenate([start, up[..., a:]], -1), -1)
+            down = down[..., :a][..., ::-1]
+            vals[..., a::-1] = np.cumsum(np.concatenate([start, down], -1), -1)
+    return sigma_vals, sigma_var
+
+
 def build_table(
     pot,
     N: int,
@@ -498,38 +523,7 @@ def build_table(
     dsigma = np.concatenate([g for g, _ in results]).reshape(grid_shape + (d,))
     dsigma_err = np.concatenate([e for _, e in results]).reshape(grid_shape + (d,))
 
-    sigma_vals = np.zeros(grid_shape)
-    sigma_var = np.zeros(grid_shape)
-    filled = np.zeros(grid_shape, dtype=bool)
-    filled[anchor] = True
-    for k in range(d):
-        # extend along axis k from the filled sub-grid (axes > k at anchor)
-        base_slices = [slice(None)] * d
-        for m in range(k + 1, d):
-            base_slices[m] = anchor[m]
-        ax = axes[k]
-        for direction in (1, -1):
-            start = anchor[k]
-            rng_idx = (
-                range(start + 1, len(ax)) if direction == 1 else range(start - 1, -1, -1)
-            )
-            for i in rng_idx:
-                prev = i - direction
-                sl_cur = list(base_slices)
-                sl_prev = list(base_slices)
-                sl_cur[k] = i
-                sl_prev[k] = prev
-                du = ax[i] - ax[prev]
-                g_cur = dsigma[tuple(sl_cur) + (k,)]
-                g_prev = dsigma[tuple(sl_prev) + (k,)]
-                e_cur = dsigma_err[tuple(sl_cur) + (k,)]
-                e_prev = dsigma_err[tuple(sl_prev) + (k,)]
-                sigma_vals[tuple(sl_cur)] = (
-                    sigma_vals[tuple(sl_prev)] + 0.5 * du * (g_cur + g_prev)
-                )
-                sigma_var[tuple(sl_cur)] = sigma_var[tuple(sl_prev)] + (
-                    0.25 * du**2 * (e_cur**2 + e_prev**2)
-                )
+    sigma_vals, sigma_var = _integrate_paths(axes, anchor, dsigma, dsigma_err)
 
     meta = {
         "potential": pot.name,

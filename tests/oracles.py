@@ -145,6 +145,35 @@ def hamiltonian_domain(v, phi, heads, tails):
     return float(v(phi[heads] - phi[tails]).sum())
 
 
+def reference_integrate_paths(axes, anchor, dsigma, dsigma_err):
+    """sigma and its variance by a node-by-node trapezoid walk from 0 at
+    ``anchor``: along axis 0, then along axis 1 from every node filled so
+    far, and so on; each node adds one step to its filled neighbour."""
+    d = len(axes)
+    grid_shape = dsigma.shape[:-1]
+    sigma_vals = np.zeros(grid_shape)
+    sigma_var = np.zeros(grid_shape)
+    for k in range(d):
+        base = [slice(None)] * d
+        for m in range(k + 1, d):
+            base[m] = anchor[m]
+        ax = axes[k]
+        for direction in (1, -1):
+            start = anchor[k]
+            nodes = range(start + 1, len(ax)) if direction == 1 else range(start - 1, -1, -1)
+            for i in nodes:
+                prev = i - direction
+                cur_sl, prev_sl = list(base), list(base)
+                cur_sl[k], prev_sl[k] = i, prev
+                cur, prv = tuple(cur_sl), tuple(prev_sl)
+                du = ax[i] - ax[prev]
+                g_cur, g_prev = dsigma[cur + (k,)], dsigma[prv + (k,)]
+                e_cur, e_prev = dsigma_err[cur + (k,)], dsigma_err[prv + (k,)]
+                sigma_vals[cur] = sigma_vals[prv] + 0.5 * du * (g_cur + g_prev)
+                sigma_var[cur] = sigma_var[prv] + (0.25 * du**2 * (e_cur**2 + e_prev**2))
+    return sigma_vals, sigma_var
+
+
 def reference_pde_solve(h, interior, spacing, flux, t_end, dt=None, record=(),
                         safety=0.9, clamp_tol=1e-3):
     """The explicit flux-form PDE step loop in its plain form.

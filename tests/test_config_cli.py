@@ -193,6 +193,19 @@ class TestCliExitCodes:
         assert not any((cli_env / "root").glob("*/convergence.csv"))
 
 
+    @pytest.mark.parametrize("command", ["hydro", "pde-solve"])
+    def test_closed_form_flux_refused_for_cosine(self, cli_env, capsys, command):
+        # pde.flux defaults to "gaussian", the Gaussian potential's closed form
+        code = run_cli(
+            command, "--set", "potential.kind=cosine", "--set", "potential.a=2.0",
+            "--set", "hydro.scales=[8,16]", "--set", "hydro.realizations=8",
+            "--out", "root",
+        )
+        assert code == 1
+        assert "no closed-form flux" in capsys.readouterr().err
+        assert not any((cli_env / "root").glob("*/*.csv"))
+
+
 class TestCliCommands:
     def test_certify_writes_report(self, cli_env, capsys):
         code = run_cli("certify-potential", "--pot", "cosine", "--out", "root")
@@ -250,6 +263,18 @@ class TestCliCommands:
         cols, meta = read_csv(next((cli_env / "root").iterdir()) / "flux.csv")
         assert abs(cols["A_diag"][0] - 1.0) < 1e-12
         assert meta["in_bounds"] == "1"
+        capsys.readouterr()
+
+    def test_decompose_flux_check_reads_an_independent_chain(self, cli_env, capsys):
+        # on one shared chain A u + a and grad sigma agree to rounding; the
+        # Gaussian gives u for both on any chain, so the check needs a cosine
+        code = run_cli(
+            "decompose-flux", "--pot", "cosine", "--u", "0.5", "--N", "8",
+            "--out", "root", "--set", "surface.sweeps=2000",
+        )
+        assert code == 0
+        cols, _ = read_csv(next((cli_env / "root").iterdir()) / "flux.csv")
+        assert np.all(np.abs(cols["dsigma"] - cols["reconstructed"]) > 1e-9)
         capsys.readouterr()
 
     def test_sample_gibbs_reruns_are_byte_identical(self, cli_env, capsys):

@@ -13,7 +13,6 @@ from heightlab import (
     make_gaussian,
     make_sampler,
     make_split_bump,
-    sample,
     variance_sweep,
 )
 from heightlab import gibbs
@@ -161,18 +160,6 @@ class TestCosineChain:
             make_sampler(pot, 8, (0.0,), seed=11), axis=0, sweeps=12000
         )
         assert b.stderr < a.stderr
-
-
-class TestSampleStream:
-    def test_yields_tilted_gradient_fields(self):
-        s = make_sampler(make_gaussian(), 6, (1.0, 0.0), seed=12, thin=5)
-        fields = list(sample(s, 20))
-        assert len(fields) == 4
-        for f in fields:
-            assert f.data.shape == (2, 6, 6)
-            # tilted bonds carry winding N u_1 along axis 0
-            assert f.winding_defect() == pytest.approx(6.0, abs=1e-9)
-            assert f.data[0].mean() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestVarianceSweep:
@@ -333,14 +320,6 @@ class TestMatchesPlainLoop:
         s.prepare()
         assert s.step != (N * N) ** (-1.0 / 3.0) / pot.drift_lipschitz
         assert s.step == _plain_chain(pot, N, tilt, 1, 0)["step"]
-
-    def test_sample_stream(self):
-        tilt = (1.0, -0.5)
-        s = make_sampler(BUMP, 6, tilt, seed=12, thin=5)
-        fields = [f.data for f in sample(s, 40)]
-        obs = {"f": lambda et: np.stack([e + tilt[i] for i, e in enumerate(et)])}
-        want = _plain_chain(BUMP, 6, tilt, 12, 40, obs, thin=5)["series"]["f"]
-        assert np.array_equal(np.stack(fields), want)
 
     @pytest.mark.parametrize("pot, u, kw", [
         pytest.param(COSINE, (0.5, 0.2), {}, id="cosine-d2"),
@@ -541,6 +520,13 @@ class TestOnePassPerProposal:
         grad_sigma(_counting(COSINE, counts), 4, (0.5, 0.0), sweeps=64, step=0.05, burn_in=0)
         assert counts == {"v": 65 * 2, "vp": 65 * 2}  # the first pass and one per sweep
 
+    def test_identity2_reads_the_kept_vprime(self):
+        counts = {"v": 0, "vp": 0}
+        s = make_sampler(_counting(COSINE, counts), 4, (0.5, 0.0), step=0.05,
+                         burn_in=0, seed=0)
+        estimate_identity2(s, 64)
+        assert counts == {"v": 65 * 2, "vp": 65 * 2}  # the first pass and one per sweep
+
     def test_decompose_flux_curvature_calls(self):
         counts = {"v0pp": 0}
         decompose_flux(_counting(BUMP, counts), 4, (0.5, 0.0), sweeps=64,
@@ -556,7 +542,6 @@ class TestOnePassPerProposal:
         )
         s = make_sampler(COSINE, 6, (0.5, 0.0), seed=0)
         s.collect(40, {"m": lambda et: float(et[0].mean())})
-        list(sample(s, 10))
         assert calls == []
 
     def test_observables_cannot_write_the_cache(self):

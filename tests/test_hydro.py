@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import heightlab
-from heightlab import DomainSpec, PlotSkipped, make_cosine_perturbed, make_gaussian
+from heightlab import (
+    DomainSpec, PlotSkipped, make_cosine_perturbed, make_gaussian, make_split_bump,
+)
 from heightlab.hydro import (
     ConvergenceTable,
     HydroExperiment,
@@ -96,15 +98,27 @@ class TestResolveFlux:
     def test_named_gaussian(self):
         assert isinstance(resolve_flux("gaussian", make_gaussian()), GaussianFlux)
 
-    def test_table_wrapped(self):
+    @pytest.mark.parametrize("pot", [make_cosine_perturbed(2.0, 1.0), make_split_bump()])
+    def test_named_gaussian_requires_gaussian_potential(self, pot):
+        with pytest.raises(ValueError, match="no closed-form flux"):
+            resolve_flux("gaussian", pot)
+
+    def test_table_wrapped(self, tmp_path):
         a = np.array([-1.0, 0.0, 1.0])
         tab = SurfaceTensionTable([a], a[:, None], np.zeros((3, 1)),
                                   a**2 / 2, np.zeros(3))
         assert isinstance(resolve_flux(tab, make_gaussian()), TableFlux)
+        path = tmp_path / "table.csv"
+        tab.to_csv(path)
+        flux = resolve_flux(str(path), make_cosine_perturbed(0.5, 1.0))
+        assert isinstance(flux, TableFlux)
+        assert np.array_equal(flux.table.dsigma, tab.dsigma)
 
     def test_flux_objects_pass_through(self):
+        # an explicit flux object is an override: no potential check
         flux = GaussianFlux()
         assert resolve_flux(flux, make_gaussian()) is flux
+        assert resolve_flux(flux, make_cosine_perturbed(0.5, 1.0)) is flux
 
 
 class TestConvergenceTable:

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import reference_integrate_paths
+
 from heightlab import (
     make_cosine_perturbed,
     make_gaussian,
@@ -21,6 +23,7 @@ from heightlab import (
 from heightlab.potential import bump_callables
 from heightlab.surface import (
     SurfaceTensionTable,
+    _integrate_paths,
     build_table,
     convexity_probe,
     decompose_flux,
@@ -272,6 +275,27 @@ class TestSurfaceTensionTable:
         mine = split_potential(*bump_callables(1, 0.5), M=2, name="mine")
         with pytest.raises(ValueError, match="'mine' has no spec"):
             build_table(mine, 4, [np.array([-0.5, 0.0, 0.5])], sweeps=64, workers=2)
+
+
+class TestIntegratePaths:
+    """The cumsum runs give the node-by-node walk's bits."""
+
+    @pytest.mark.parametrize("d, longest", [(1, 40), (2, 14), (3, 6)])
+    @pytest.mark.parametrize("where", ["first", "last", "any"])
+    def test_matches_node_walk(self, d, longest, where):
+        rng = np.random.default_rng([d, len(where)])
+        for _ in range(40):
+            # non-uniform nodes; some axes have a single node
+            sizes = rng.integers(1, longest + 1, size=d)
+            axes = [np.cumsum(rng.uniform(0.05, 1.0, n)) - rng.uniform(0, 1) for n in sizes]
+            pick = {"first": 0, "last": -1, "any": int(rng.integers(1 << 20))}[where]
+            anchor = tuple(pick % n for n in sizes)
+            shape = tuple(sizes) + (d,)
+            g = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+            e = np.abs(rng.normal(size=shape)) * 10.0 ** rng.uniform(-3, 0)
+            got = _integrate_paths(axes, anchor, g, e)
+            want = reference_integrate_paths(axes, anchor, g, e)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @st.composite
