@@ -16,6 +16,7 @@ from .errors import (
     NonFinite,
     NotIntegrable,
     PlotSkipped,
+    PotentialMismatch,
     SplitFailed,
     StepTooLarge,
     TimeMismatch,

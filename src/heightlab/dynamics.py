@@ -67,30 +67,32 @@ def _wrap_slices(ax: int):
     )
 
 
-def _forward_differences(phi: np.ndarray, d: int) -> list[np.ndarray]:
-    """Periodic differences phi(x + e_i) - phi(x) along each of the last d axes."""
-    out = []
-    for ax in range(phi.ndim - d, phi.ndim):
-        first, rest, last, init = _wrap_slices(ax)
-        e = np.empty_like(phi)
+def _forward_differences(phi: np.ndarray, d: int) -> np.ndarray:
+    """Periodic differences phi(x + e_i) - phi(x) along each of the last d
+    axes, stacked ahead of them: row i of the (d,) + phi.shape result."""
+    out = np.empty((d,) + phi.shape)
+    lead = phi.ndim - d
+    for i in range(d):
+        first, rest, last, init = _wrap_slices(lead + i)
+        e = out[i]
         np.subtract(phi[rest], phi[init], out=e[init])
         np.subtract(phi[first], phi[last], out=e[last])
-        out.append(e)
     return out
 
 
 class BondPass(NamedTuple):
-    """One pass over the tilted bonds of a height array, per axis i.
+    """One pass over the tilted bonds of a height array.
 
-    Arrays keep the leading chain or replica axes of the heights; the
-    energy and the V sums are per chain (a scalar without leading axes).
+    Per-axis quantities are stacked, axis i in row i, ahead of the leading
+    chain or replica axes of the heights; the energy is per chain (a
+    scalar without leading axes).
     """
 
     energy: np.ndarray | float | None  # sum of v_sums in axis order; None without V
     grad: np.ndarray                   # dH/dphi
-    diffs: list                        # untilted differences eta_tilde
-    vp: list                           # V' on the tilted bonds
-    v_sums: list | None                # sums of V over the tilted bonds; None without V
+    diffs: np.ndarray                  # untilted differences eta_tilde, (d,) + phi.shape
+    vp: np.ndarray                     # V' on the tilted bonds, (d,) + phi.shape
+    v_sums: np.ndarray | None          # V summed per axis, (d,) + chains; None without V
 
 
 class TiltedPeriodicSystem:
@@ -129,56 +131,55 @@ class TiltedPeriodicSystem:
             raise ValueError("a batch of chains needs one seed per chain")
         self.rngs = [stream(*seed_key(s), 0) for s in seeds]
         self.rng = self.rngs[0]
-        # tilt of axis i at index i: a scalar, or per chain a full array,
-        # which numpy adds faster than a broadcast column
-        self._axis_tilts = tilt
+        # tilts stacked like the differences, keyed by the number of height
+        # axes: per chain one full array, which numpy adds faster than
+        # broadcast columns; else columns, made on first use
+        self._tilt_stacks = {}
         if chains:
-            column = (-1,) + (1,) * lattice.d
-            self._axis_tilts = [
-                np.broadcast_to(t.reshape(column), self.phi.shape).copy()
-                for t in tilt.T
-            ]
+            column = (lattice.d, -1) + (1,) * lattice.d
+            self._tilt_stacks[self.phi.ndim] = np.broadcast_to(
+                tilt.T.reshape(column), (lattice.d,) + self.phi.shape
+            ).copy()
 
     @property
     def tilt(self) -> np.ndarray:
         """Mean tilt, (d,) or one row per chain (B, d); read-only."""
         return self._tilt
 
-    def eta_tilde(self) -> list[np.ndarray]:
-        """Untilted bond differences, component i on bonds (x + e_i, x)."""
+    def eta_tilde(self) -> np.ndarray:
+        """Untilted bond differences, row i on bonds (x + e_i, x)."""
         return _forward_differences(self.phi, self.lattice.d)
 
     def bond_pass(self, phi: np.ndarray, with_energy: bool = True) -> BondPass:
         """Energy, dH/dphi, eta_tilde and V' of the heights ``phi`` in one pass.
 
         ``phi`` has this system's lattice axes last, after its replica or
-        chain axes.  Each axis evaluates V' once on its tilted bonds, and
-        V once unless ``with_energy`` is false, in which case the energy
-        and the V sums are None.
+        chain axes.  The stacked tilted bonds of all axes go through V'
+        in one call, and through V in one more unless ``with_energy`` is
+        false, in which case the energy and the V sums are None.
         """
         d = self.lattice.d
-        axes = tuple(range(phi.ndim - d, phi.ndim))
-        tilts = self._axis_tilts
+        lead = phi.ndim - d  # replica or chain axes
         diffs = _forward_differences(phi, d)
-        v_sums = [] if with_energy else None
-        vps = []
-        grad = np.zeros_like(phi)
-        for i, e in enumerate(diffs):
-            bond = e + tilts[i]
-            if with_energy:
-                v_sums.append(self.pot.v(bond).sum(axis=axes))
-            a = self.pot.vp(bond)
-            vps.append(a)
-            # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x)
-            first, rest, last, init = _wrap_slices(axes[i])
-            grad[rest] += a[init] - a[rest]
-            grad[first] += a[last] - a[first]
-        energy = None
+        tilts = self._tilt_stacks.get(phi.ndim)
+        if tilts is None:
+            tilts = self._tilt_stacks[phi.ndim] = self._tilt.reshape((d,) + (1,) * phi.ndim)
+        bonds = diffs + tilts
+        v_sums = energy = None
         if with_energy:
+            v_sums = self.pot.v(bonds).sum(axis=tuple(range(lead + 1, phi.ndim + 1)))
             energy = 0.0
             for s in v_sums:
                 energy = energy + s
-        return BondPass(energy, grad, diffs, vps, v_sums)
+        vp = self.pot.vp(bonds)
+        grad = np.zeros_like(phi)
+        for i in range(d):
+            a = vp[i]
+            # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x)
+            first, rest, last, init = _wrap_slices(lead + i)
+            grad[rest] += a[init] - a[rest]
+            grad[first] += a[last] - a[first]
+        return BondPass(energy, grad, diffs, vp, v_sums)
 
     def energy(self) -> np.ndarray | float:
         """H = sum of V over undirected tilted bonds (per replica)."""

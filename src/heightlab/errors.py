@@ -37,6 +37,10 @@ class FluxRangeExceeded(HeightLabError):
     """Too many flux queries fell outside the tabulated gradient range."""
 
 
+class PotentialMismatch(HeightLabError):
+    """A surface table was built for another potential than the run's."""
+
+
 class ConfigError(HeightLabError):
     """Invalid, missing, or unknown configuration keys."""
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DirichletSystem, macro_height, run_dirichlet, step_cap
-from .errors import PlotSkipped
+from .errors import PlotSkipped, PotentialMismatch
 from .io import write_csv
 from .lattice import DomainSpec, boundary_height, cell_average, discretize_domain
 from .pde import (
@@ -105,17 +105,24 @@ class ConvergenceTable:
 def resolve_flux(flux, pot):
     """The flux that ``flux`` names for ``pot``: "auto" and "gaussian" name the
     closed form, which only the Gaussian potential has; a surface table or its
-    CSV path is interpolated; a flux object passes through as given."""
+    CSV path is interpolated, and must not name another potential in its
+    ``potential`` meta; a flux object passes through as given."""
+    if isinstance(flux, str) and flux not in ("auto", "gaussian"):
+        flux = SurfaceTensionTable.from_csv(flux)
+    if isinstance(flux, SurfaceTensionTable):
+        built_for = flux.meta.get("potential", pot.name)
+        if built_for != pot.name:
+            raise PotentialMismatch(
+                f"surface table was built for potential {built_for!r}, "
+                f"not for this run's {pot.name!r}"
+            )
+        return TableFlux(flux)
     if isinstance(flux, str):
-        if flux not in ("auto", "gaussian"):
-            return TableFlux(SurfaceTensionTable.from_csv(flux))
         if pot.spec != {"kind": "gaussian"}:
             raise ValueError(
                 f"no closed-form flux for potential {pot.name!r}; pass a surface table"
             )
         return GaussianFlux()
-    if isinstance(flux, SurfaceTensionTable):
-        return TableFlux(flux)
     return flux
 
 

@@ -83,10 +83,3 @@ def save_field(path, sites: np.ndarray, values: np.ndarray, meta: dict | None = 
     cols["value"] = values
     return write_csv(path, cols, meta)
 
-
-def load_field(path):
-    """Inverse of save_field: (sites int array, values, meta)."""
-    cols, meta = read_csv(path)
-    axes = sorted(n for n in cols if n.startswith("x"))
-    sites = np.stack([cols[a] for a in axes], axis=1).astype(int)
-    return sites, cols["value"], meta

@@ -178,10 +178,6 @@ class TorusLattice:
         self.n_sites = self.N**self.d
         self._bonds = None
 
-    @property
-    def directed_bond_count(self) -> int:
-        return 2 * self.d * self.n_sites
-
     def canonical_bonds(self):
         """(heads, tails) flat site ids, one bond (x + e_i, x) per pair.
 
@@ -234,20 +230,6 @@ class DiscretizedDomain:
     @property
     def interior_sites(self) -> np.ndarray:
         return self.sites[: self.n_interior]
-
-    @property
-    def layer_sites(self) -> np.ndarray:
-        return self.sites[self.n_interior : self.n_interior + self.n_layer]
-
-    # bond counts follow the directed convention: each undirected bond
-    # contributes both orientations
-    @property
-    def directed_interior_bond_count(self) -> int:
-        return 2 * len(self.bonds_interior)
-
-    @property
-    def directed_closure_bond_count(self) -> int:
-        return 2 * len(self.bonds_closure)
 
     def site_id(self, coords) -> int:
         return self._id_of[tuple(int(c) for c in coords)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._interp import Multilinear, Workspace
-from .gibbs import batch_means, chain_means, make_sampler
+from .gibbs import chain_means, make_sampler
 from .io import read_csv, write_csv
 from .potential import potential_from_spec
 from .rng import seed_key
@@ -58,8 +58,8 @@ def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, kind, step, burn_in, thin):
     sampler = make_sampler(
         pot, N, tilts, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seeds
     )
-    axes = tuple(range(1, tilts.shape[1] + 1))
-    return chain_means(sampler, sweeps, lambda et, i: sampler.vprime[i].mean(axis=axes))
+    lat = tuple(range(-tilts.shape[1], 0))
+    return chain_means(sampler, sweeps, lambda et, vp: vp.mean(axis=lat))
 
 
 @dataclass(frozen=True)
@@ -246,43 +246,37 @@ def decompose_flux(
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = len(u)
+    # a batch of one chain: the chain ``seed`` gives alone
     sampler = make_sampler(
-        pot, N, u, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seed
+        pot, N, u[None], kind=kind, step=step, burn_in=burn_in, thin=thin, seed=[seed]
     )
     x, w = np.polynomial.legendre.leggauss(nodes)
     lam = (x + 1.0) / 2.0
     wl = w / 2.0
-    node_axis = (-1,) + (1,) * d  # lam stacked ahead of the lattice axes
+    lat = tuple(range(-d, 0))
+    ahead = (1,) * (d + 2)  # block, chain and lattice axes
+    u_col = u.reshape((d,) + ahead)
 
     mins = np.full(d, np.inf)
     maxs = np.full(d, -np.inf)
 
-    def a_obs(et, i):
-        eta = et[i] + u[i]
-        return float(pot.v0p(eta - u[i]).mean() + pot.gp(eta).mean())
+    def obs(et, vp):
+        """Rows A_0 .. A_{d-1}, a_0 .. a_{d-1} of a block, each (k, 1)."""
+        eta = et + u_col
+        rows = []
+        for i in range(d):
+            curv = pot.v0pp(eta[i] - (lam * u[i]).reshape((-1,) + ahead))
+            # one V0'' call for all nodes; rows summed in node order keep the bits
+            per_bond = sum(wl[m] * curv[m] for m in range(nodes))
+            mins[i] = min(mins[i], float(per_bond.min()))
+            maxs[i] = max(maxs[i], float(per_bond.max()))
+            rows.append(per_bond.mean(axis=lat))
+        small = pot.v0p(eta - u_col).mean(axis=lat) + pot.gp(eta).mean(axis=lat)
+        return np.concatenate([np.stack(rows), small])
 
-    def big_a_obs(et, i):
-        eta = et[i] + u[i]
-        curv = pot.v0pp(eta - (lam * u[i]).reshape(node_axis))
-        # one V0'' call for all nodes; rows summed in node order keep the bits
-        per_bond = sum(wl[m] * curv[m] for m in range(nodes))
-        mins[i] = min(mins[i], float(per_bond.min()))
-        maxs[i] = max(maxs[i], float(per_bond.max()))
-        return float(per_bond.mean())
-
-    obs = {}
-    for i in range(d):
-        obs[f"A{i}"] = lambda et, i=i: big_a_obs(et, i)
-        obs[f"a{i}"] = lambda et, i=i: a_obs(et, i)
-    series = sampler.collect(sweeps, obs)
-
-    A = np.zeros(d)
-    A_err = np.zeros(d)
-    avec = np.zeros(d)
-    a_err = np.zeros(d)
-    for i in range(d):
-        A[i], A_err[i], _ = batch_means(series[f"A{i}"])
-        avec[i], a_err[i], _ = batch_means(series[f"a{i}"])
+    values, errors = chain_means(sampler, sweeps, obs)
+    A, avec = values[0, :d], values[0, d:]
+    A_err, a_err = errors[0, :d], errors[0, d:]
     return FluxDecomposition(
         tilt=u,
         A=A,
@@ -378,9 +372,6 @@ class SurfaceTensionTable:
         per row), written into ``out`` (m,): the PDE's per-direction query."""
         self._kernel(self.dsigma, self._clamp(cols), (i,), out[None])
         return out
-
-    def sigma_at(self, u) -> float:
-        return float(self._interp(self.sigma, self._points(u), (0,))[0, 0])
 
     # -- probes used by the PDE solver --------------------------------------
 

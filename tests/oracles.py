@@ -5,6 +5,8 @@ the package under test, so a bug in the package cannot silently agree
 with its own oracle.
 """
 
+import csv
+
 import numpy as np
 from scipy.integrate import simpson
 
@@ -442,3 +444,21 @@ def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None, kind="
     return {"phis": phis, "step": st["step"], "accepts": st["accepts"],
             "proposals": st["proposals"],
             "series": {name: np.asarray(x) for name, x in series.items()}}
+
+
+def read_field_csv(path):
+    """(sites, values, meta) of a field CSV: '# key=value' header lines, then
+    columns x0, x1, ... of integer site coordinates and a ``value`` column."""
+    meta, rows = {}, []
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                key, _, val = line[1:].strip().partition("=")
+                meta[key] = val
+            elif line.strip():
+                rows.append(line)
+    header, *body = list(csv.reader(rows))
+    coords = [j for j, name in enumerate(header) if name.startswith("x")]
+    sites = np.array([[int(r[j]) for j in coords] for r in body])
+    values = np.array([float(r[header.index("value")]) for r in body])
+    return sites, values, meta

@@ -240,7 +240,7 @@ class TestCliCommands:
         assert code == 0
         run_dir = next((cli_env / "root").iterdir())
         tab = SurfaceTensionTable.from_csv(run_dir / "surface_table.csv")
-        assert tab.sigma_at([0.0]) == 0.0
+        assert tab.sigma[list(tab.axes[0]).index(0.0)] == 0.0
         assert "config" in tab.meta
         capsys.readouterr()
 

@@ -77,13 +77,13 @@ class TestMalaGaussian:
         s = make_sampler(make_gaussian(), 8, (0.0, 0.0), seed=1)
         s.prepare()
         assert np.isnan(s.acceptance_rate)
-        s.collect(300, {"e": lambda et: float(et[0].mean())})
+        s.collect(300, {"e": lambda et, vp: et[0].mean(axis=(-2, -1))})
         assert 0.3 < s.acceptance_rate < 0.9
 
     def test_mean_gradient_components(self):
         # periodic part is exactly mean-free, so the tilted mean is u
         s = make_sampler(make_gaussian(), 8, (1.0, 0.0), seed=2)
-        series = s.collect(500, {"m": lambda et: float((et[0] + 1.0).mean())})["m"]
+        series = s.collect(500, {"m": lambda et, vp: (et[0] + 1.0).mean(axis=(-2, -1))})["m"]
         assert np.allclose(series, 1.0, atol=1e-12)
 
     def test_bond_variance_matches_fourier_sum(self):
@@ -113,8 +113,8 @@ class TestMalaGaussian:
     def test_translation_invariance(self):
         s = make_sampler(make_gaussian(), 6, (0.0, 0.0), seed=6)
         obs = {
-            "a": lambda et: float(et[0][0, 0] ** 2),
-            "b": lambda et: float(et[0][3, 2] ** 2),
+            "a": lambda et, vp: et[0][:, 0, 0] ** 2,
+            "b": lambda et, vp: et[0][:, 3, 2] ** 2,
         }
         series = s.collect(6000, obs)
         ma, sa, _ = batch_means(series["a"])
@@ -147,7 +147,7 @@ class TestCosineChain:
     def test_odd_moments_vanish(self):
         pot = make_cosine_perturbed(0.8, 1.0)
         s = make_sampler(pot, 8, (0.0,), seed=10)
-        series = s.collect(6000, {"m3": lambda et: float((et[0] ** 3).mean())})["m3"]
+        series = s.collect(6000, {"m3": lambda et, vp: (et[0] ** 3).mean(axis=-1)})["m3"]
         m, se, _ = batch_means(series)
         assert abs(m) < 3.5 * se
 
@@ -275,11 +275,43 @@ def _plain_grad_sigma(pot, N, u, seed, sweeps, **kw):
 
 
 def _observables(pot, tilt):
+    """Per-sweep observables of the plain chain, the reference."""
     return {
         "vp0": lambda et: float(pot.vp(et[0] + tilt[0]).mean()),
         "sq": lambda et: float(np.square(et[-1]).mean()),
         "bonds": lambda et: np.stack(et),
     }
+
+
+def _block_observables(pot, tilt):
+    """``_observables`` of a block of records, plus the mean of the kept V';
+    with a tilt per chain, (B, d), of every chain at once."""
+    tilt = np.asarray(tilt, dtype=float)
+    d = tilt.shape[-1]
+    lat = tuple(range(-d, 0))
+    u0 = tilt[..., 0].reshape(tilt.shape[:-1] + (1,) * d)
+    return {
+        "vp0": lambda et, vp: pot.vp(et[0] + u0).mean(axis=lat),
+        "kept_vp0": lambda et, vp: vp[0].mean(axis=lat),
+        "sq": lambda et, vp: np.square(et[-1]).mean(axis=lat),
+        "bonds": lambda et, vp: np.moveaxis(et, 0, -d - 1),
+    }
+
+
+def _block_of(monkeypatch, k, record_bytes):
+    """Make ``collect`` hand out k records per block, all of them when None."""
+    size = 10**9 if k is None else k * record_bytes
+    monkeypatch.setattr(gibbs, "RECORD_BLOCK_BYTES", size)
+
+
+# k = 1, k dividing none of the record counts (120 and 40 here, 90 and 30
+# for batches), and every record in one block
+BLOCKS = [pytest.param(1, id="k1"), pytest.param(7, id="k7"), pytest.param(None, id="k-all")]
+
+
+def _pick(params, *ids):
+    """The cases of ``params`` with these ids, for the block-size runs."""
+    return [p for p in params if p.id in ids]
 
 
 CHAINS = [
@@ -305,14 +337,30 @@ class TestMatchesPlainLoop:
         seed = (N, len(tilt), len(kw))
         s = make_sampler(pot, N, tilt, seed=seed, **kw)
         phis = _record_states(s)[0]
-        got = s.collect(120, _observables(pot, tilt))
-        want = _plain_chain(pot, N, tilt, seed, 120, _observables(pot, tilt), **kw)
+        got = s.collect(120, _block_observables(pot, tilt))
+        obs = _observables(pot, tilt)
+        obs["kept_vp0"] = obs["vp0"]
+        want = _plain_chain(pot, N, tilt, seed, 120, obs, **kw)
         assert len(phis) == len(want["phis"])
         assert all(np.array_equal(a, b) for a, b in zip(phis, want["phis"]))
         assert s.step == want["step"]
         assert (s._accepts, s._proposals) == (want["accepts"], want["proposals"])
         for name, series in want["series"].items():
             assert np.array_equal(got[name], series)
+
+    @pytest.mark.parametrize("k", BLOCKS)
+    @pytest.mark.parametrize("pot, N, tilt, kw", _pick(
+        CHAINS, "cosine-d1", "cosine-d2", "bump-d3", "cosine-d2-fixed-step-thin3",
+        "bump-d2-ula", "cosine-d1-ula-fixed-burn-thin3",
+    ))
+    def test_any_record_block(self, pot, N, tilt, kw, k, monkeypatch):
+        _block_of(monkeypatch, k, 2 * len(tilt) * N ** len(tilt) * 8)
+        self.test_states_counts_and_series(pot, N, tilt, kw)
+
+    def test_too_few_records_raise(self):
+        # two sweeps at thin 3 record nothing, which must not read as an estimate of 0
+        with pytest.raises(ValueError, match="need at least 32 samples, got 0"):
+            grad_sigma(COSINE, 4, (0.5, 0.0), sweeps=2, thin=3, step=0.05, burn_in=0)
 
     def test_tuning_rounds_change_the_step(self):
         pot, N, tilt = COSINE, 6, (1.0, -0.5)
@@ -369,6 +417,15 @@ class TestMatchesPlainLoop:
         assert np.array_equal(dec.A_sample_min, mins)
         assert np.array_equal(dec.A_sample_max, maxs)
 
+    @pytest.mark.parametrize("k", BLOCKS)
+    @pytest.mark.parametrize("pot, u", [
+        pytest.param(COSINE, (1.0, 0.0), id="cosine"),
+        pytest.param(BUMP, (0.7,), id="bump-d1"),
+    ])
+    def test_decompose_flux_any_record_block(self, pot, u, k, monkeypatch):
+        _block_of(monkeypatch, k, 2 * len(u) * 6 ** len(u) * 8)
+        self.test_decompose_flux(pot, u)
+
     def test_build_table(self):
         axes = [np.array([-0.5, 0.0, 0.5])] * 2
         tab = build_table(COSINE, 4, axes, sweeps=200, seed=5)
@@ -391,19 +448,6 @@ class TestMatchesPlainLoop:
 
 # ---------------------------------------------------------------------------
 # batches: every chain is the plain chain on its own stream
-
-
-def _batch_observables(pot, tilts, sampler):
-    """``_observables`` of every chain at once, plus the mean of the kept V'."""
-    d = tilts.shape[1]
-    axes = tuple(range(1, d + 1))
-    col = tilts[:, 0].reshape((-1,) + (1,) * d)
-    return {
-        "vp0": lambda et: pot.vp(et[0] + col).mean(axis=axes),
-        "kept_vp0": lambda et: sampler.vprime[0].mean(axis=axes),
-        "sq": lambda et: np.square(et[-1]).mean(axis=axes),
-        "bonds": lambda et: np.stack(et, axis=1),
-    }
 
 
 BATCHES = [
@@ -435,7 +479,7 @@ class TestBatchMatchesPlainLoop:
         seeds = [(B, d, len(kw), j) for j in range(B)]
         s = make_sampler(pot, N, tilts, seed=seeds, **kw)
         phis = _record_states(s)
-        got = s.collect(90, _batch_observables(pot, tilts, s))
+        got = s.collect(90, _block_observables(pot, tilts))
         accepts = proposals = 0
         for j in range(B):
             obs = _observables(pot, tilts[j])
@@ -449,6 +493,16 @@ class TestBatchMatchesPlainLoop:
             accepts += want["accepts"]
             proposals += want["proposals"]
         assert (s._accepts, s._proposals) == (accepts, proposals)
+
+    @pytest.mark.parametrize("k", BLOCKS)
+    @pytest.mark.parametrize("pot, N, tilts, kw", _pick(
+        BATCHES, "B1-bump-d2", "B3-cosine-d1", "B3-bump-d3-fixed-step-thin3",
+        "B9-bump-d1-fixed-step-thin3", "B3-bump-d2-ula", "B3-cosine-d1-ula-fixed-burn-thin3",
+    ))
+    def test_any_record_block(self, pot, N, tilts, kw, k, monkeypatch):
+        B, d = np.shape(tilts)
+        _block_of(monkeypatch, k, 2 * d * B * N**d * 8)
+        self.test_every_chain_every_sweep(pot, N, tilts, kw)
 
     @pytest.mark.parametrize("kw", [
         pytest.param({"burn_in": 40}, id="tuning"),
@@ -480,58 +534,78 @@ class TestBatchMatchesPlainLoop:
         assert len({len(p) for p in phis}) > 1
 
 
-def _counting(pot, counts):
-    """Copy of ``pot`` whose callables named in ``counts`` count their calls."""
+def _counting(pot, calls, elements):
+    """Copy of ``pot`` whose callables named in ``calls`` count their calls
+    there and the elements they evaluate in ``elements``."""
     def counted(name):
         fn = getattr(pot, name)
-        return lambda x: (counts.__setitem__(name, counts[name] + 1), fn(x))[1]
-    return dataclasses.replace(pot, **{name: counted(name) for name in counts})
+
+        def f(x):
+            calls[name] += 1
+            elements[name] += np.size(x)
+            return fn(x)
+        return f
+    return dataclasses.replace(pot, **{name: counted(name) for name in calls})
 
 
 class TestOnePassPerProposal:
+    """V and V' run once per pass on all axes stacked; the estimators read
+    the kept pass, and their own potential calls run once per block."""
+
     @pytest.mark.parametrize("tilt", [(0.5,), (0.5, 0.0), (0.5, 0.0, 0.2)])
     @pytest.mark.parametrize("kind", ["mala", "ula"])
     def test_potential_calls_per_sweep(self, tilt, kind):
-        counts = {"v": 0, "vp": 0}
-        s = make_sampler(_counting(COSINE, counts), 4, tilt, kind=kind, step=0.05,
-                         burn_in=1, seed=0)
+        calls, elements = {"v": 0, "vp": 0}, {"v": 0, "vp": 0}
+        s = make_sampler(_counting(COSINE, calls, elements), 4, tilt, kind=kind,
+                         step=0.05, burn_in=1, seed=0)
         s.prepare()
-        counts.update(v=0, vp=0)
+        calls.update(v=0, vp=0)
+        elements.update(v=0, vp=0)
         for _ in range(10):
             s._sweep()
         d = len(tilt)
         # ULA needs no energy, so its pass evaluates V' only
-        assert counts == {"v": 10 * d if kind == "mala" else 0, "vp": 10 * d}
+        mala = kind == "mala"
+        assert calls == {"v": 10 if mala else 0, "vp": 10}
+        bonds = 10 * d * 4**d
+        assert elements == {"v": bonds if mala else 0, "vp": bonds}
 
     @pytest.mark.parametrize("tilt", [(0.5,), (0.5, 0.0), (0.5, 0.0, 0.2)])
     @pytest.mark.parametrize("kind", ["mala", "ula"])
     def test_burn_in_probes_read_the_pass(self, tilt, kind, monkeypatch):
         # no extra burn-in: the first pass, then 1000 probe sweeps, each of
-        # one pass with V and V' on every axis and no further potential call
+        # one pass with V and V' on all axes and no further potential call
         monkeypatch.setattr(gibbs, "integrated_autocorr_time", lambda x: 1.0)
-        counts = {"v": 0, "vp": 0}
-        s = make_sampler(_counting(COSINE, counts), 4, tilt, kind=kind, step=0.05, seed=0)
+        calls, elements = {"v": 0, "vp": 0}, {"v": 0, "vp": 0}
+        s = make_sampler(_counting(COSINE, calls, elements), 4, tilt, kind=kind,
+                         step=0.05, seed=0)
         s.prepare()
         d = len(tilt)
-        assert counts == {"v": 1001 * d, "vp": 1001 * d}
+        assert calls == {"v": 1001, "vp": 1001}
+        assert elements == {"v": 1001 * d * 4**d, "vp": 1001 * d * 4**d}
 
     def test_grad_sigma_reads_the_kept_vprime(self):
-        counts = {"v": 0, "vp": 0}
-        grad_sigma(_counting(COSINE, counts), 4, (0.5, 0.0), sweeps=64, step=0.05, burn_in=0)
-        assert counts == {"v": 65 * 2, "vp": 65 * 2}  # the first pass and one per sweep
+        calls, elements = {"v": 0, "vp": 0}, {"v": 0, "vp": 0}
+        grad_sigma(_counting(COSINE, calls, elements), 4, (0.5, 0.0), sweeps=64,
+                   step=0.05, burn_in=0)
+        assert calls == {"v": 65, "vp": 65}  # the first pass and one per sweep
+        assert elements == {"v": 65 * 2 * 16, "vp": 65 * 2 * 16}
 
     def test_identity2_reads_the_kept_vprime(self):
-        counts = {"v": 0, "vp": 0}
-        s = make_sampler(_counting(COSINE, counts), 4, (0.5, 0.0), step=0.05,
+        calls, elements = {"v": 0, "vp": 0}, {"v": 0, "vp": 0}
+        s = make_sampler(_counting(COSINE, calls, elements), 4, (0.5, 0.0), step=0.05,
                          burn_in=0, seed=0)
         estimate_identity2(s, 64)
-        assert counts == {"v": 65 * 2, "vp": 65 * 2}  # the first pass and one per sweep
+        assert calls == {"v": 65, "vp": 65}  # the first pass and one per sweep
+        assert elements == {"v": 65 * 2 * 16, "vp": 65 * 2 * 16}
 
-    def test_decompose_flux_curvature_calls(self):
-        counts = {"v0pp": 0}
-        decompose_flux(_counting(BUMP, counts), 4, (0.5, 0.0), sweeps=64,
+    def test_decompose_flux_curvature_calls(self, monkeypatch):
+        _block_of(monkeypatch, 5, 2 * 2 * 16 * 8)  # 64 records in 13 blocks
+        calls, elements = {"v0pp": 0}, {"v0pp": 0}
+        decompose_flux(_counting(BUMP, calls, elements), 4, (0.5, 0.0), sweeps=64,
                        step=0.05, burn_in=0)
-        assert counts["v0pp"] == 64 * 2  # one V0'' call per axis and sample
+        assert calls["v0pp"] == 13 * 2  # one V0'' call per axis and block
+        assert elements["v0pp"] == 64 * 2 * 8 * 16  # every node, bond and sample
 
     def test_collect_reads_cached_differences(self, monkeypatch):
         calls = []
@@ -541,15 +615,21 @@ class TestOnePassPerProposal:
             lambda self: (calls.append(1), inner(self))[1],
         )
         s = make_sampler(COSINE, 6, (0.5, 0.0), seed=0)
-        s.collect(40, {"m": lambda et: float(et[0].mean())})
+        s.collect(40, {"m": lambda et, vp: et[0].mean(axis=(-2, -1))})
         assert calls == []
 
     def test_observables_cannot_write_the_cache(self):
+        for which in (0, 1):  # et, then vp
+            s = make_sampler(COSINE, 6, (0.5, 0.0), step=0.05, burn_in=0, seed=0)
+
+            def scribble(et, vp):
+                (et, vp)[which][0][0, 0, 0] = 1.0
+                return np.zeros(len(et[0]))
+
+            with pytest.raises(ValueError, match="read-only"):
+                s.collect(1, {"x": scribble})
+
+    def test_observables_return_one_row_per_record(self):
         s = make_sampler(COSINE, 6, (0.5, 0.0), step=0.05, burn_in=0, seed=0)
-
-        def scribble(et):
-            et[0][0, 0] = 1.0
-            return 0.0
-
-        with pytest.raises(ValueError):
-            s.collect(1, {"x": scribble})
+        with pytest.raises(ValueError, match="block of 3 records"):
+            s.collect(3, {"x": lambda et, vp: 0.0})

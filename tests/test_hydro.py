@@ -17,7 +17,8 @@ import pytest
 
 import heightlab
 from heightlab import (
-    DomainSpec, PlotSkipped, make_cosine_perturbed, make_gaussian, make_split_bump,
+    DomainSpec, PlotSkipped, PotentialMismatch, make_cosine_perturbed, make_gaussian,
+    make_split_bump,
 )
 from heightlab.hydro import (
     ConvergenceTable,
@@ -42,7 +43,7 @@ from heightlab.pde import (
     solve,
 )
 from heightlab.rng import seed_key, stream
-from heightlab.surface import SurfaceTensionTable
+from heightlab.surface import SurfaceTensionTable, build_table
 
 from oracles import PlainDirichlet, reference_dirichlet_run
 
@@ -112,6 +113,28 @@ class TestResolveFlux:
         tab.to_csv(path)
         flux = resolve_flux(str(path), make_cosine_perturbed(0.5, 1.0))
         assert isinstance(flux, TableFlux)
+        assert np.array_equal(flux.table.dsigma, tab.dsigma)
+
+    @pytest.mark.parametrize("source", ["table", "csv"])
+    def test_table_for_another_potential_is_refused(self, tmp_path, source):
+        a = np.array([-1.0, 0.0, 1.0])
+        tab = SurfaceTensionTable([a], a[:, None], np.zeros((3, 1)), a**2 / 2,
+                                  np.zeros(3), meta={"potential": "gaussian"})
+        if source == "csv":
+            tab.to_csv(tmp_path / "table.csv")
+            tab = str(tmp_path / "table.csv")
+        cosine = make_cosine_perturbed(2.0, 1.0)
+        with pytest.raises(PotentialMismatch, match=r"'gaussian'.*'cosine\(a=2,kappa=1\)'"):
+            resolve_flux(tab, cosine)
+
+    def test_cosine_table_from_csv_matches(self, tmp_path):
+        pot = make_cosine_perturbed(2.0, 1.0)
+        tab = build_table(pot, 4, [np.array([-0.5, 0.0, 0.5])], sweeps=64, seed=0,
+                          step=0.05, burn_in=10)
+        tab.to_csv(tmp_path / "table.csv")
+        flux = resolve_flux(str(tmp_path / "table.csv"), make_cosine_perturbed(2.0, 1.0))
+        assert isinstance(flux, TableFlux)
+        assert flux.table.meta["potential"] == pot.name
         assert np.array_equal(flux.table.dsigma, tab.dsigma)
 
     def test_flux_objects_pass_through(self):

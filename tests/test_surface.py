@@ -176,7 +176,7 @@ class TestSurfaceTensionTable:
         assert abs(g[0] - 0.5) < 1e-12
         g, _ = tab.grad([0.25])          # linear data, so midpoints exact too
         assert abs(g[0] - 0.25) < 1e-12
-        assert tab.sigma_at([0.0]) == 0.0
+        assert tab.sigma[list(tab.axes[0]).index(0.0)] == 0.0
         assert tab.clamp_events == 0
         tab.grad([2.0])
         assert tab.clamp_events == 1
@@ -330,7 +330,7 @@ class TestClampSemantics:
         for row, m in zip(pts, moved):
             before = tab.clamp_events
             tab.grad(row)
-            tab.sigma_at(row)
+            tab._points(row)
             assert tab.clamp_events - before == 2 * m
 
     def test_both_coordinates_out_is_one_event(self):
