@@ -162,7 +162,7 @@ def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
     reports = [estimate_bond_variance(sampler, i, s.sweeps) for i in range(len(u))]
     reports.append(estimate_identity2(sampler, s.sweeps))
     print(
-        f"sampler {s.kind}: step={sampler.step:.4g} "
+        f"sampler {s.kind}: step={sampler.step[0]:.4g} "
         f"acceptance={sampler.acceptance_rate:.3f}"
     )
     for rep in reports:
@@ -178,7 +178,7 @@ def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
         meta | {
             "potential": pot.name, "N": cfg.lattice.N,
             "tilt": ",".join(repr(x) for x in u),
-            "kind": s.kind, "step": repr(sampler.step),
+            "kind": s.kind, "step": repr(float(sampler.step[0])),
             "acceptance": repr(sampler.acceptance_rate),
         },
     )

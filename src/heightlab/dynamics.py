@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFinite, StepTooLarge, TimeMismatch
-from .lattice import DiscretizedDomain, HeightField, TorusLattice
+from .lattice import DiscretizedDomain, TorusLattice
 from .rng import seed_key, stream
 
 # Linear-growth constant for the energy diagnostic, frozen from the
@@ -501,27 +501,3 @@ def energy_diagnostic(
     lhs = trace.h_norm_sq.mean(axis=1) + c_minus * trace.dirichlet_integral.mean(axis=1)
     rhs = 2.0 * trace.initial_norm_sq.mean() + K * (1.0 + trace.times)
     return EnergyDiagnostic(trace.times, lhs, rhs, K, bool((lhs <= rhs).all()))
-
-
-# ---------------------------------------------------------------------------
-# pointwise drift (reference implementation for tests and small studies)
-
-
-def drift(pot, field: HeightField, site) -> float:
-    """-sum over neighbours y of V'(phi(x) - phi(y)) at one site."""
-    lat = field.lattice
-    if isinstance(lat, TorusLattice):
-        x = tuple(int(c) % lat.N for c in np.atleast_1d(site))
-        total = 0.0
-        for i in range(lat.d):
-            for s in (1, -1):
-                y = list(x)
-                y[i] = (y[i] + s) % lat.N
-                total += float(pot.vp(field.values[x] - field.values[tuple(y)]))
-        return -total
-    dom = lat
-    xid = dom.site_id(np.atleast_1d(site))
-    if xid >= dom.n_interior:
-        raise ValueError("drift is defined on interior sites only")
-    nbrs = dom.neighbors[xid]
-    return float(-pot.vp(field.values[xid] - field.values[nbrs]).sum())

@@ -16,14 +16,15 @@ The sampler tunes its step during burn-in toward the 0.50-0.65 acceptance
 window, freezes it, then burns for at least max(1000, 10 IACT) sweeps
 before any estimate.
 
+A sampler advances B chains as one batch; one chain is a batch of one.
 A sweep makes one bond pass, on the proposal: the tilted bonds of all
 axes are stacked into one array, so V and V' are each called once per
 proposal.  The pass of the current state is kept.  Observables do not
 see single sweeps: ``collect`` copies the kept untilted differences and
 V' of consecutive recorded sweeps into a block of about
 ``RECORD_BLOCK_BYTES`` and hands each observable the whole block, so an
-observable reduces over the lattice axes of k records with one numpy
-call instead of k.
+observable reduces over the lattice axes of k records and B chains with
+one numpy call instead of k B.
 """
 
 from __future__ import annotations
@@ -104,10 +105,9 @@ class EstimatorReport:
 class GibbsSampler:
     """MALA/ULA chains on gauge-fixed torus heights, advanced as one batch.
 
-    A system with a tilt of shape (B, d) holds B chains in one
-    (B,) + lattice array; a system with a tilt of shape (d,) holds one
-    chain, run as a batch of one and seen without the chain axis.  Each
-    chain has its own Philox stream, one ``standard_normal`` fill and, for
+    The system has a tilt of shape (B, d) and holds B chains in one
+    (B,) + lattice array; a single chain is a batch of one.  Each chain
+    has its own Philox stream, one ``standard_normal`` fill and, for
     MALA, one ``uniform()`` per sweep, and its own step, tuning rounds and
     adaptive burn-in, so it reproduces the same chain run alone bit for
     bit.  Phases run in lockstep: a chain that finishes its tuning or
@@ -131,16 +131,16 @@ class GibbsSampler:
     ):
         if kind not in ("mala", "ula"):
             raise ValueError("kind must be 'mala' or 'ula'")
+        if thin < 1:
+            raise ValueError(f"thin must be at least 1, got {thin}")
         lat = system.lattice
-        chains = system.tilt.shape[:-1]
-        if system.phi.shape != chains + lat.shape:
-            raise ValueError("sampler needs one height array per chain")
+        if system.tilt.ndim != 2:
+            raise ValueError("sampler needs a tilt of shape (B, d), one row per chain")
         self.system = system
         self.kind = kind
-        self.thin = max(1, int(thin))
+        self.thin = int(thin)
         self.burn_in = burn_in
-        self._batched = bool(chains)
-        self._n = chains[0] if chains else 1
+        self._n = len(system.tilt)
         self._axes = tuple(range(1, lat.d + 1))  # lattice axes after the chain axis
         mask = np.ones(lat.shape)
         mask[(0,) * lat.d] = 0.0  # gauge: phi(0) pinned at 0
@@ -166,10 +166,6 @@ class GibbsSampler:
         h = np.broadcast_to(step.reshape((-1,) + (1,) * len(self._axes)), shape).copy()
         self._factors = (h, np.sqrt(2.0 * h), 2.0 * step, 4.0 * step)
 
-    def _phi(self) -> np.ndarray:
-        """The heights with the chain axis first."""
-        return self.system.phi if self._batched else self.system.phi[None]
-
     def _bonds(self, phi: np.ndarray):
         """BondPass of ``phi`` with the gauge-masked gradient.
 
@@ -192,7 +188,7 @@ class GibbsSampler:
                 return
             stay = ~moved
             cur = self._cur
-            pairs = [(prop, self._phi()), (new.grad, cur.grad)]
+            pairs = [(prop, self.system.phi), (new.grad, cur.grad)]
             stacked = [(new.diffs, cur.diffs), (new.vp, cur.vp)]
             if new.energy is not None:
                 pairs.append((new.energy, cur.energy))
@@ -201,7 +197,7 @@ class GibbsSampler:
                 a[stay] = b[stay]
             for a, b in stacked:  # the chain axis follows the axis rows
                 a[:, stay] = b[:, stay]
-        self.system.phi = prop if self._batched else prop[0]
+        self.system.phi = prop
         self._cur = new
 
     def _sweep(self, active: np.ndarray | None = None) -> np.ndarray:
@@ -212,7 +208,7 @@ class GibbsSampler:
         """
         if active is not None and active.all():
             active = None
-        phi = self._phi()
+        phi = self.system.phi
         if self._cur is None:
             self._cur = self._bonds(phi)
         cur = self._cur
@@ -305,11 +301,9 @@ class GibbsSampler:
         self._prepared = True
 
     @property
-    def step(self):
-        """The step: a float for one unbatched chain, else one per chain."""
-        if self._step is None:
-            return None
-        return self._step.copy() if self._batched else float(self._step[0])
+    def step(self) -> np.ndarray | None:
+        """The step of each chain, (B,); None until set or tuned."""
+        return None if self._step is None else self._step.copy()
 
     @property
     def acceptance_rate(self) -> float:
@@ -327,13 +321,12 @@ class GibbsSampler:
         the tilted bonds.  Records are gathered k at a time, k as many as
         fit in ``RECORD_BLOCK_BYTES`` (at least one, at most all), and each
         observable is called once per block as ``fn(et, vp)``.  ``et`` and
-        ``vp`` are read-only arrays of shape (d, k) + lattice for an
-        unbatched sampler and (d, k, B) + lattice for a batch of B chains:
-        axis i, then the record, then the chain.  The last block may be
-        shorter, and the arrays are refilled for the next block, so an
-        observable must not keep them.  It returns one row per record: a
-        scalar observable returns (k,) or (k, B).  The series of
-        ``n_rec = sweeps // thin`` rows come back as (n_rec,) + row shape.
+        ``vp`` are read-only arrays of shape (d, k, B) + lattice: axis i,
+        then the record, then the chain.  The last block may be shorter,
+        and the arrays are refilled for the next block, so an observable
+        must not keep them.  It returns one row per record: a scalar
+        observable returns (k, B).  The series of ``n_rec = sweeps // thin``
+        rows come back as (n_rec,) + row shape.
         """
         self.prepare()
         n_rec = sweeps // self.thin
@@ -352,7 +345,7 @@ class GibbsSampler:
             held += 1
             if held < k and done + held < n_rec:
                 continue
-            et, vp = block[:, :, :held] if self._batched else block[:, :, :held, 0]
+            et, vp = block[:, :, :held]
             et.flags.writeable = vp.flags.writeable = False
             for name, fn in observables.items():
                 v = np.asarray(fn(et, vp))
@@ -380,12 +373,15 @@ def make_sampler(
     seed=0,
     phi0=None,
 ) -> GibbsSampler:
-    """Sampler for the tilt-u ensemble on the (Z/NZ)^d torus, d = len(tilt).
+    """Sampler for the tilt-u ensemble on the (Z/NZ)^d torus, d = tilt.shape[-1].
 
-    A tilt of shape (B, d) makes a batch of B chains instead; ``seed``
-    then lists one seed per chain.
+    A tilt of shape (B, d) makes a batch of B chains, and ``seed`` lists
+    one seed per chain.  A tilt of shape (d,) with one ``seed`` is the
+    batch of one chain, (1, d) with ``[seed]``.
     """
     tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
+    if tilt.ndim == 1:
+        tilt, seed = tilt[None], [seed]
     lat = TorusLattice(N, tilt.shape[-1])
     system = TiltedPeriodicSystem(lat, pot, tilt, phi=phi0, seed=seed)
     return GibbsSampler(system, kind=kind, step=step, burn_in=burn_in, thin=thin)
@@ -396,18 +392,16 @@ def make_sampler(
 
 
 def _report(sampler: GibbsSampler, name: str, sweeps: int, obs) -> EstimatorReport:
-    """Batch-means report of the scalar observable ``obs`` over ``sweeps``."""
+    """Batch-means report of the scalar observable ``obs``, which maps a
+    block to (k, 1), over ``sweeps`` of a one-chain sampler."""
     sys = sampler.system
-    series = sampler.collect(sweeps, {"o": obs})["o"]
-    value, stderr, ess = batch_means(series)
-    return EstimatorReport(
-        name=name,
-        value=value,
-        stderr=stderr,
-        ess=ess,
-        sweeps=sweeps,
-        meta={"potential": sys.pot.name, "N": sys.lattice.N, "tilt": tuple(sys.tilt)},
-    )
+    if len(sys.tilt) != 1:
+        raise ValueError(f"{name} reports one chain, but the sampler holds B = "
+                         f"{len(sys.tilt)}; use chain_means or variance_sweep for a batch")
+    stats = chain_means(sampler, sweeps, lambda et, vp: obs(et, vp)[None])
+    value, stderr, ess = (float(x[0, 0]) for x in stats)
+    meta = {"potential": sys.pot.name, "N": sys.lattice.N, "tilt": tuple(sys.tilt[0])}
+    return EstimatorReport(name, value, stderr, ess, sweeps, meta)
 
 
 def _lattice_axes(sampler: GibbsSampler) -> tuple:
@@ -419,7 +413,7 @@ def estimate_identity2(sampler: GibbsSampler, sweeps: int = 20000) -> EstimatorR
     """Estimate sum_i E[eta(e_i) V'(eta(e_i))], which equals u . grad sigma + 1
     in the infinite-volume limit (finite-N value differs at O(N^-d))."""
     lat = _lattice_axes(sampler)
-    u_col = sampler.system.tilt.reshape((-1,) + (1,) * (len(lat) + 1))  # row i: u_i
+    u_col = sampler.system.tilt.T.reshape((len(lat), 1, -1) + (1,) * len(lat))  # row i: u_i
 
     def obs(et, vp):
         return sum(((et + u_col) * vp).mean(axis=lat))  # axes added in order
@@ -439,19 +433,18 @@ def estimate_bond_variance(
 
 
 def chain_means(sampler: GibbsSampler, sweeps: int, obs):
-    """Batch means over ``sweeps`` of a batched sampler's ``obs(et, vp)``,
-    which maps a block to an (m, k, B) array: m quantities per record and
-    chain; returns (values, stderr), each (B, m)."""
+    """Batch means over ``sweeps`` of the sampler's ``obs(et, vp)``, which
+    maps a block to an (m, k, B) array: m quantities per record and chain;
+    returns (values, stderr, ess), each (B, m)."""
     n_rec = sweeps // sampler.thin
     if n_rec < N_BATCHES:
         raise ValueError(f"need at least {N_BATCHES} samples, got {n_rec}")
     rows = sampler.collect(sweeps, {"o": lambda et, vp: np.moveaxis(obs(et, vp), 0, -1)})
     series = np.ascontiguousarray(np.moveaxis(rows["o"], 0, -1))  # (B, m, n_rec)
-    values = np.zeros(series.shape[:2])
-    errors = np.zeros(series.shape[:2])
+    values, errors, ess = np.zeros((3,) + series.shape[:2])
     for j, i in np.ndindex(series.shape[:2]):
-        values[j, i], errors[j, i], _ = batch_means(series[j, i])
-    return values, errors
+        values[j, i], errors[j, i], ess[j, i] = batch_means(series[j, i])
+    return values, errors, ess
 
 
 @dataclass
@@ -510,7 +503,7 @@ def variance_sweep(
         seed=[tuple(seed_key(seed)) + (j,) for j in range(n)],
     )
     lat = _lattice_axes(sampler)
-    values, errors = chain_means(
+    values, errors, _ = chain_means(
         sampler, sweeps, lambda et, vp: np.square(et).mean(axis=lat)
     )
     return VarianceSweep(tilts, values, errors, sweeps, pot.name, N)
@@ -623,6 +616,8 @@ def dlr_check(
     d = len(tilt)
     if not 1 <= window <= 3:
         raise ValueError("window width must be 1, 2, or 3")
+    if thin < 1:
+        raise ValueError(f"thin must be at least 1, got {thin}")
     rng = stream(*seed_key(seed), 7)
     if exterior is None:
         jitter = rng.uniform(-1.0, 1.0, size=3**d * 2 * d)

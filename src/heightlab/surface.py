@@ -42,24 +42,22 @@ def grad_sigma(
     thin: int = 1,
 ):
     """Monte Carlo estimate of grad sigma(u); returns (vector, stderr)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    vec, err = _grad_sigma_chains(
-        pot, N, u[None], [seed], sweeps, kind, step, burn_in, thin
-    )
+    vec, err = _grad_sigma_chains(pot, N, u, seed, sweeps, kind, step, burn_in, thin)
     return vec[0], err[0]
 
 
 def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, kind, step, burn_in, thin):
-    """grad sigma at each row of ``tilts`` (B, d), chain j seeded ``seeds[j]``,
-    all chains advanced as one batch; returns (values, stderr), each (B, d).
+    """grad sigma at each row of ``tilts`` (B, d), chain j seeded ``seeds[j]``
+    (or at one (d,) tilt and seed), all chains advanced as one batch;
+    returns (values, stderr), each (B, d).
 
     The observable is the mean of the V' that the sampler's bond pass kept.
     """
     sampler = make_sampler(
         pot, N, tilts, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seeds
     )
-    lat = tuple(range(-tilts.shape[1], 0))
-    return chain_means(sampler, sweeps, lambda et, vp: vp.mean(axis=lat))
+    lat = tuple(range(-sampler.system.lattice.d, 0))
+    return chain_means(sampler, sweeps, lambda et, vp: vp.mean(axis=lat))[:2]
 
 
 @dataclass(frozen=True)
@@ -246,9 +244,8 @@ def decompose_flux(
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = len(u)
-    # a batch of one chain: the chain ``seed`` gives alone
     sampler = make_sampler(
-        pot, N, u[None], kind=kind, step=step, burn_in=burn_in, thin=thin, seed=[seed]
+        pot, N, u, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seed
     )
     x, w = np.polynomial.legendre.leggauss(nodes)
     lam = (x + 1.0) / 2.0
@@ -274,7 +271,7 @@ def decompose_flux(
         small = pot.v0p(eta - u_col).mean(axis=lat) + pot.gp(eta).mean(axis=lat)
         return np.concatenate([np.stack(rows), small])
 
-    values, errors = chain_means(sampler, sweeps, obs)
+    values, errors, _ = chain_means(sampler, sweeps, obs)
     A, avec = values[0, :d], values[0, d:]
     A_err, a_err = errors[0, :d], errors[0, d:]
     return FluxDecomposition(

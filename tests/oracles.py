@@ -446,6 +446,20 @@ def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None, kind="
             "series": {name: np.asarray(x) for name, x in series.items()}}
 
 
+def pointwise_drift(vp, phi, site) -> float:
+    """-sum over torus neighbours y of V'(phi(x) - phi(y)) at one site x,
+    with heights ``phi`` of shape (N,) * d."""
+    N, d = phi.shape[0], phi.ndim
+    x = tuple(int(c) % N for c in np.atleast_1d(site))
+    total = 0.0
+    for i in range(d):
+        for s in (1, -1):
+            y = list(x)
+            y[i] = (y[i] + s) % N
+            total += float(vp(phi[x] - phi[tuple(y)]))
+    return -total
+
+
 def read_field_csv(path):
     """(sites, values, meta) of a field CSV: '# key=value' header lines, then
     columns x0, x1, ... of integer site coordinates and a ``value`` column."""

@@ -186,6 +186,13 @@ class TestCliExitCodes:
         assert run_cli("sample-gibbs", "--set", "sampler.n_batches=16") == 1
         assert "no config key 'sampler.n_batches'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("sample-gibbs", "sampler.thin=0"), ("dlr-check", "dlr.thin=0"),
+    ])
+    def test_thin_below_one_exits_one(self, cli_env, capsys, command, key):
+        assert run_cli(command, "--set", key, "--out", "root") == 1
+        assert "thin must be at least 1, got 0" in capsys.readouterr().err
+
     def test_hydro_single_realization_exits_one(self, cli_env, capsys):
         assert run_cli("hydro", "--set", "hydro.realizations=1", "--out", "root") == 1
         err = capsys.readouterr().err

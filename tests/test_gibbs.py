@@ -17,6 +17,7 @@ from heightlab import (
 )
 from heightlab import gibbs
 from heightlab.dynamics import TiltedPeriodicSystem
+from heightlab.lattice import TorusLattice
 from heightlab.rng import seed_key, stream
 from heightlab.surface import build_table, decompose_flux, grad_sigma
 
@@ -113,8 +114,8 @@ class TestMalaGaussian:
     def test_translation_invariance(self):
         s = make_sampler(make_gaussian(), 6, (0.0, 0.0), seed=6)
         obs = {
-            "a": lambda et, vp: et[0][:, 0, 0] ** 2,
-            "b": lambda et, vp: et[0][:, 3, 2] ** 2,
+            "a": lambda et, vp: et[0][..., 0, 0] ** 2,
+            "b": lambda et, vp: et[0][..., 3, 2] ** 2,
         }
         series = s.collect(6000, obs)
         ma, sa, _ = batch_means(series["a"])
@@ -255,10 +256,9 @@ def _record_states(sampler):
 
     def recorded(active=None):
         moved = inner(active)
-        phi = sys.phi.reshape((n,) + sys.lattice.shape)
         for j in range(n):
             if active is None or active[j]:
-                phis[j].append(phi[j].copy())
+                phis[j].append(sys.phi[j].copy())
         return moved
 
     sampler._sweep = recorded
@@ -283,19 +283,43 @@ def _observables(pot, tilt):
     }
 
 
-def _block_observables(pot, tilt):
-    """``_observables`` of a block of records, plus the mean of the kept V';
-    with a tilt per chain, (B, d), of every chain at once."""
-    tilt = np.asarray(tilt, dtype=float)
-    d = tilt.shape[-1]
+def _block_observables(pot, tilts):
+    """``_observables`` of a block of records of every chain at once, plus
+    the mean of the kept V'; one tilt per chain, (B, d)."""
+    B, d = tilts.shape
     lat = tuple(range(-d, 0))
-    u0 = tilt[..., 0].reshape(tilt.shape[:-1] + (1,) * d)
+    u0 = tilts[:, 0].reshape((B,) + (1,) * d)
     return {
         "vp0": lambda et, vp: pot.vp(et[0] + u0).mean(axis=lat),
         "kept_vp0": lambda et, vp: vp[0].mean(axis=lat),
         "sq": lambda et, vp: np.square(et[-1]).mean(axis=lat),
         "bonds": lambda et, vp: np.moveaxis(et, 0, -d - 1),
     }
+
+
+def _assert_chains_match(pot, N, tilt, seed, sweeps, kw):
+    """Every chain of ``make_sampler(pot, N, tilt, seed=seed, **kw)`` is the
+    plain chain on its own stream: the heights after each of its sweeps,
+    its step, the pooled accept counts and each block observable's series.
+    A (d,) tilt with one seed is the batch of one."""
+    tilts = np.atleast_2d(np.asarray(tilt, dtype=float))
+    seeds = [seed] if np.ndim(tilt) == 1 else seed
+    s = make_sampler(pot, N, tilt, seed=seed, **kw)
+    phis = _record_states(s)
+    got = s.collect(sweeps, _block_observables(pot, tilts))
+    accepts = proposals = 0
+    for j, u in enumerate(tilts):
+        obs = _observables(pot, u)
+        obs["kept_vp0"] = obs["vp0"]
+        want = _plain_chain(pot, N, u, seeds[j], sweeps, obs, **kw)
+        assert len(phis[j]) == len(want["phis"])
+        assert all(np.array_equal(a, b) for a, b in zip(phis[j], want["phis"]))
+        assert s.step[j] == want["step"]
+        for name, series in want["series"].items():
+            assert np.array_equal(got[name][:, j], series)
+        accepts += want["accepts"]
+        proposals += want["proposals"]
+    assert (s._accepts, s._proposals) == (accepts, proposals)
 
 
 def _block_of(monkeypatch, k, record_bytes):
@@ -334,19 +358,8 @@ class TestMatchesPlainLoop:
 
     @pytest.mark.parametrize("pot, N, tilt, kw", CHAINS)
     def test_states_counts_and_series(self, pot, N, tilt, kw):
-        seed = (N, len(tilt), len(kw))
-        s = make_sampler(pot, N, tilt, seed=seed, **kw)
-        phis = _record_states(s)[0]
-        got = s.collect(120, _block_observables(pot, tilt))
-        obs = _observables(pot, tilt)
-        obs["kept_vp0"] = obs["vp0"]
-        want = _plain_chain(pot, N, tilt, seed, 120, obs, **kw)
-        assert len(phis) == len(want["phis"])
-        assert all(np.array_equal(a, b) for a, b in zip(phis, want["phis"]))
-        assert s.step == want["step"]
-        assert (s._accepts, s._proposals) == (want["accepts"], want["proposals"])
-        for name, series in want["series"].items():
-            assert np.array_equal(got[name], series)
+        # the batch check on a batch of one, made from a (d,) tilt and one seed
+        _assert_chains_match(pot, N, tilt, (N, len(tilt), len(kw)), 120, kw)
 
     @pytest.mark.parametrize("k", BLOCKS)
     @pytest.mark.parametrize("pot, N, tilt, kw", _pick(
@@ -357,6 +370,21 @@ class TestMatchesPlainLoop:
         _block_of(monkeypatch, k, 2 * len(tilt) * N ** len(tilt) * 8)
         self.test_states_counts_and_series(pot, N, tilt, kw)
 
+    @pytest.mark.parametrize("estimate", [
+        pytest.param(lambda s: estimate_bond_variance(s, 0, 64), id="bond-variance"),
+        pytest.param(lambda s: estimate_identity2(s, 64), id="identity2"),
+    ])
+    def test_one_chain_reports_refuse_a_batch(self, estimate):
+        s = make_sampler(COSINE, 4, [(0.5, 0.0), (0.0, 0.5)], seed=[0, 1], step=0.05,
+                         burn_in=0)
+        with pytest.raises(ValueError, match="B = 2; use chain_means or variance_sweep"):
+            estimate(s)
+
+    def test_sampler_needs_a_chain_axis(self):
+        system = TiltedPeriodicSystem(TorusLattice(4, 2), COSINE, (0.5, 0.0))
+        with pytest.raises(ValueError, match=r"tilt of shape \(B, d\)"):
+            gibbs.GibbsSampler(system)
+
     def test_too_few_records_raise(self):
         # two sweeps at thin 3 record nothing, which must not read as an estimate of 0
         with pytest.raises(ValueError, match="need at least 32 samples, got 0"):
@@ -366,8 +394,8 @@ class TestMatchesPlainLoop:
         pot, N, tilt = COSINE, 6, (1.0, -0.5)
         s = make_sampler(pot, N, tilt, seed=1)
         s.prepare()
-        assert s.step != (N * N) ** (-1.0 / 3.0) / pot.drift_lipschitz
-        assert s.step == _plain_chain(pot, N, tilt, 1, 0)["step"]
+        assert s.step[0] != (N * N) ** (-1.0 / 3.0) / pot.drift_lipschitz
+        assert s.step[0] == _plain_chain(pot, N, tilt, 1, 0)["step"]
 
     @pytest.mark.parametrize("pot, u, kw", [
         pytest.param(COSINE, (0.5, 0.2), {}, id="cosine-d2"),
@@ -474,25 +502,9 @@ class TestBatchMatchesPlainLoop:
 
     @pytest.mark.parametrize("pot, N, tilts, kw", BATCHES)
     def test_every_chain_every_sweep(self, pot, N, tilts, kw):
-        tilts = np.asarray(tilts, dtype=float)
-        B, d = tilts.shape
+        B, d = np.shape(tilts)
         seeds = [(B, d, len(kw), j) for j in range(B)]
-        s = make_sampler(pot, N, tilts, seed=seeds, **kw)
-        phis = _record_states(s)
-        got = s.collect(90, _block_observables(pot, tilts))
-        accepts = proposals = 0
-        for j in range(B):
-            obs = _observables(pot, tilts[j])
-            obs["kept_vp0"] = obs["vp0"]
-            want = _plain_chain(pot, N, tilts[j], seeds[j], 90, obs, **kw)
-            assert len(phis[j]) == len(want["phis"])
-            assert all(np.array_equal(a, b) for a, b in zip(phis[j], want["phis"]))
-            assert s.step[j] == want["step"]
-            for name, series in want["series"].items():
-                assert np.array_equal(got[name][:, j], series)
-            accepts += want["accepts"]
-            proposals += want["proposals"]
-        assert (s._accepts, s._proposals) == (accepts, proposals)
+        _assert_chains_match(pot, N, tilts, seeds, 90, kw)
 
     @pytest.mark.parametrize("k", BLOCKS)
     @pytest.mark.parametrize("pot, N, tilts, kw", _pick(
