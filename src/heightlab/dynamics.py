@@ -27,8 +27,8 @@ runs stay small in memory however many steps they take.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,29 +55,6 @@ def step_cap(pot, d: int) -> float:
     if lip <= 0:
         return np.inf
     return 0.1 / (2 * d * lip)
-
-
-@cache
-def _wrap_slices(ax: int):
-    """Index tuples selecting [0:1], [1:], [-1:] and [:-1] along axis ``ax``."""
-    pre = (slice(None),) * ax
-    return tuple(
-        pre + (s,)
-        for s in (slice(0, 1), slice(1, None), slice(-1, None), slice(None, -1))
-    )
-
-
-def _forward_differences(phi: np.ndarray, d: int) -> np.ndarray:
-    """Periodic differences phi(x + e_i) - phi(x) along each of the last d
-    axes, stacked ahead of them: row i of the (d,) + phi.shape result."""
-    out = np.empty((d,) + phi.shape)
-    lead = phi.ndim - d
-    for i in range(d):
-        first, rest, last, init = _wrap_slices(lead + i)
-        e = out[i]
-        np.subtract(phi[rest], phi[init], out=e[init])
-        np.subtract(phi[first], phi[last], out=e[last])
-    return out
 
 
 class BondPass(NamedTuple):
@@ -135,6 +112,7 @@ class TiltedPeriodicSystem:
         # axes: per chain one full array, which numpy adds faster than
         # broadcast columns; else columns, made on first use
         self._tilt_stacks = {}
+        self._gathers = {}  # height shape -> (fwd, back), see _gather
         if chains:
             column = (lattice.d, -1) + (1,) * lattice.d
             self._tilt_stacks[self.phi.ndim] = np.broadcast_to(
@@ -146,21 +124,40 @@ class TiltedPeriodicSystem:
         """Mean tilt, (d,) or one row per chain (B, d); read-only."""
         return self._tilt
 
+    def _gather(self, shape: tuple) -> tuple:
+        """Flat neighbour indices (fwd, back), (d,) + ``shape`` each, made
+        once per height shape: ``phi.take(fwd)[i]`` is phi(x + e_i) and, on
+        a stacked (d,) + ``shape`` array, ``a.take(back)[i]`` is a[i](x - e_i).
+        """
+        idx = self._gathers.get(shape)
+        if idx is None:
+            n, d, size = self.lattice.n_sites, self.lattice.d, math.prod(shape)
+            # fwd: canonical bond heads, offset per leading row; back: their
+            # inverse permutation, offset per leading row and per axis row
+            heads = self.lattice.canonical_bonds()[0].reshape(d, 1, n)
+            rows = n * np.arange(size // n).reshape(1, -1, 1)
+            back = np.argsort(heads, axis=-1) + rows + size * np.arange(d).reshape(d, 1, 1)
+            fwd = (heads + rows).reshape((d,) + shape)
+            idx = self._gathers[shape] = (fwd, back.reshape((d,) + shape))
+        return idx
+
     def eta_tilde(self) -> np.ndarray:
         """Untilted bond differences, row i on bonds (x + e_i, x)."""
-        return _forward_differences(self.phi, self.lattice.d)
+        return self.phi.take(self._gather(self.phi.shape)[0]) - self.phi
 
     def bond_pass(self, phi: np.ndarray, with_energy: bool = True) -> BondPass:
         """Energy, dH/dphi, eta_tilde and V' of the heights ``phi`` in one pass.
 
         ``phi`` has this system's lattice axes last, after its replica or
-        chain axes.  The stacked tilted bonds of all axes go through V'
-        in one call, and through V in one more unless ``with_energy`` is
-        false, in which case the energy and the V sums are None.
+        chain axes; differences and gradient gather through ``_gather``.
+        The stacked tilted bonds of all axes go through V' in one call, and
+        through V in one more unless ``with_energy`` is false, in which
+        case the energy and the V sums are None.
         """
         d = self.lattice.d
         lead = phi.ndim - d  # replica or chain axes
-        diffs = _forward_differences(phi, d)
+        fwd, back = self._gather(phi.shape)
+        diffs = phi.take(fwd) - phi
         tilts = self._tilt_stacks.get(phi.ndim)
         if tilts is None:
             tilts = self._tilt_stacks[phi.ndim] = self._tilt.reshape((d,) + (1,) * phi.ndim)
@@ -172,13 +169,9 @@ class TiltedPeriodicSystem:
             for s in v_sums:
                 energy = energy + s
         vp = self.pot.vp(bonds)
-        grad = np.zeros_like(phi)
-        for i in range(d):
-            a = vp[i]
-            # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x)
-            first, rest, last, init = _wrap_slices(lead + i)
-            grad[rest] += a[init] - a[rest]
-            grad[first] += a[last] - a[first]
+        # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x),
+        # added to 0 one axis after the other
+        grad = np.add.reduce(vp.take(back) - vp, axis=0, initial=0.0)
         return BondPass(energy, grad, diffs, vp, v_sums)
 
     def energy(self) -> np.ndarray | float:

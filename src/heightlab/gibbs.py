@@ -17,19 +17,19 @@ window, freezes it, then burns for at least max(1000, 10 IACT) sweeps
 before any estimate.
 
 A sampler advances B chains as one batch; one chain is a batch of one.
-A sweep makes one bond pass, on the proposal: the tilted bonds of all
-axes are stacked into one array, so V and V' are each called once per
-proposal.  The pass of the current state is kept.  Observables do not
-see single sweeps: ``collect`` copies the kept untilted differences and
-V' of consecutive recorded sweeps into a block of about
-``RECORD_BLOCK_BYTES`` and hands each observable the whole block, so an
-observable reduces over the lattice axes of k records and B chains with
-one numpy call instead of k B.
+A sweep makes one bond pass, on the proposal, through cached neighbour
+gathers; the tilted bonds of all axes are stacked, so V and V' are each
+called once per proposal.  The pass of the current state is kept.
+Observables do not see single sweeps: ``collect`` copies the kept
+untilted differences and V' of consecutive recorded sweeps into a block
+of about ``RECORD_BLOCK_BYTES`` and hands each observable the whole
+block, so an observable reduces over the lattice axes of k records and
+B chains with one numpy call instead of k B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class EstimatorReport:
     stderr: float
     ess: float
     sweeps: int
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,7 @@ class GibbsSampler:
     The system has a tilt of shape (B, d) and holds B chains in one
     (B,) + lattice array; a single chain is a batch of one.  Each chain
     has its own Philox stream, one ``standard_normal`` fill and, for
-    MALA, one ``uniform()`` per sweep, and its own step, tuning rounds and
+    MALA, one ``random()`` per sweep, and its own step, tuning rounds and
     adaptive burn-in, so it reproduces the same chain run alone bit for
     bit.  Phases run in lockstep: a chain that finishes its tuning or
     burn-in early waits, drawing nothing, until all have.  Acceptance is
@@ -133,6 +132,8 @@ class GibbsSampler:
             raise ValueError("kind must be 'mala' or 'ula'")
         if thin < 1:
             raise ValueError(f"thin must be at least 1, got {thin}")
+        if step is not None and not (np.isfinite(step) and step > 0):
+            raise ValueError(f"step must be finite and > 0, got {step}")
         lat = system.lattice
         if system.tilt.ndim != 2:
             raise ValueError("sampler needs a tilt of shape (B, d), one row per chain")
@@ -186,17 +187,16 @@ class GibbsSampler:
         if n_moved < self._n:
             if n_moved == 0:
                 return
-            stay = ~moved
+            stay = ~moved  # as a column it broadcasts behind the axis rows too
+            column = stay.reshape((-1,) + (1,) * len(self._axes))
             cur = self._cur
-            pairs = [(prop, self.system.phi), (new.grad, cur.grad)]
-            stacked = [(new.diffs, cur.diffs), (new.vp, cur.vp)]
+            copies = [(prop, self.system.phi), (new.grad, cur.grad),
+                      (new.diffs, cur.diffs), (new.vp, cur.vp)]
+            for dst, src in copies:
+                np.copyto(dst, src, where=column)
             if new.energy is not None:
-                pairs.append((new.energy, cur.energy))
-                stacked.append((new.v_sums, cur.v_sums))
-            for a, b in pairs:
-                a[stay] = b[stay]
-            for a, b in stacked:  # the chain axis follows the axis rows
-                a[:, stay] = b[:, stay]
+                np.copyto(new.energy, cur.energy, where=stay)
+                np.copyto(new.v_sums, cur.v_sums, where=stay)
         self.system.phi = prop
         self._cur = new
 
@@ -219,15 +219,22 @@ class GibbsSampler:
             rngs[j].standard_normal(out=xi[j])
         xi *= self._mask
         h, noise, two_h, four_h = self._factors
-        prop = phi - h * cur.grad + noise * xi
+        # the proposal phi - h grad + noise xi, in place, in that order
+        prop = np.multiply(h, cur.grad)
+        np.subtract(phi, prop, out=prop)
+        tmp = np.multiply(noise, xi)
+        prop += tmp
         new = self._bonds(prop)
         if self.kind == "mala":
-            fwd = two_h * (xi**2).sum(axis=self._axes)
-            rev = ((phi - prop + h * new.grad) ** 2).sum(axis=self._axes)
+            fwd = two_h * np.square(xi, out=tmp).sum(axis=self._axes)
+            # the reverse-move residual phi - prop + h grad(prop), in place
+            np.subtract(phi, prop, out=tmp)
+            tmp += np.multiply(h, new.grad, out=xi)
+            rev = np.square(tmp, out=tmp).sum(axis=self._axes)
             log_alpha = cur.energy - new.energy + (fwd - rev) / four_h
             log_u = np.full(self._n, np.inf)  # a waiting chain never moves
             for j in rows:
-                log_u[j] = rngs[j].uniform()
+                log_u[j] = rngs[j].random()  # uniform() is 0 + 1 * random()
             moved = np.log(log_u, out=log_u) < log_alpha
             n_moved = int(np.count_nonzero(moved))
             self._proposals += len(rows)
@@ -394,14 +401,13 @@ def make_sampler(
 def _report(sampler: GibbsSampler, name: str, sweeps: int, obs) -> EstimatorReport:
     """Batch-means report of the scalar observable ``obs``, which maps a
     block to (k, 1), over ``sweeps`` of a one-chain sampler."""
-    sys = sampler.system
-    if len(sys.tilt) != 1:
+    n = len(sampler.system.tilt)
+    if n != 1:
         raise ValueError(f"{name} reports one chain, but the sampler holds B = "
-                         f"{len(sys.tilt)}; use chain_means or variance_sweep for a batch")
+                         f"{n}; use chain_means or variance_sweep for a batch")
     stats = chain_means(sampler, sweeps, lambda et, vp: obs(et, vp)[None])
     value, stderr, ess = (float(x[0, 0]) for x in stats)
-    meta = {"potential": sys.pot.name, "N": sys.lattice.N, "tilt": tuple(sys.tilt[0])}
-    return EstimatorReport(name, value, stderr, ess, sweeps, meta)
+    return EstimatorReport(name, value, stderr, ess, sweeps)
 
 
 def _lattice_axes(sampler: GibbsSampler) -> tuple:

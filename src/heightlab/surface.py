@@ -249,10 +249,10 @@ def decompose_flux(
     )
     x, w = np.polynomial.legendre.leggauss(nodes)
     lam = (x + 1.0) / 2.0
-    wl = w / 2.0
     lat = tuple(range(-d, 0))
     ahead = (1,) * (d + 2)  # block, chain and lattice axes
     u_col = u.reshape((d,) + ahead)
+    wl_col = (w / 2.0).reshape((-1,) + ahead)
 
     mins = np.full(d, np.inf)
     maxs = np.full(d, -np.inf)
@@ -263,8 +263,9 @@ def decompose_flux(
         rows = []
         for i in range(d):
             curv = pot.v0pp(eta[i] - (lam * u[i]).reshape((-1,) + ahead))
-            # one V0'' call for all nodes; rows summed in node order keep the bits
-            per_bond = sum(wl[m] * curv[m] for m in range(nodes))
+            # one V0'' call for all nodes; reducing the outer node axis adds
+            # the rows to 0 in node order, as a loop over the nodes would
+            per_bond = np.add.reduce(wl_col * curv, axis=0, initial=0.0)
             mins[i] = min(mins[i], float(per_bond.min()))
             maxs[i] = max(maxs[i], float(per_bond.max()))
             rows.append(per_bond.mean(axis=lat))

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from heightlab.cli import main
+from heightlab.cli import _chain_options, main
 from heightlab.config import (
     RunConfig,
     apply_overrides,
@@ -192,6 +192,12 @@ class TestCliExitCodes:
     def test_thin_below_one_exits_one(self, cli_env, capsys, command, key):
         assert run_cli(command, "--set", key, "--out", "root") == 1
         assert "thin must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_invalid_step_exits_one(self, cli_env, capsys):
+        assert run_cli("sample-gibbs", "--set", "sampler.step=-0.1", "--out", "root") == 1
+        assert "step must be finite and > 0, got -0.1" in capsys.readouterr().err
+        # 0 is the config's "auto-tuned", which the sampler receives as None
+        assert _chain_options(from_dict({"sampler": {"step": 0}}).sampler)["step"] is None
 
     def test_hydro_single_realization_exits_one(self, cli_env, capsys):
         assert run_cli("hydro", "--set", "hydro.realizations=1", "--out", "root") == 1

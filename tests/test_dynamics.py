@@ -98,31 +98,51 @@ class TestDriftAgainstEnergy:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("pot", [make_cosine_perturbed(0.8, 1.3), make_split_bump()])
     def test_bond_pass_matches_roll_form(self, d, pot):
-        # per replica: energy, gradient, differences, V' and V sums of the
-        # np.roll passes
-        lat = TorusLattice(5 if d < 3 else 3, d)
-        tilt = np.linspace(-0.4, 0.7, d)
+        # per height array: energy, gradient, differences, V' and V sums of
+        # the np.roll passes, bit for bit and in the sign of zero, for
+        # heights without leading axes, replicas sharing a (d,) tilt and
+        # chains with a (B, d) tilt, on N = 2 (where a site's forward and
+        # backward neighbours coincide) and larger N
+        def same(x, y):
+            return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+        def check(pot, tilts, phi):
+            seed = list(range(len(tilts))) if tilts.ndim == 2 else 0
+            sys = TiltedPeriodicSystem(lat, pot, tilts, phi=phi, seed=seed)
+            b = sys.bond_pass(phi)
+            flat = (-1,) + lat.shape
+            diffs, vp = (a.reshape((d,) + flat) for a in (b.diffs, b.vp))
+            grad, energy, v_sums = b.grad.reshape(flat), np.reshape(b.energy, -1), b.v_sums
+            tilt_rows = np.broadcast_to(tilts, phi.shape[:-d] + (d,)).reshape(-1, d)
+            for r, (p, tilt) in enumerate(zip(phi.reshape(flat), tilt_rows)):
+                want_grad = np.zeros(lat.shape)
+                for i in range(d):
+                    bond = np.roll(p, -1, axis=i) - p + tilt[i]
+                    a = pot.vp(bond)
+                    want_grad += np.roll(a, 1, axis=i) - a
+                    assert same(diffs[i][r], np.roll(p, -1, axis=i) - p)
+                    assert same(vp[i][r], a)
+                    assert np.reshape(v_sums[i], -1)[r] == pot.v(bond).sum()
+                assert energy[r] == hamiltonian_torus(pot.v, p, tilt)
+                assert same(grad[r], want_grad)
+            assert np.array_equal(sys.energy(), b.energy)
+            assert same(sys.drift(), -b.grad)
+            assert all(same(x, y) for x, y in zip(sys.eta_tilde(), b.diffs))
+            skipped = sys.bond_pass(phi, with_energy=False)
+            assert skipped.energy is None and skipped.v_sums is None
+            assert same(skipped.grad, b.grad)
+
         rng = np.random.default_rng(d)
-        phi = rng.normal(size=(4,) + lat.shape)
-        sys = TiltedPeriodicSystem(lat, pot, tilt, phi=phi)
-        b = sys.bond_pass(phi)
-        for r in range(len(phi)):
-            want_grad = np.zeros(lat.shape)
-            for i in range(d):
-                bond = np.roll(phi[r], -1, axis=i) - phi[r] + tilt[i]
-                a = pot.vp(bond)
-                want_grad += np.roll(a, 1, axis=i) - a
-                assert np.array_equal(b.diffs[i][r], np.roll(phi[r], -1, axis=i) - phi[r])
-                assert np.array_equal(b.vp[i][r], a)
-                assert b.v_sums[i][r] == pot.v(bond).sum()
-            assert b.energy[r] == hamiltonian_torus(pot.v, phi[r], tilt)
-            assert np.array_equal(b.grad[r], want_grad)
-        assert np.array_equal(sys.energy(), b.energy)
-        assert np.array_equal(sys.drift(), -b.grad)
-        assert all(np.array_equal(x, y) for x, y in zip(sys.eta_tilde(), b.diffs))
-        skipped = sys.bond_pass(phi, with_energy=False)
-        assert skipped.energy is None and skipped.v_sums is None
-        assert np.array_equal(skipped.grad, b.grad)
+        tilt = np.linspace(-0.4, 0.7, d)
+        for N in (2, 5 if d < 3 else 3):
+            lat = TorusLattice(N, d)
+            for lead, tilts in (((), tilt), ((4,), tilt), ((3,), rng.normal(size=(3, d)))):
+                check(pot, tilts, rng.normal(size=lead + lat.shape))
+            # bonds at exactly +-0.0: the Gaussian V' keeps their sign, so
+            # some V' differences are -0.0, which the gradient adds to +0.0
+            zeros = np.where(rng.random((3,) + lat.shape) < 0.5, -0.0, 0.0)
+            for p in (pot, make_gaussian()):
+                check(p, np.full(d, -0.0), zeros)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bond_pass_per_chain_tilts(self, d):

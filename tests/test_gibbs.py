@@ -385,6 +385,16 @@ class TestMatchesPlainLoop:
         with pytest.raises(ValueError, match=r"tilt of shape \(B, d\)"):
             gibbs.GibbsSampler(system)
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+    def test_invalid_step_raises(self, step):
+        # step 0 would never move and report stderr 0; a negative step
+        # makes NaN noise and rejects every move
+        system = TiltedPeriodicSystem(TorusLattice(4, 2), COSINE, [(0.5, 0.0)], seed=[0])
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            gibbs.GibbsSampler(system, step=step)
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            make_sampler(COSINE, 4, (0.5, 0.0), step=step)
+
     def test_too_few_records_raise(self):
         # two sweeps at thin 3 record nothing, which must not read as an estimate of 0
         with pytest.raises(ValueError, match="need at least 32 samples, got 0"):
