@@ -14,7 +14,6 @@ from .errors import (
     FluxRangeExceeded,
     HeightLabError,
     NonFinite,
-    NotIntegrable,
     PlotSkipped,
     PotentialMismatch,
     SplitFailed,
@@ -24,14 +23,10 @@ from .errors import (
 from .lattice import (
     DiscretizedDomain,
     DomainSpec,
-    GradientField,
-    HeightField,
     TorusLattice,
     boundary_height,
     cell_average,
     discretize_domain,
-    gradient,
-    integrate_gradient,
 )
 from .potential import (
     CertificationReport,

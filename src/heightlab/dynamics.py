@@ -134,7 +134,7 @@ class TiltedPeriodicSystem:
             n, d, size = self.lattice.n_sites, self.lattice.d, math.prod(shape)
             # fwd: canonical bond heads, offset per leading row; back: their
             # inverse permutation, offset per leading row and per axis row
-            heads = self.lattice.canonical_bonds()[0].reshape(d, 1, n)
+            heads = self.lattice.bond_heads().reshape(d, 1, n)
             rows = n * np.arange(size // n).reshape(1, -1, 1)
             back = np.argsort(heads, axis=-1) + rows + size * np.arange(d).reshape(d, 1, 1)
             fwd = (heads + rows).reshape((d,) + shape)
@@ -173,10 +173,6 @@ class TiltedPeriodicSystem:
         # added to 0 one axis after the other
         grad = np.add.reduce(vp.take(back) - vp, axis=0, initial=0.0)
         return BondPass(energy, grad, diffs, vp, v_sums)
-
-    def energy(self) -> np.ndarray | float:
-        """H = sum of V over undirected tilted bonds (per replica)."""
-        return self.bond_pass(self.phi).energy
 
     def drift(self) -> np.ndarray:
         """-dH/dphi, vectorized over sites and replicas."""

@@ -9,10 +9,6 @@ class EmptyInterior(HeightLabError):
     """Domain discretization produced no interior sites."""
 
 
-class NotIntegrable(HeightLabError):
-    """Gradient field has a nonzero plaquette or winding defect."""
-
-
 class SplitFailed(HeightLabError):
     """Potential decomposition failed its certification."""
 

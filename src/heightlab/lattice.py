@@ -1,10 +1,10 @@
-"""Lattice geometry: tori, discretized domains, height and gradient fields.
+"""Lattice geometry: tori, discretized domains and their boundary data.
 
 Conventions
 -----------
 A directed bond b = (x, y) joins nearest neighbours; its head is x, its
 tail is y, and the gradient of a height field along b is phi(x) - phi(y).
-Canonical storage keeps one orientation per undirected bond, the
+Bond lists keep one orientation per undirected bond, the canonical
 positive-axis one (x + e_i, x); the reversed value follows by
 antisymmetry.  Sites and bonds are enumerated lexicographically so every
 run is reproducible bit for bit.
@@ -18,11 +18,11 @@ cube B(x/N, 5/N) fits inside D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInterior, NotIntegrable
+from .errors import EmptyInterior
 
 _GL_NODES = {}  # cache of Gauss-Legendre rules keyed by order
 
@@ -176,21 +176,13 @@ class TorusLattice:
         self.d = int(d)
         self.shape = (self.N,) * self.d
         self.n_sites = self.N**self.d
-        self._bonds = None
 
-    def canonical_bonds(self):
-        """(heads, tails) flat site ids, one bond (x + e_i, x) per pair.
-
-        Ordered axis-major, then by tail site lexicographically.
+    def bond_heads(self) -> np.ndarray:
+        """Flat site ids of the canonical bond heads, shape (d, n_sites):
+        row i, column x is the head x + e_i of the bond (x + e_i, x).
         """
-        if self._bonds is None:
-            idx = np.arange(self.n_sites).reshape(self.shape)
-            tails = np.tile(np.arange(self.n_sites), self.d)
-            heads = np.concatenate(
-                [np.roll(idx, -1, axis=i).ravel() for i in range(self.d)]
-            )
-            self._bonds = (heads, tails)
-        return self._bonds
+        idx = np.arange(self.n_sites).reshape(self.shape)
+        return np.stack([np.roll(idx, -1, axis=i).ravel() for i in range(self.d)])
 
     def __repr__(self):
         return f"TorusLattice(N={self.N}, d={self.d})"
@@ -221,18 +213,10 @@ class DiscretizedDomain:
             if len(bonds_crossing)
             else bonds_interior.copy()
         )
-        self._id_of = {tuple(s): i for i, s in enumerate(np.asarray(sites).tolist())}
 
     @property
     def n_sites(self) -> int:
         return len(self.sites)
-
-    @property
-    def interior_sites(self) -> np.ndarray:
-        return self.sites[: self.n_interior]
-
-    def site_id(self, coords) -> int:
-        return self._id_of[tuple(int(c) for c in coords)]
 
     def __repr__(self):
         return (
@@ -335,204 +319,6 @@ def discretize_domain(spec: DomainSpec, N: int) -> DiscretizedDomain:
     return DiscretizedDomain(
         spec, N, sites, n_int, n_lay, nbr, bonds_interior, bonds_crossing
     )
-
-
-# ---------------------------------------------------------------------------
-# fields
-
-
-class HeightField:
-    """Heights phi attached to lattice sites.
-
-    On a torus the values are stored as an (N, ..., N) grid; on a
-    discretized domain as a flat vector over the site list.
-    """
-
-    def __init__(self, lattice, values):
-        values = np.asarray(values, dtype=float)
-        if isinstance(lattice, TorusLattice):
-            if values.shape != lattice.shape:
-                raise ValueError(f"expected shape {lattice.shape}, got {values.shape}")
-        else:
-            if values.shape != (lattice.n_sites,):
-                raise ValueError(
-                    f"expected {lattice.n_sites} site values, got {values.shape}"
-                )
-        self.lattice = lattice
-        self.values = values
-
-    @classmethod
-    def zeros(cls, lattice) -> "HeightField":
-        if isinstance(lattice, TorusLattice):
-            return cls(lattice, np.zeros(lattice.shape))
-        return cls(lattice, np.zeros(lattice.n_sites))
-
-    def copy(self) -> "HeightField":
-        return HeightField(self.lattice, self.values.copy())
-
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
-
-class GradientField:
-    """Bond values eta over the canonical (positive-axis) bond list.
-
-    Torus storage is an array of shape (d, N, ..., N): component i at
-    index x is the value on the bond (x + e_i, x).  Domain storage is a
-    flat vector over ``bonds_closure``.
-    """
-
-    def __init__(self, lattice, data):
-        data = np.asarray(data, dtype=float)
-        if isinstance(lattice, TorusLattice):
-            want = (lattice.d,) + lattice.shape
-            if data.shape != want:
-                raise ValueError(f"expected shape {want}, got {data.shape}")
-        else:
-            if data.shape != (len(lattice.bonds_closure),):
-                raise ValueError("bond data does not match closure bond list")
-        self.lattice = lattice
-        self.data = data
-
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(-1) if self.data.ndim > 1 else self.data
-
-    def plaquette_defect(self) -> float:
-        """Largest absolute circulation around an elementary square."""
-        lat = self.lattice
-        if isinstance(lat, TorusLattice):
-            if lat.d == 1:
-                return 0.0
-            worst = 0.0
-            for i in range(lat.d):
-                for j in range(i + 1, lat.d):
-                    gi, gj = self.data[i], self.data[j]
-                    circ = (
-                        gi
-                        + np.roll(gj, -1, axis=i)
-                        - np.roll(gi, -1, axis=j)
-                        - gj
-                    )
-                    worst = max(worst, float(np.abs(circ).max()))
-            return worst
-        if lat.d == 1:
-            return 0.0
-        val = {}
-        for (h, t), v in zip(lat.bonds_closure.tolist(), self.data.tolist()):
-            val[(h, t)] = v
-        sites = lat.sites
-        worst = 0.0
-        for x in sites[: lat.n_interior + lat.n_layer].tolist():
-            for i in range(lat.d):
-                for j in range(i + 1, lat.d):
-                    try:
-                        xi = lat.site_id([c + (1 if k == i else 0) for k, c in enumerate(x)])
-                        xj = lat.site_id([c + (1 if k == j else 0) for k, c in enumerate(x)])
-                        xij = lat.site_id(
-                            [c + (1 if k in (i, j) else 0) for k, c in enumerate(x)]
-                        )
-                        x0 = lat.site_id(x)
-                        circ = (
-                            val[(xi, x0)]
-                            + val[(xij, xi)]
-                            - val[(xij, xj)]
-                            - val[(xj, x0)]
-                        )
-                    except KeyError:
-                        continue
-                    worst = max(worst, abs(circ))
-        return worst
-
-    def winding_defect(self) -> float:
-        """Torus only: largest |sum of a component along its own axis|."""
-        if not isinstance(self.lattice, TorusLattice):
-            return 0.0
-        worst = 0.0
-        for i in range(self.lattice.d):
-            worst = max(worst, float(np.abs(self.data[i].sum(axis=i)).max()))
-        return worst
-
-
-def gradient(field: HeightField) -> GradientField:
-    """Discrete gradient phi(head) - phi(tail) on canonical bonds."""
-    lat = field.lattice
-    if isinstance(lat, TorusLattice):
-        comps = np.stack(
-            [np.roll(field.values, -1, axis=i) - field.values for i in range(lat.d)]
-        )
-        return GradientField(lat, comps)
-    heads = lat.bonds_closure[:, 0]
-    tails = lat.bonds_closure[:, 1]
-    return GradientField(lat, field.values[heads] - field.values[tails])
-
-
-def integrate_gradient(
-    gf: GradientField,
-    base: float = 0.0,
-    root=None,
-    tol: float = 1e-9,
-    chain_seed: int | None = None,
-) -> HeightField:
-    """Recover heights from bond values, fixing phi(root) = base.
-
-    Heights are propagated along a spanning tree and then every bond is
-    checked against the input; any residual above ``tol`` (relative to
-    the field scale) means a plaquette or winding obstruction and raises
-    ``NotIntegrable``.  ``chain_seed`` shuffles the traversal, which must
-    not change the answer beyond the tolerance.  Domain sites that carry
-    no bond (coverage cells beyond the one-step layer) stay at 0.
-    """
-    lat = gf.lattice
-    if isinstance(lat, TorusLattice):
-        n = lat.n_sites
-        heads, tails = lat.canonical_bonds()
-        values = gf.data.reshape(lat.d, -1).ravel()
-    else:
-        n = lat.n_sites
-        heads = gf.lattice.bonds_closure[:, 0]
-        tails = gf.lattice.bonds_closure[:, 1]
-        values = gf.data
-
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for h, t, v in zip(heads.tolist(), tails.tolist(), values.tolist()):
-        adj[t].append((h, v))
-        adj[h].append((t, -v))
-    if chain_seed is not None:
-        shuffler = np.random.default_rng(chain_seed)
-        for lst in adj:
-            shuffler.shuffle(lst)
-
-    if root is None:
-        root = 0
-        if not isinstance(lat, TorusLattice):
-            zero = tuple(0 for _ in range(lat.d))
-            root = lat._id_of.get(zero, 0)
-
-    phi = np.zeros(n)
-    seen = np.zeros(n, dtype=bool)
-    phi[root] = base
-    seen[root] = True
-    queue = [root]
-    while queue:
-        x = queue.pop()
-        px = phi[x]
-        for y, v in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                phi[y] = px + v
-                queue.append(y)
-
-    if not seen[heads].all() or not seen[tails].all():
-        raise NotIntegrable("bond graph is disconnected")
-    scale = max(1.0, float(np.abs(values).max()) if len(values) else 1.0)
-    resid = np.abs(phi[heads] - phi[tails] - values)
-    worst = float(resid.max()) if len(resid) else 0.0
-    if worst > tol * scale:
-        raise NotIntegrable(f"bond residual {worst:.3e} exceeds tolerance")
-
-    if isinstance(lat, TorusLattice):
-        return HeightField(lat, phi.reshape(lat.shape))
-    return HeightField(lat, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,35 @@ def hamiltonian_domain(v, phi, heads, tails):
     return float(v(phi[heads] - phi[tails]).sum())
 
 
+def plaquette_circulation(eta) -> float:
+    """Largest |circulation| of torus bond values around an elementary
+    square; ``eta[i]`` at x is the value on the bond (x + e_i, x)."""
+    d = len(eta)
+    worst = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            circ = eta[i] + np.roll(eta[j], -1, axis=i) - np.roll(eta[i], -1, axis=j) - eta[j]
+            worst = max(worst, float(np.abs(circ).max()))
+    return worst
+
+
+def winding(eta) -> float:
+    """Largest |sum of component i along a line of axis i| of torus bond values."""
+    return max(float(np.abs(eta[i].sum(axis=i)).max()) for i in range(len(eta)))
+
+
+def integrate_bonds(eta) -> np.ndarray:
+    """Heights phi - phi(0) from torus bond values, by cumulative sums along
+    the staircase path from the origin: axis 0 first, then axis 1, ..."""
+    d = len(eta)
+    phi = np.zeros(eta.shape[1:])
+    for i in range(d):
+        partial = np.roll(np.cumsum(eta[i], axis=i), 1, axis=i)
+        partial[(slice(None),) * i + (0,)] = 0.0  # sum of the bonds before x_i
+        phi = phi + partial[(slice(None),) * (i + 1) + (slice(0, 1),) * (d - i - 1)]
+    return phi
+
+
 def reference_integrate_paths(axes, anchor, dsigma, dsigma_err):
     """sigma and its variance by a node-by-node trapezoid walk from 0 at
     ``anchor``: along axis 0, then along axis 1 from every node filled so

@@ -19,7 +19,7 @@ import pytest
 
 from heightlab import (
     DomainSpec,
-    HeightField,
+    TiltedPeriodicSystem,
     TorusLattice,
     make_cosine_perturbed,
     make_gaussian,
@@ -35,11 +35,11 @@ from heightlab.dynamics import (
 )
 from heightlab.gibbs import dlr_check, estimate_identity2, make_sampler
 from heightlab.hydro import HydroExperiment, make_bump, profile_zero, run
-from heightlab.lattice import discretize_domain, gradient, integrate_gradient
+from heightlab.lattice import discretize_domain
 from heightlab.pde import GaussianFlux, PdeGrid, solve
 from heightlab.surface import decompose_flux, grad_sigma, sigma
 
-from oracles import heat_solution
+from oracles import heat_solution, integrate_bonds, plaquette_circulation, winding
 
 REPORT = Path(__file__).resolve().parents[1] / "acceptance_report.txt"
 
@@ -270,13 +270,14 @@ def test_09_conditional_law_matches_quadrature():
 
 def test_10_structural_invariants(tmp_path, monkeypatch):
     t0 = time.time()
-    # (a) gradient / integrate round trip and plaquette closure on the torus
+    # (a) the bond differences every run forms close around each plaquette,
+    # wind zero times round the torus and sum back to the heights
     lat = TorusLattice(8, 2)
-    f = HeightField(lat, np.random.default_rng(0).normal(size=lat.shape))
-    g = gradient(f)
-    plaquette_ok = g.plaquette_defect() <= 1e-12
-    back = integrate_gradient(g, base=f.values.flat[0])
-    roundtrip_ok = bool(np.allclose(back.values, f.values, atol=1e-12, rtol=0))
+    phi = np.random.default_rng(0).normal(size=lat.shape)
+    eta = TiltedPeriodicSystem(lat, make_gaussian(), (0.0, 0.0), phi=phi).eta_tilde()
+    plaquette_ok = plaquette_circulation(eta) <= 1e-12 and winding(eta) <= 1e-12
+    back = integrate_bonds(eta)
+    roundtrip_ok = bool(np.allclose(back, phi - phi.flat[0], atol=1e-12, rtol=0))
 
     # (b) clamped boundary values survive the dynamics bit for bit
     pot = make_gaussian()

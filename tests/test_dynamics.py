@@ -5,7 +5,6 @@ from heightlab import dynamics
 from heightlab import (
     DirichletSystem,
     DomainSpec,
-    HeightField,
     NonFinite,
     Potential,
     StepTooLarge,
@@ -125,7 +124,6 @@ class TestDriftAgainstEnergy:
                     assert np.reshape(v_sums[i], -1)[r] == pot.v(bond).sum()
                 assert energy[r] == hamiltonian_torus(pot.v, p, tilt)
                 assert same(grad[r], want_grad)
-            assert np.array_equal(sys.energy(), b.energy)
             assert same(sys.drift(), -b.grad)
             assert all(same(x, y) for x, y in zip(sys.eta_tilde(), b.diffs))
             skipped = sys.bond_pass(phi, with_energy=False)
@@ -170,12 +168,12 @@ class TestDriftAgainstEnergy:
         pot = make_cosine_perturbed(0.4, 2.0)
         lat = TorusLattice(6, 2)
         rng = np.random.default_rng(13)
-        f = HeightField(lat, rng.normal(size=lat.shape))
-        sys = TiltedPeriodicSystem(lat, pot, (0.0, 0.0), phi=f.values)
+        phi = rng.normal(size=lat.shape)
+        sys = TiltedPeriodicSystem(lat, pot, (0.0, 0.0), phi=phi)
         vec = sys.drift()
         for site in [(0, 0), (3, 4), (5, 5)]:
             want = pytest.approx(vec[site], abs=1e-12)
-            assert pointwise_drift(pot.vp, f.values, site) == want
+            assert pointwise_drift(pot.vp, phi, site) == want
 
 
 class TestEulerStep:

@@ -6,21 +6,30 @@ from hypothesis import strategies as st
 from heightlab import (
     DomainSpec,
     EmptyInterior,
-    HeightField,
-    NotIntegrable,
+    TiltedPeriodicSystem,
     TorusLattice,
     boundary_height,
     cell_average,
     discretize_domain,
-    gradient,
-    integrate_gradient,
+    make_gaussian,
 )
 from heightlab.io import save_field
 
-from oracles import brute_force_interior, read_field_csv
+from oracles import (
+    brute_force_interior,
+    integrate_bonds,
+    plaquette_circulation,
+    read_field_csv,
+    winding,
+)
 
 
 UNIT_BOX_1D = DomainSpec.box((1.0,), center=(0.0,))
+
+
+def eta_tilde(lat, phi):
+    """Untilted bond differences of ``phi`` as every run forms them."""
+    return TiltedPeriodicSystem(lat, make_gaussian(), np.zeros(lat.d), phi=phi).eta_tilde()
 
 
 class TestDomainSpec:
@@ -55,7 +64,7 @@ class TestDiscretization:
     def test_unit_interval_at_n40(self):
         # margin of two cells on each side: interior = {-17, ..., 17}
         dom = discretize_domain(UNIT_BOX_1D, 40)
-        ints = np.sort(dom.interior_sites[:, 0])
+        ints = np.sort(dom.sites[: dom.n_interior, 0])
         assert ints[0] == -17 and ints[-1] == 17
         assert dom.n_interior == 35
 
@@ -63,14 +72,14 @@ class TestDiscretization:
         spec = DomainSpec.box((1.0, 1.0), center=(0.0, 0.0))
         dom = discretize_domain(spec, 12)
         expect = brute_force_interior(spec.contains, 12, 2, span=10)
-        got = dom.interior_sites
+        got = dom.sites[: dom.n_interior]
         assert sorted(map(tuple, got)) == sorted(map(tuple, expect))
 
     def test_interior_matches_brute_force_ball(self):
         spec = DomainSpec.ball(0.5, center=(0.0, 0.0))
         dom = discretize_domain(spec, 14)
         expect = brute_force_interior(spec.contains, 14, 2, span=10)
-        got = dom.interior_sites
+        got = dom.sites[: dom.n_interior]
         assert sorted(map(tuple, got)) == sorted(map(tuple, expect))
 
     def test_too_coarse_raises(self):
@@ -80,7 +89,7 @@ class TestDiscretization:
     def test_layer_is_one_step_from_interior(self):
         spec = DomainSpec.box((1.0, 1.0), center=(0.0, 0.0))
         dom = discretize_domain(spec, 10)
-        interior = set(map(tuple, dom.interior_sites))
+        interior = set(map(tuple, dom.sites[: dom.n_interior]))
         for site in dom.sites[dom.n_interior : dom.n_interior + dom.n_layer]:
             assert tuple(site) not in interior
             steps = [
@@ -127,65 +136,48 @@ class TestTorus:
     def test_counts(self):
         lat = TorusLattice(6, 2)
         assert lat.n_sites == 36
-        heads, tails = lat.canonical_bonds()
-        assert heads.shape[0] == 2 * 36
+        heads = lat.bond_heads()
+        assert heads.shape == (2, 36)
+        # each axis shifts the torus onto itself
+        assert all(np.array_equal(np.sort(row), np.arange(36)) for row in heads)
 
     def test_gradient_roundtrip_exact(self):
         lat = TorusLattice(8, 2)
-        rng = np.random.default_rng(0)
-        f = HeightField(lat, rng.normal(size=lat.shape))
-        g = gradient(f)
-        assert g.plaquette_defect() <= 1e-12
-        assert g.winding_defect() <= 1e-12
-        back = integrate_gradient(g, base=f.values.flat[0])
-        assert np.array_equal(back.values, back.values)  # finite
-        assert np.allclose(back.values, f.values, atol=1e-12, rtol=0)
-
-    def test_integration_chain_independence(self):
-        lat = TorusLattice(6, 3)
-        rng = np.random.default_rng(1)
-        f = HeightField(lat, rng.normal(size=lat.shape))
-        g = gradient(f)
-        a = integrate_gradient(g, base=f.values.flat[0])
-        b = integrate_gradient(g, base=f.values.flat[0], chain_seed=123)
-        c = integrate_gradient(g, base=f.values.flat[0], chain_seed=77)
-        assert np.allclose(a.values, b.values, atol=1e-10, rtol=0)
-        assert np.allclose(b.values, c.values, atol=1e-10, rtol=0)
+        phi = np.random.default_rng(0).normal(size=lat.shape)
+        sys = TiltedPeriodicSystem(lat, make_gaussian(), (0.0, 0.0), phi=phi)
+        eta = sys.eta_tilde()
+        assert np.array_equal(eta, sys.bond_pass(phi).diffs)
+        assert plaquette_circulation(eta) <= 1e-12
+        assert winding(eta) <= 1e-12
+        assert np.allclose(integrate_bonds(eta), phi - phi.flat[0], atol=1e-12, rtol=0)
 
     def test_tampered_field_not_integrable(self):
         lat = TorusLattice(6, 2)
-        rng = np.random.default_rng(2)
-        f = HeightField(lat, rng.normal(size=lat.shape))
-        g = gradient(f)
-        g.data[0, 2, 3] += 0.5
-        assert g.plaquette_defect() > 0.4
-        with pytest.raises(NotIntegrable):
-            integrate_gradient(g)
+        eta = eta_tilde(lat, np.random.default_rng(2).normal(size=lat.shape))
+        assert plaquette_circulation(eta) <= 1e-12
+        eta[0, 2, 3] += 0.5
+        assert plaquette_circulation(eta) > 0.4
 
     def test_constant_shift_breaks_winding(self):
         lat = TorusLattice(6, 1)
-        f = HeightField.zeros(lat)
-        g = gradient(f)
-        g.data += 0.25        # constant tilt is not a gradient on the torus
-        assert g.winding_defect() == pytest.approx(6 * 0.25)
-        with pytest.raises(NotIntegrable):
-            integrate_gradient(g)
+        eta = eta_tilde(lat, np.zeros(lat.shape))
+        assert winding(eta) == 0.0
+        eta += 0.25        # constant tilt is not a gradient on the torus
+        assert winding(eta) == pytest.approx(6 * 0.25)
 
 
-class TestDomainGradient:
-    def test_roundtrip_on_ball(self):
+class TestDomainBonds:
+    def test_closure_bonds_on_ball(self):
         spec = DomainSpec.ball(0.5, center=(0.0, 0.0))
         dom = discretize_domain(spec, 12)
-        rng = np.random.default_rng(3)
-        f = HeightField(dom, rng.normal(size=dom.n_sites))
-        g = gradient(f)
-        assert g.plaquette_defect() <= 1e-12
-        back = integrate_gradient(g, base=f.values[0], root=0)
-        # recovery promise covers the bonded sites (interior + layer);
-        # coverage-only cells carry no bonds and stay at zero
-        m = dom.n_interior + dom.n_layer
-        assert np.allclose(back.values[:m], f.values[:m], atol=1e-12, rtol=0)
-        assert np.all(back.values[m:] == 0.0)
+        heads, tails = dom.bonds_closure.T
+        # every closure bond is (x + e_i, x) for some unit vector e_i
+        steps = dom.sites[heads] - dom.sites[tails]
+        assert np.isin(steps, (0, 1)).all() and (steps.sum(axis=1) == 1).all()
+        # bonds reach exactly the interior and its layer; coverage-only
+        # cells carry none
+        bonded = set(dom.bonds_closure.ravel().tolist())
+        assert bonded == set(range(dom.n_interior + dom.n_layer))
 
 
 class TestCellAverages:
@@ -236,13 +228,13 @@ class TestFieldIo:
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_property_gradient_integrates_back(N, d, seed):
+    # integer heights: every difference and partial sum is exact
     lat = TorusLattice(N, d)
-    rng = np.random.default_rng(seed)
-    f = HeightField(lat, rng.integers(-5, 6, size=lat.shape).astype(float))
-    g = gradient(f)
-    assert g.plaquette_defect() == 0.0
-    back = integrate_gradient(g, base=f.values.flat[0])
-    assert np.array_equal(back.values, f.values)
+    phi = np.random.default_rng(seed).integers(-5, 6, size=lat.shape).astype(float)
+    eta = eta_tilde(lat, phi)
+    assert plaquette_circulation(eta) == 0.0
+    assert winding(eta) == 0.0
+    assert np.array_equal(integrate_bonds(eta), phi - phi.flat[0])
 
 
 @settings(max_examples=15, deadline=None)
