@@ -149,7 +149,7 @@ def _chain_options(s) -> dict:
     """Sampler keyword arguments from the ``sampler`` config section:
     ``step`` 0 means auto-tuned and ``burn_in`` -1 adaptive."""
     return {
-        "kind": s.kind, "step": s.step or None,
+        "step": s.step or None,
         "burn_in": None if s.burn_in < 0 else s.burn_in, "thin": s.thin,
     }
 
@@ -162,7 +162,7 @@ def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
     reports = [estimate_bond_variance(sampler, i, s.sweeps) for i in range(len(u))]
     reports.append(estimate_identity2(sampler, s.sweeps))
     print(
-        f"sampler {s.kind}: step={sampler.step[0]:.4g} "
+        f"sampler: step={sampler.step[0]:.4g} "
         f"acceptance={sampler.acceptance_rate:.3f}"
     )
     for rep in reports:
@@ -177,8 +177,8 @@ def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
         },
         meta | {
             "potential": pot.name, "N": cfg.lattice.N,
-            "tilt": ",".join(repr(x) for x in u),
-            "kind": s.kind, "step": repr(float(sampler.step[0])),
+            "tilt": ",".join(repr(float(x)) for x in u),
+            "step": repr(float(sampler.step[0])),
             "acceptance": repr(sampler.acceptance_rate),
         },
     )
@@ -228,7 +228,7 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
         },
         meta | {
             "potential": pot.name, "N": cfg.lattice.N,
-            "tilt": ",".join(repr(x) for x in u),
+            "tilt": ",".join(repr(float(x)) for x in u),
         },
     )
     return 0
@@ -264,8 +264,8 @@ def cmd_convexity_probe(cfg: RunConfig, meta, outdir, args) -> int:
         },
         meta | {
             "potential": pot.name, "N": cfg.lattice.N,
-            "u": ",".join(repr(x) for x in u),
-            "v": ",".join(repr(x) for x in v),
+            "u": ",".join(repr(float(x)) for x in u),
+            "v": ",".join(repr(float(x)) for x in v),
         },
     )
     return 0 if not rep.any_nonpositive else 3
@@ -305,7 +305,7 @@ def cmd_decompose_flux(cfg: RunConfig, meta, outdir, args) -> int:
         },
         meta | {
             "potential": pot.name, "N": cfg.lattice.N,
-            "tilt": ",".join(repr(x) for x in u),
+            "tilt": ",".join(repr(float(x)) for x in u),
             "in_bounds": int(dec.samples_in_bounds),
         },
     )

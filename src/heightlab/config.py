@@ -57,7 +57,6 @@ class ProfileConfig:
 
 @dataclass
 class SamplerConfig:
-    kind: str = "mala"          # mala | ula
     sweeps: int = 20000
     step: float = 0.0           # 0 -> auto-tuned
     burn_in: int = -1           # -1 -> adaptive

@@ -6,9 +6,8 @@ The target law has density proportional to exp(-H_u(phi)) with
 
 over heights gauge-fixed by phi(0) = 0; heights modulo constants are in
 bijection with zero-winding gradient configurations, so this samples the
-gradient ensemble with mean tilt u.  The default kernel is MALA, whose
-Metropolis correction makes the invariant law exact; the unadjusted
-Langevin chain (``kind="ula"``) is kept for bias cross-checks.
+gradient ensemble with mean tilt u.  The kernel is MALA, whose
+Metropolis correction makes the invariant law exact.
 
 Error bars use batch means over ``N_BATCHES`` = 32 batches and effective
 sample sizes are the ratio of series variance to squared standard error.
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TiltedPeriodicSystem, step_cap
+from .dynamics import TiltedPeriodicSystem
 from .lattice import TorusLattice
 from .rng import seed_key, stream
 
@@ -102,12 +101,12 @@ class EstimatorReport:
 
 
 class GibbsSampler:
-    """MALA/ULA chains on gauge-fixed torus heights, advanced as one batch.
+    """MALA chains on gauge-fixed torus heights, advanced as one batch.
 
     The system has a tilt of shape (B, d) and holds B chains in one
     (B,) + lattice array; a single chain is a batch of one.  Each chain
-    has its own Philox stream, one ``standard_normal`` fill and, for
-    MALA, one ``random()`` per sweep, and its own step, tuning rounds and
+    has its own Philox stream, one ``standard_normal`` fill and one
+    ``random()`` per sweep, and its own step, tuning rounds and
     adaptive burn-in, so it reproduces the same chain run alone bit for
     bit.  Phases run in lockstep: a chain that finishes its tuning or
     burn-in early waits, drawing nothing, until all have.  Acceptance is
@@ -123,13 +122,10 @@ class GibbsSampler:
     def __init__(
         self,
         system: TiltedPeriodicSystem,
-        kind: str = "mala",
         step: float | None = None,
         burn_in: int | None = None,
         thin: int = 1,
     ):
-        if kind not in ("mala", "ula"):
-            raise ValueError("kind must be 'mala' or 'ula'")
         if thin < 1:
             raise ValueError(f"thin must be at least 1, got {thin}")
         if step is not None and not (np.isfinite(step) and step > 0):
@@ -138,7 +134,6 @@ class GibbsSampler:
         if system.tilt.ndim != 2:
             raise ValueError("sampler needs a tilt of shape (B, d), one row per chain")
         self.system = system
-        self.kind = kind
         self.thin = int(thin)
         self.burn_in = burn_in
         self._n = len(system.tilt)
@@ -150,9 +145,7 @@ class GibbsSampler:
         if step is not None:
             self._set_step(np.full(self._n, step, dtype=float))
         self._prepared = False
-        self._probing = False  # the adaptive burn-in probes read the V sums
         self._cur = None  # BondPass of the current state, masked gradient
-        self._everyone = np.ones(self._n, dtype=bool)
         self._accepts = 0  # pooled over the chains
         self._proposals = 0
 
@@ -168,14 +161,8 @@ class GibbsSampler:
         self._factors = (h, np.sqrt(2.0 * h), 2.0 * step, 4.0 * step)
 
     def _bonds(self, phi: np.ndarray):
-        """BondPass of ``phi`` with the gauge-masked gradient.
-
-        Only MALA's accept test and the burn-in probes read V, so ULA
-        outside the probes does not evaluate it.
-        """
-        b = self.system.bond_pass(
-            phi, with_energy=self.kind == "mala" or self._probing
-        )
+        """BondPass of ``phi`` with the gauge-masked gradient."""
+        b = self.system.bond_pass(phi)
         np.multiply(b.grad, self._mask, out=b.grad)
         return b
 
@@ -194,9 +181,8 @@ class GibbsSampler:
                       (new.diffs, cur.diffs), (new.vp, cur.vp)]
             for dst, src in copies:
                 np.copyto(dst, src, where=column)
-            if new.energy is not None:
-                np.copyto(new.energy, cur.energy, where=stay)
-                np.copyto(new.v_sums, cur.v_sums, where=stay)
+            np.copyto(new.energy, cur.energy, where=stay)
+            np.copyto(new.v_sums, cur.v_sums, where=stay)
         self.system.phi = prop
         self._cur = new
 
@@ -204,7 +190,7 @@ class GibbsSampler:
         """One sweep of the chains flagged in ``active`` (all when None).
 
         The other chains wait: they draw nothing and keep their state.
-        Returns the mask of chains that moved (accepted, for MALA).
+        Returns the mask of chains that accepted.
         """
         if active is not None and active.all():
             active = None
@@ -225,23 +211,19 @@ class GibbsSampler:
         tmp = np.multiply(noise, xi)
         prop += tmp
         new = self._bonds(prop)
-        if self.kind == "mala":
-            fwd = two_h * np.square(xi, out=tmp).sum(axis=self._axes)
-            # the reverse-move residual phi - prop + h grad(prop), in place
-            np.subtract(phi, prop, out=tmp)
-            tmp += np.multiply(h, new.grad, out=xi)
-            rev = np.square(tmp, out=tmp).sum(axis=self._axes)
-            log_alpha = cur.energy - new.energy + (fwd - rev) / four_h
-            log_u = np.full(self._n, np.inf)  # a waiting chain never moves
-            for j in rows:
-                log_u[j] = rngs[j].random()  # uniform() is 0 + 1 * random()
-            moved = np.log(log_u, out=log_u) < log_alpha
-            n_moved = int(np.count_nonzero(moved))
-            self._proposals += len(rows)
-            self._accepts += n_moved
-        else:
-            moved = self._everyone if active is None else active
-            n_moved = len(rows)
+        fwd = two_h * np.square(xi, out=tmp).sum(axis=self._axes)
+        # the reverse-move residual phi - prop + h grad(prop), in place
+        np.subtract(phi, prop, out=tmp)
+        tmp += np.multiply(h, new.grad, out=xi)
+        rev = np.square(tmp, out=tmp).sum(axis=self._axes)
+        log_alpha = cur.energy - new.energy + (fwd - rev) / four_h
+        log_u = np.full(self._n, np.inf)  # a waiting chain never moves
+        for j in rows:
+            log_u[j] = rngs[j].random()  # uniform() is 0 + 1 * random()
+        moved = np.log(log_u, out=log_u) < log_alpha
+        n_moved = int(np.count_nonzero(moved))
+        self._proposals += len(rows)
+        self._accepts += n_moved
         self._adopt(prop, new, moved, n_moved)
         return moved
 
@@ -270,7 +252,6 @@ class GibbsSampler:
         """
         n_bonds = self.system.lattice.n_sites
         probes = np.empty((2, self._n, base))
-        self._probing = True
         for k in range(base):
             self._sweep()
             cur = self._cur
@@ -279,7 +260,6 @@ class GibbsSampler:
                 energy = energy + v_sum / n_bonds
             probes[0, :, k] = energy
             probes[1, :, k] = cur.vp[0].sum(axis=self._axes) / n_bonds
-        self._probing = False
         tau = [max(integrated_autocorr_time(p[j]) for p in probes)
                for j in range(self._n)]
         extra = np.array([max(0, int(np.ceil(10 * t)) - base) for t in tau])
@@ -287,18 +267,14 @@ class GibbsSampler:
             self._sweep(extra > k)
 
     def prepare(self) -> None:
-        """Tune the steps (MALA, if unset) and burn in; idempotent."""
+        """Tune the steps (if unset) and burn in; idempotent."""
         if self._prepared:
             return
         sys = self.system
         if self._step is None:
-            n, d = sys.lattice.n_sites, sys.lattice.d
-            if self.kind == "mala":
-                lip = max(sys.pot.drift_lipschitz, 1e-6)
-                self._set_step(np.full(self._n, n ** (-1.0 / 3.0) / lip))
-                self._tune()
-            else:
-                self._set_step(np.full(self._n, 0.5 * min(step_cap(sys.pot, d), 1.0)))
+            lip = max(sys.pot.drift_lipschitz, 1e-6)
+            self._set_step(np.full(self._n, sys.lattice.n_sites ** (-1.0 / 3.0) / lip))
+            self._tune()
         if self.burn_in is not None:
             for _ in range(self.burn_in):
                 self._sweep()
@@ -373,7 +349,6 @@ def make_sampler(
     pot,
     N: int,
     tilt,
-    kind: str = "mala",
     step: float | None = None,
     burn_in: int | None = None,
     thin: int = 1,
@@ -391,7 +366,7 @@ def make_sampler(
         tilt, seed = tilt[None], [seed]
     lat = TorusLattice(N, tilt.shape[-1])
     system = TiltedPeriodicSystem(lat, pot, tilt, phi=phi0, seed=seed)
-    return GibbsSampler(system, kind=kind, step=step, burn_in=burn_in, thin=thin)
+    return GibbsSampler(system, step=step, burn_in=burn_in, thin=thin)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +470,6 @@ def variance_sweep(
     tilts,
     sweeps: int = 6000,
     seed=0,
-    kind: str = "mala",
     step: float | None = None,
     burn_in: int | None = None,
     thin: int = 1,
@@ -505,7 +479,7 @@ def variance_sweep(
     tilts = np.atleast_2d(np.asarray(tilts, dtype=float))
     n = len(tilts)
     sampler = make_sampler(
-        pot, N, tilts, kind=kind, step=step, burn_in=burn_in, thin=thin,
+        pot, N, tilts, step=step, burn_in=burn_in, thin=thin,
         seed=[tuple(seed_key(seed)) + (j,) for j in range(n)],
     )
     lat = _lattice_axes(sampler)
@@ -624,6 +598,9 @@ def dlr_check(
         raise ValueError("window width must be 1, 2, or 3")
     if thin < 1:
         raise ValueError(f"thin must be at least 1, got {thin}")
+    if chains < 2 or n_samples < chains:  # each start group needs a chain and a sample
+        raise ValueError(f"dlr_check needs chains >= 2 and n_samples >= chains, "
+                         f"got chains={chains}, n_samples={n_samples}")
     rng = stream(*seed_key(seed), 7)
     if exterior is None:
         jitter = rng.uniform(-1.0, 1.0, size=3**d * 2 * d)

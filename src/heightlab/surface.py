@@ -19,7 +19,7 @@ which is what makes the decomposition useful for uniqueness arguments.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +36,16 @@ def grad_sigma(
     u,
     sweeps: int = 20000,
     seed=0,
-    kind: str = "mala",
     step: float | None = None,
     burn_in: int | None = None,
     thin: int = 1,
 ):
     """Monte Carlo estimate of grad sigma(u); returns (vector, stderr)."""
-    vec, err = _grad_sigma_chains(pot, N, u, seed, sweeps, kind, step, burn_in, thin)
+    vec, err = _grad_sigma_chains(pot, N, u, seed, sweeps, step, burn_in, thin)
     return vec[0], err[0]
 
 
-def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, kind, step, burn_in, thin):
+def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, step, burn_in, thin):
     """grad sigma at each row of ``tilts`` (B, d), chain j seeded ``seeds[j]``
     (or at one (d,) tilt and seed), all chains advanced as one batch;
     returns (values, stderr), each (B, d).
@@ -54,7 +53,7 @@ def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, kind, step, burn_in, thin):
     The observable is the mean of the V' that the sampler's bond pass kept.
     """
     sampler = make_sampler(
-        pot, N, tilts, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seeds
+        pot, N, tilts, step=step, burn_in=burn_in, thin=thin, seed=seeds
     )
     lat = tuple(range(-sampler.system.lattice.d, 0))
     return chain_means(sampler, sweeps, lambda et, vp: vp.mean(axis=lat))[:2]
@@ -78,7 +77,6 @@ def sigma(
     nodes: int = 8,
     sweeps: int = 12000,
     seed=0,
-    kind: str = "mala",
     step: float | None = None,
     burn_in: int | None = None,
     thin: int = 1,
@@ -92,6 +90,8 @@ def sigma(
     Legendre coefficients the node values can resolve; for the smooth
     integrands here it is dominated by the Monte Carlo error.
     """
+    if nodes < 2:
+        raise ValueError(f"sigma needs nodes >= 2 for its quadrature error, got {nodes}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not u.any():
         z = np.zeros(nodes)
@@ -101,7 +101,7 @@ def sigma(
     ws = w / 2.0
     seeds = [tuple(seed_key(seed)) + (j,) for j in range(nodes)]
     g, ge = _grad_sigma_chains(
-        pot, N, np.outer(s, u), seeds, sweeps, kind, step, burn_in, thin
+        pot, N, np.outer(s, u), seeds, sweeps, step, burn_in, thin
     )
     vals = np.array([float(u @ g[j]) for j in range(nodes)])
     errs = np.array([float(np.sqrt(np.sum(u**2 * ge[j] ** 2))) for j in range(nodes)])
@@ -207,7 +207,6 @@ class FluxDecomposition:
     c_minus: float
     c_plus: float
     sweeps: int
-    meta: dict = field(default_factory=dict)
 
     def reconstruct(self):
         """(value, stderr) of A u + a, componentwise."""
@@ -230,7 +229,6 @@ def decompose_flux(
     sweeps: int = 20000,
     seed=0,
     nodes: int = 8,
-    kind: str = "mala",
     step: float | None = None,
     burn_in: int | None = None,
     thin: int = 1,
@@ -244,9 +242,7 @@ def decompose_flux(
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = len(u)
-    sampler = make_sampler(
-        pot, N, u, kind=kind, step=step, burn_in=burn_in, thin=thin, seed=seed
-    )
+    sampler = make_sampler(pot, N, u, step=step, burn_in=burn_in, thin=thin, seed=seed)
     x, w = np.polynomial.legendre.leggauss(nodes)
     lam = (x + 1.0) / 2.0
     lat = tuple(range(-d, 0))
@@ -286,7 +282,6 @@ def decompose_flux(
         c_minus=pot.c_minus,
         c_plus=pot.c_plus,
         sweeps=sweeps,
-        meta={"potential": pot.name, "N": N, "nodes": nodes},
     )
 
 
@@ -467,7 +462,6 @@ def build_table(
     axes,
     sweeps: int = 8000,
     seed=0,
-    kind: str = "mala",
     step: float | None = None,
     burn_in: int | None = None,
     thin: int = 1,
@@ -501,7 +495,7 @@ def build_table(
     parts = np.array_split(np.arange(len(tilts)), max(1, min(workers or 1, len(tilts))))
     jobs = [
         (pot.spec or pot, N, tilts[part], [seeds[j] for j in part], sweeps,
-         kind, step, burn_in, thin)
+         step, burn_in, thin)
         for part in parts
     ]
     if len(jobs) > 1:
@@ -519,7 +513,6 @@ def build_table(
         "N": N,
         "sweeps": sweeps,
         "seed": tuple(seed_key(seed)),
-        "kind": kind,
     }
     return SurfaceTensionTable(
         axes, dsigma, dsigma_err, sigma_vals, np.sqrt(sigma_var), meta

@@ -361,19 +361,18 @@ def reference_dirichlet_run(plain, N, weights, dt, times, noise_scale=1.0, colle
     return out
 
 
-def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None, kind="mala",
+def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None,
                          step=None, lipschitz=1.0, burn_in=None, thin=1):
     """A single gauge-fixed torus chain in its plain form.
 
-    MALA (or ULA) sweeps with ``np.roll`` energy and gradient passes and a
+    MALA sweeps with ``np.roll`` energy and gradient passes and a
     fresh gradient of the current state on every sweep; step tuning toward
     the 0.50-0.65 acceptance window in rounds of 25 sweeps; burn-in either
     fixed or adaptive (1000 probed sweeps, then up to 10 IACT); then
     ``sweeps`` sweeps recording each observable of ``np.roll`` bond
     differences every ``thin``-th sweep.  ``rng`` supplies one
-    ``standard_normal(phi.shape)`` and, for MALA, one ``uniform()`` per
-    sweep.  Returns a dict with ``phis`` (the state after every sweep),
-    ``step``, ``accepts`` and ``proposals`` (counted after burn-in) and
+    ``standard_normal(phi.shape)`` and one ``uniform()`` per sweep.
+    Returns a dict with ``phis`` (the state after every sweep), ``step``, ``accepts`` and ``proposals`` (counted after burn-in) and
     ``series`` (one array per observable).  The burn-in length uses the
     package's IACT estimator, which has its own tests.
     """
@@ -424,48 +423,35 @@ def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None, kind="
         phis.append(st["phi"].copy())
         return accepted
 
-    def ula():
-        h, p = st["step"], st["phi"]
-        g = grad_of(p) * mask
-        xi = rng.standard_normal(p.shape) * mask
-        st["phi"] = p - h * g + np.sqrt(2.0 * h) * xi
-        phis.append(st["phi"].copy())
-        return True
-
-    sweep = mala if kind == "mala" else ula
     if st["step"] is None:
-        if kind == "mala":
-            st["step"] = mask.size ** (-1.0 / 3.0) / max(lipschitz, 1e-6)
-            for _ in range(40):
-                acc = sum(mala() for _ in range(25)) / 25
-                if acc > 0.65:
-                    st["step"] *= 1.2
-                    st["energy"] = None
-                elif acc < 0.50:
-                    st["step"] /= 1.2
-                    st["energy"] = None
-                else:
-                    break
-        else:
-            cap = 0.1 / (2 * d * lipschitz) if lipschitz > 0 else np.inf
-            st["step"] = 0.5 * min(cap, 1.0)
+        st["step"] = mask.size ** (-1.0 / 3.0) / max(lipschitz, 1e-6)
+        for _ in range(40):
+            acc = sum(mala() for _ in range(25)) / 25
+            if acc > 0.65:
+                st["step"] *= 1.2
+                st["energy"] = None
+            elif acc < 0.50:
+                st["step"] /= 1.2
+                st["energy"] = None
+            else:
+                break
     if burn_in is not None:
         for _ in range(burn_in):
-            sweep()
+            mala()
     else:
         e_probe, vp_probe = [], []
         for _ in range(1000):
-            sweep()
+            mala()
             et = eta_tilde()
             e_probe.append(sum(float(v(e + tilt[i]).mean()) for i, e in enumerate(et)))
             vp_probe.append(float(vp(et[0] + tilt[0]).mean()))
         tau = max(integrated_autocorr_time(np.array(p)) for p in (e_probe, vp_probe))
         for _ in range(max(0, int(np.ceil(10 * tau)) - 1000)):
-            sweep()
+            mala()
     st["accepts"] = st["proposals"] = 0
     series = {name: [] for name in observables}
     for s in range(sweeps):
-        sweep()
+        mala()
         if (s + 1) % thin == 0:
             et = eta_tilde()
             for name, fn in observables.items():

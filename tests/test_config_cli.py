@@ -39,7 +39,7 @@ class TestConfigTree:
         cfg = from_dict({"lattice": {"tilt": [1, 0], "d": 2}, "seed": 7})
         assert cfg.lattice.tilt == (1, 0)
         assert cfg.seed == 7
-        assert cfg.sampler.kind == "mala"      # untouched sections keep defaults
+        assert cfg.sampler.sweeps == 20000     # untouched sections keep defaults
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -186,6 +186,27 @@ class TestCliExitCodes:
         assert run_cli("sample-gibbs", "--set", "sampler.n_batches=16") == 1
         assert "no config key 'sampler.n_batches'" in capsys.readouterr().err
 
+    def test_sampler_kind_is_not_a_key(self, cli_env, capsys):
+        # MALA is the one kernel; no key picks another
+        assert run_cli("sample-gibbs", "--set", "sampler.kind=mala") == 1
+        assert "no config key 'sampler.kind'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param("surface-tension", ("--u", "0.5", "--set", "surface.nodes=1"),
+                     "nodes >= 2", id="sigma-one-node"),
+        pytest.param("dlr-check", ("--set", "dlr.chains=0"), "chains >= 2", id="dlr-no-chain"),
+        pytest.param("dlr-check", ("--set", "dlr.chains=1"), "chains >= 2", id="dlr-one-chain"),
+        pytest.param("dlr-check", ("--set", "dlr.n_samples=0"), "n_samples >= chains",
+                     id="dlr-no-sample"),
+        pytest.param("dlr-check", ("--set", "dlr.n_samples=10"), "n_samples >= chains",
+                     id="dlr-fewer-samples-than-chains"),
+    ])
+    def test_degenerate_counts_exit_one(self, cli_env, capsys, command, flags, message):
+        # refused before any sampling, with no artifact written
+        assert run_cli(command, "--N", "4", *flags, "--out", "root") == 1
+        assert message in capsys.readouterr().err
+        assert not any((cli_env / "root").glob("*/*.csv"))
+
     @pytest.mark.parametrize("command, key", [
         ("sample-gibbs", "sampler.thin=0"), ("dlr-check", "dlr.thin=0"),
     ])
@@ -239,7 +260,8 @@ class TestCliCommands:
         assert code == 0
         assert "sigma((1)) = 0.500000" in capsys.readouterr().out
         run_dir = next((cli_env / "root").iterdir())
-        cols, _ = read_csv(run_dir / "surface.csv")
+        cols, meta = read_csv(run_dir / "surface.csv")
+        assert float(meta["tilt"]) == 1.0  # a plain float, not numpy's repr
         assert abs(cols["sigma"][0] - 0.5) < 1e-12
         assert abs(cols["dsigma_0"][0] - 1.0) < 1e-12
 
@@ -264,7 +286,8 @@ class TestCliCommands:
         )
         assert code == 0
         assert "quotient" in capsys.readouterr().out
-        cols, _ = read_csv(next((cli_env / "root").iterdir()) / "convexity.csv")
+        cols, meta = read_csv(next((cli_env / "root").iterdir()) / "convexity.csv")
+        assert (float(meta["u"]), float(meta["v"])) == (1.0, -1.0)
         assert abs(cols["quotient"][0] - 1.0) < 1e-9
 
     def test_decompose_flux_gaussian(self, cli_env, capsys):
@@ -276,6 +299,7 @@ class TestCliCommands:
         cols, meta = read_csv(next((cli_env / "root").iterdir()) / "flux.csv")
         assert abs(cols["A_diag"][0] - 1.0) < 1e-12
         assert meta["in_bounds"] == "1"
+        assert float(meta["tilt"]) == 0.5
         capsys.readouterr()
 
     def test_decompose_flux_check_reads_an_independent_chain(self, cli_env, capsys):
@@ -300,6 +324,7 @@ class TestCliCommands:
         a = next((cli_env / "a").iterdir()) / "gibbs.csv"
         b = next((cli_env / "b").iterdir()) / "gibbs.csv"
         assert a.read_bytes() == b.read_bytes()
+        assert float(read_csv(a)[1]["tilt"]) == 0.5
         capsys.readouterr()
 
     def test_readme_run_artifacts_are_pinned(self, cli_env, capsys):
@@ -315,13 +340,13 @@ class TestCliCommands:
         for argv in runs:
             assert run_cli(*argv, "--out", "readme") == 0
         want = {
-            "sample-gibbs-2322286ebc85/gibbs.csv":
-                "38e006e714b8ac3cbc6796cffee88ca656daa0743b5e0c79a13a7eaf9e0cd0d3",
-            "surface-tension-d97f35cd1699/surface_table.csv":
-                "dff5373a61a6e68440f33f475ec4b7495f83b0f5b3a6360d98c02ac12c33219d",
-            "hydro-f9b7c5a35445/convergence.csv":
-                "b1cd21c9b2914fc33356ba9c2d8a5503e1bd9195e224f774369a29f4c9e3c450",
-            "hydro-f9b7c5a35445/gap_vs_N.dat":
+            "sample-gibbs-c68995af4073/gibbs.csv":
+                "bd8124a1abf3c6490be892e22b5263e09681720eea164436e1c846c3db256e2f",
+            "surface-tension-ff7b0b6f9033/surface_table.csv":
+                "b35b93f0e5241c6180ac6ac862fb8248ea5170d7374213b97a41078b24859885",
+            "hydro-6533410c8851/convergence.csv":
+                "270a3ad8b6a0a2e496f6843afd94ec53339ca154de5c1b6ee0fb964abedd51cc",
+            "hydro-6533410c8851/gap_vs_N.dat":
                 "c290b4e8a7edb78e2531f6a934b9cd1465b711b2a6254077ec9b845f9d8d831e",
         }
         root = cli_env / "readme"

@@ -123,15 +123,6 @@ class TestMalaGaussian:
         assert abs(ma - mb) < 3.5 * np.hypot(sa, sb)
 
 
-class TestUla:
-    def test_runs_and_lands_near_target(self):
-        s = make_sampler(make_gaussian(), 8, (0.0,), kind="ula", seed=7)
-        rep = estimate_bond_variance(s, axis=0, sweeps=6000)
-        want = gaussian_bond_variance(8, 1, 0)
-        # first-order discretization bias allowed on top of the MC error
-        assert abs(rep.value - want) < 4 * rep.stderr + 0.05 * want
-
-
 class TestCosineChain:
     def test_vprime_mean_vanishes_at_zero_tilt(self):
         pot = make_cosine_perturbed(0.5, 1.0)
@@ -172,7 +163,7 @@ class TestVarianceSweep:
         assert lo <= hi or sweep.ratio < 1.1
         assert np.isfinite(sweep.values).all()
 
-    @pytest.mark.parametrize("kw", [{}, {"kind": "ula", "thin": 3}])
+    @pytest.mark.parametrize("kw", [{}, {"thin": 3}])
     def test_batch_equals_per_tilt_loop(self, kw):
         pot = make_cosine_perturbed(0.5, 1.0)
         tilts = [(0.0,), (0.5,), (1.0,), (2.0,)]
@@ -347,9 +338,8 @@ CHAINS = [
     pytest.param(BUMP, 4, (0.2, 0.1, 0.0), {}, id="bump-d3"),
     pytest.param(COSINE, 6, (0.5, 0.2), {"step": 0.08, "burn_in": 150, "thin": 3},
                  id="cosine-d2-fixed-step-thin3"),
-    pytest.param(BUMP, 6, (0.4, 0.0), {"kind": "ula"}, id="bump-d2-ula"),
-    pytest.param(COSINE, 8, (0.3,), {"kind": "ula", "burn_in": 100, "thin": 3},
-                 id="cosine-d1-ula-fixed-burn-thin3"),
+    pytest.param(COSINE, 8, (0.3,), {"burn_in": 100, "thin": 3},
+                 id="cosine-d1-fixed-burn-thin3"),
 ]
 
 
@@ -364,7 +354,7 @@ class TestMatchesPlainLoop:
     @pytest.mark.parametrize("k", BLOCKS)
     @pytest.mark.parametrize("pot, N, tilt, kw", _pick(
         CHAINS, "cosine-d1", "cosine-d2", "bump-d3", "cosine-d2-fixed-step-thin3",
-        "bump-d2-ula", "cosine-d1-ula-fixed-burn-thin3",
+        "cosine-d1-fixed-burn-thin3",
     ))
     def test_any_record_block(self, pot, N, tilt, kw, k, monkeypatch):
         _block_of(monkeypatch, k, 2 * len(tilt) * N ** len(tilt) * 8)
@@ -412,7 +402,6 @@ class TestMatchesPlainLoop:
         pytest.param(BUMP, (0.7,), {}, id="bump-d1"),
         pytest.param(COSINE, (0.3, 0.0, -0.2), {"step": 0.05, "burn_in": 100, "thin": 3},
                      id="cosine-d3-fixed-step-thin3"),
-        pytest.param(BUMP, (0.5, 0.2), {"kind": "ula"}, id="bump-d2-ula"),
     ])
     def test_grad_sigma(self, pot, u, kw):
         N = 4 if len(u) == 3 else 6
@@ -500,10 +489,8 @@ BATCHES = [
                  {"step": 0.05, "burn_in": 100, "thin": 3}, id="B3-bump-d3-fixed-step-thin3"),
     pytest.param(BUMP, 8, [(0.1 * j,) for j in range(9)],
                  {"step": 0.1, "burn_in": 60, "thin": 3}, id="B9-bump-d1-fixed-step-thin3"),
-    pytest.param(BUMP, 6, [(0.4, 0.0), (0.0, 0.8), (-0.3, 0.2)], {"kind": "ula"},
-                 id="B3-bump-d2-ula"),
-    pytest.param(COSINE, 8, [(0.3,), (1.2,), (0.0,)], {"kind": "ula", "burn_in": 100, "thin": 3},
-                 id="B3-cosine-d1-ula-fixed-burn-thin3"),
+    pytest.param(COSINE, 8, [(0.3,), (1.2,), (0.0,)], {"burn_in": 100, "thin": 3},
+                 id="B3-cosine-d1-fixed-burn-thin3"),
 ]
 
 
@@ -519,7 +506,7 @@ class TestBatchMatchesPlainLoop:
     @pytest.mark.parametrize("k", BLOCKS)
     @pytest.mark.parametrize("pot, N, tilts, kw", _pick(
         BATCHES, "B1-bump-d2", "B3-cosine-d1", "B3-bump-d3-fixed-step-thin3",
-        "B9-bump-d1-fixed-step-thin3", "B3-bump-d2-ula", "B3-cosine-d1-ula-fixed-burn-thin3",
+        "B9-bump-d1-fixed-step-thin3", "B3-cosine-d1-fixed-burn-thin3",
     ))
     def test_any_record_block(self, pot, N, tilts, kw, k, monkeypatch):
         B, d = np.shape(tilts)
@@ -575,10 +562,9 @@ class TestOnePassPerProposal:
     the kept pass, and their own potential calls run once per block."""
 
     @pytest.mark.parametrize("tilt", [(0.5,), (0.5, 0.0), (0.5, 0.0, 0.2)])
-    @pytest.mark.parametrize("kind", ["mala", "ula"])
-    def test_potential_calls_per_sweep(self, tilt, kind):
+    def test_potential_calls_per_sweep(self, tilt):
         calls, elements = {"v": 0, "vp": 0}, {"v": 0, "vp": 0}
-        s = make_sampler(_counting(COSINE, calls, elements), 4, tilt, kind=kind,
+        s = make_sampler(_counting(COSINE, calls, elements), 4, tilt,
                          step=0.05, burn_in=1, seed=0)
         s.prepare()
         calls.update(v=0, vp=0)
@@ -586,21 +572,17 @@ class TestOnePassPerProposal:
         for _ in range(10):
             s._sweep()
         d = len(tilt)
-        # ULA needs no energy, so its pass evaluates V' only
-        mala = kind == "mala"
-        assert calls == {"v": 10 if mala else 0, "vp": 10}
+        assert calls == {"v": 10, "vp": 10}
         bonds = 10 * d * 4**d
-        assert elements == {"v": bonds if mala else 0, "vp": bonds}
+        assert elements == {"v": bonds, "vp": bonds}
 
     @pytest.mark.parametrize("tilt", [(0.5,), (0.5, 0.0), (0.5, 0.0, 0.2)])
-    @pytest.mark.parametrize("kind", ["mala", "ula"])
-    def test_burn_in_probes_read_the_pass(self, tilt, kind, monkeypatch):
+    def test_burn_in_probes_read_the_pass(self, tilt, monkeypatch):
         # no extra burn-in: the first pass, then 1000 probe sweeps, each of
         # one pass with V and V' on all axes and no further potential call
         monkeypatch.setattr(gibbs, "integrated_autocorr_time", lambda x: 1.0)
         calls, elements = {"v": 0, "vp": 0}, {"v": 0, "vp": 0}
-        s = make_sampler(_counting(COSINE, calls, elements), 4, tilt, kind=kind,
-                         step=0.05, seed=0)
+        s = make_sampler(_counting(COSINE, calls, elements), 4, tilt, step=0.05, seed=0)
         s.prepare()
         d = len(tilt)
         assert calls == {"v": 1001, "vp": 1001}
