@@ -70,12 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, help="dimension")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output root directory")
-        p.add_argument("--workers", type=int, help="process pool size, 0 = serial")
     sub.choices["convexity-probe"].add_argument(
         "--v", help="second tilt for the probe, comma separated"
     )
     sub.choices["surface-tension"].add_argument(
         "--table", action="store_true", help="tabulate the whole grid from config"
+    )
+    sub.choices["surface-tension"].add_argument(
+        "--workers", type=int, help="process pool size for --table, 0 = serial"
     )
     return parser
 
@@ -95,7 +97,7 @@ def _flag_overrides(args) -> list:
         items.append(f"lattice.N={args.N}")
     if args.seed is not None:
         items.append(f"seed={args.seed}")
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         items.append(f"workers={args.workers}")
     return items
 
@@ -417,7 +419,7 @@ def cmd_dlr_check(cfg: RunConfig, meta, outdir, args) -> int:
     u = tilt_vector(cfg.lattice)
     dl = cfg.dlr
     rep = dlr_check(
-        pot, cfg.lattice.N, u, window=dl.window, n_samples=dl.n_samples,
+        pot, u, window=dl.window, n_samples=dl.n_samples,
         chains=dl.chains, thin=dl.thin, burn=dl.burn, bins=dl.bins,
         seed=cfg.seed,
     )

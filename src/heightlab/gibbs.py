@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TiltedPeriodicSystem
-from .lattice import TorusLattice
+from .lattice import DomainSpec, TorusLattice, discretize_domain
 from .rng import seed_key, stream
 
 
@@ -493,64 +493,12 @@ def variance_sweep(
 # local-conditional (DLR) check
 
 
-class _WindowTarget:
-    """Conditional law of heights in a window given frozen exterior heights."""
-
-    def __init__(self, pot, d: int, width: int, exterior):
-        self.pot = pot
-        coords = np.stack(
-            np.meshgrid(*([np.arange(width)] * d), indexing="ij")
-        ).reshape(d, -1).T
-        self.coords = coords
-        index = {tuple(c): i for i, c in enumerate(coords.tolist())}
-        pairs = []
-        ext = []
-        ring = []
-        for i, c in enumerate(coords.tolist()):
-            for ax in range(d):
-                for s in (1, -1):
-                    y = list(c)
-                    y[ax] += s
-                    ty = tuple(y)
-                    if ty in index:
-                        if s == 1:
-                            pairs.append((index[ty], i))  # head, tail
-                    else:
-                        ring.append(ty)
-                        ext.append((i, ty))
-        self.pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        self.ring = sorted(set(ring))
-        ring_vals = {}
-        ys = np.asarray(self.ring, dtype=float)
-        vals = np.asarray(exterior(ys), dtype=float)
-        for ty, v in zip(self.ring, vals):
-            ring_vals[ty] = float(v)
-        self.ext_site = np.asarray([i for i, _ in ext], dtype=np.int64)
-        self.ext_val = np.asarray([ring_vals[ty] for _, ty in ext])
-
-    @property
-    def size(self) -> int:
-        return len(self.coords)
-
-    def logp(self, phi: np.ndarray) -> np.ndarray:
-        """Unnormalized log density, phi of shape (chains, m)."""
-        s = np.zeros(phi.shape[0])
-        if len(self.pairs):
-            s -= self.pot.v(phi[:, self.pairs[:, 0]] - phi[:, self.pairs[:, 1]]).sum(
-                axis=1
-            )
-        s -= self.pot.v(phi[:, self.ext_site] - self.ext_val).sum(axis=1)
-        return s
-
-    def grad_neg_logp(self, phi: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(phi)
-        if len(self.pairs):
-            dv = self.pot.vp(phi[:, self.pairs[:, 0]] - phi[:, self.pairs[:, 1]])
-            np.add.at(g, (slice(None), self.pairs[:, 0]), dv)
-            np.add.at(g, (slice(None), self.pairs[:, 1]), -dv)
-        dve = self.pot.vp(phi[:, self.ext_site] - self.ext_val)
-        np.add.at(g, (slice(None), self.ext_site), dve)
-        return g
+def _window_domain(d: int, width: int):
+    """The window {0..width-1}^d as a Dirichlet domain at scale 1; its
+    interior is the window and its boundary layer the ring, both lexicographic."""
+    return discretize_domain(
+        DomainSpec.box(sides=(width + 4.0,) * d, center=((width - 1) / 2,) * d), 1
+    )
 
 
 @dataclass
@@ -566,12 +514,11 @@ class DlrReport:
     var_emp: float
     var_quad: float | None
     mean_stderr: float
-    exterior: tuple
+    exterior: tuple               # ring values, ring sites in lexicographic order
 
 
 def dlr_check(
     pot,
-    N: int,
     tilt,
     window: int = 1,
     n_samples: int = 100_000,
@@ -585,12 +532,13 @@ def dlr_check(
     """Sample heights in a small window with frozen exterior and compare
     against the exact conditional.
 
-    With ``window == 1`` the conditional is a one-dimensional density
-    computed by quadrature; the report carries the sup distance between
-    the empirical histogram and the bin-averaged exact density.  Larger
-    windows (up to width 3) only compare the two overdispersed start
-    groups against each other.  ``N`` records the ambient scale for
-    provenance; the conditional itself only sees the frozen ring.
+    The conditional is the Gibbs law of the window as a Dirichlet domain
+    whose boundary layer, the ring, holds ``exterior(ring sites)``.  With
+    ``window == 1`` it is a one-dimensional density computed by
+    quadrature; the report carries the sup distance between the empirical
+    histogram and the bin-averaged exact density.  Larger windows (up to
+    width 3) only compare the two overdispersed start groups against each
+    other.
     """
     tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
     d = len(tilt)
@@ -609,29 +557,44 @@ def dlr_check(
             base = ys @ tilt
             return base + jitter[: len(ys)]
 
-    target = _WindowTarget(pot, d, window, exterior)
-    m = target.size
+    dom = _window_domain(d, window)
+    m = dom.n_interior
+    ring = dom.sites[m : m + dom.n_layer].astype(float)
+    ext_val = np.asarray(exterior(ring), dtype=float)
+    heads, tails = dom.bonds_closure.T
+    nbrs_t = np.ascontiguousarray(dom.neighbors.T)  # (2d, m)
 
-    # overdispersed starts: half the chains low, half high
-    ext_lo, ext_hi = float(target.ext_val.min()), float(target.ext_val.max())
-    phi = np.empty((chains, m))
-    phi[: chains // 2] = ext_lo - 2.0
-    phi[chains // 2 :] = ext_hi + 2.0
+    def logp_of(x):
+        """Unnormalized log density of (chains, m + n_layer) heights."""
+        return -pot.v(x[:, heads] - x[:, tails]).sum(axis=1)
+
+    def grad_of(x):
+        """Gradient of -log p on the window: sum over neighbours of V'(x - y)."""
+        return pot.vp(x[:, None, :m] - x[:, nbrs_t]).sum(axis=1)
+
+    # the ring columns hold the frozen exterior; overdispersed starts:
+    # half the chains low, half high
+    ext_lo, ext_hi = float(ext_val.min()), float(ext_val.max())
+    phi = np.empty((chains, m + dom.n_layer))
+    phi[:, m:] = ext_val
+    phi[: chains // 2, :m] = ext_lo - 2.0
+    phi[chains // 2 :, :m] = ext_hi + 2.0
+    prop = phi.copy()
     group = np.zeros(chains, dtype=bool)
     group[chains // 2 :] = True
 
     h = 0.5 / max(pot.drift_lipschitz, 0.5)
-    logp = target.logp(phi)
-    grad = target.grad_neg_logp(phi)
+    logp = logp_of(phi)
+    grad = grad_of(phi)
 
     def mala_update(h):
         """One MALA step of every chain; the gradient is kept at the accepted state."""
-        xi = rng.standard_normal(phi.shape)
-        prop = phi - h * grad + np.sqrt(2.0 * h) * xi
-        logp_prop = target.logp(prop)
-        gp = target.grad_neg_logp(prop)
+        xi = rng.standard_normal((chains, m))
+        prop[:, :m] = phi[:, :m] - h * grad + np.sqrt(2.0 * h) * xi
+        logp_prop = logp_of(prop)
+        gp = grad_of(prop)
         fwd = 2.0 * h * np.sum(xi**2, axis=1)
-        rev = np.sum((phi - prop + h * gp) ** 2, axis=1)
+        rev = np.sum((phi[:, :m] - prop[:, :m] + h * gp) ** 2, axis=1)
         log_alpha = logp_prop - logp + (fwd - rev) / (4.0 * h)
         acc = np.log(rng.uniform(size=chains)) < log_alpha
         phi[acc] = prop[acc]
@@ -666,11 +629,9 @@ def dlr_check(
 
     sup = None
     mean_q = var_q = None
-    if window == 1 and m == 1:
-        lo = float(target.ext_val.min()) - 8.0
-        hi = float(target.ext_val.max()) + 8.0
-        xs = np.linspace(lo, hi, 8001)
-        logd = -sum(pot.v(xs - a) for a in target.ext_val)
+    if window == 1:
+        xs = np.linspace(ext_lo - 8.0, ext_hi + 8.0, 8001)
+        logd = -sum(pot.v(xs - a) for a in ext_val)
         dens = np.exp(logd - logd.max())
         z = np.trapezoid(dens, xs)
         dens /= z
@@ -684,16 +645,11 @@ def dlr_check(
         quad_density = np.diff(cum_at) / width
         emp_density, _ = np.histogram(samples, bins=edges, density=True)
         sup = float(np.abs(emp_density - quad_density).max())
-        lo_density, _ = np.histogram(samples[~sample_group], bins=edges, density=True)
-        hi_density, _ = np.histogram(samples[sample_group], bins=edges, density=True)
-        two_start = float(np.abs(lo_density - hi_density).max())
     else:
-        a = samples[~sample_group]
-        b = samples[sample_group]
         edges = np.histogram_bin_edges(samples, bins=bins)
-        da, _ = np.histogram(a, bins=edges, density=True)
-        db, _ = np.histogram(b, bins=edges, density=True)
-        two_start = float(np.abs(da - db).max())
+    lo_density, _ = np.histogram(samples[~sample_group], bins=edges, density=True)
+    hi_density, _ = np.histogram(samples[sample_group], bins=edges, density=True)
+    two_start = float(np.abs(lo_density - hi_density).max())
 
     return DlrReport(
         window=window,
@@ -705,5 +661,5 @@ def dlr_check(
         var_emp=var_emp,
         var_quad=var_q,
         mean_stderr=mean_stderr,
-        exterior=tuple(np.round(target.ext_val, 12).tolist()),
+        exterior=tuple(np.round(ext_val, 12).tolist()),
     )

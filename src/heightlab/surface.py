@@ -490,9 +490,11 @@ def build_table(
     idx = np.indices(grid_shape).reshape(d, -1).T
     tilts = np.stack([axes[i][idx[:, i]] for i in range(d)], axis=-1)
     seeds = [tuple(seed_key(seed)) + (j,) for j in range(len(tilts))]
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     if pot.spec is None and workers > 1:
         raise ValueError(f"potential {pot.name!r} has no spec to rebuild in workers")
-    parts = np.array_split(np.arange(len(tilts)), max(1, min(workers or 1, len(tilts))))
+    parts = np.array_split(np.arange(len(tilts)), max(1, min(workers, len(tilts))))
     jobs = [
         (pot.spec or pot, N, tilts[part], [seeds[j] for j in part], sweeps,
          step, burn_in, thin)

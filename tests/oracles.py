@@ -6,6 +6,7 @@ with its own oracle.
 """
 
 import csv
+import itertools
 
 import numpy as np
 from scipy.integrate import simpson
@@ -89,6 +90,49 @@ def density_moments(density, grid):
     m = np.trapezoid(density * grid, grid)
     var = np.trapezoid(density * (grid - m) ** 2, grid)
     return float(m), float(var)
+
+
+def window_ring(d: int, width: int) -> np.ndarray:
+    """Sites outside the window {0..width-1}^d with a neighbour inside, sorted."""
+    ring = set()
+    for x in itertools.product(range(width), repeat=d):
+        for i in range(d):
+            for s in (1, -1):
+                y = list(x)
+                y[i] += s
+                if not 0 <= y[i] < width:
+                    ring.add(tuple(y))
+    return np.array(sorted(ring), dtype=int).reshape(-1, d)
+
+
+def gaussian_window_law(d: int, width: int, exterior):
+    """Mean and covariance of the window heights under V(x) = x^2 / 2,
+    given ring heights ``exterior(ring sites)``; window sites lexicographic.
+
+    The log density is -phi.L phi / 2 + b.phi, with L the Dirichlet
+    Laplacian of the window (2d on the diagonal, -1 per neighbour pair
+    inside) and b_x the sum of the ring heights next to x, so the law is
+    N(L^-1 b, L^-1).
+    """
+    sites = list(itertools.product(range(width), repeat=d))
+    index = {x: k for k, x in enumerate(sites)}
+    ring = window_ring(d, width)
+    values = np.asarray(exterior(ring.astype(float)), dtype=float)
+    ring_value = {tuple(y): v for y, v in zip(ring.tolist(), values)}
+    lap = 2.0 * d * np.eye(len(sites))
+    b = np.zeros(len(sites))
+    for x, k in index.items():
+        for i in range(d):
+            for s in (1, -1):
+                y = list(x)
+                y[i] += s
+                y = tuple(y)
+                if y in index:
+                    lap[k, index[y]] -= 1.0
+                else:
+                    b[k] += ring_value[y]
+    cov = np.linalg.inv(lap)
+    return cov @ b, cov
 
 
 def brute_force_interior(contains, N: int, d: int, span: int = None):

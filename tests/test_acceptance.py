@@ -255,7 +255,7 @@ def test_08_energy_bound_with_frozen_constant():
 
 def test_09_conditional_law_matches_quadrature():
     rep = dlr_check(
-        make_cosine_perturbed(a=0.5, kappa=1.0), 8, (0.5,), window=1,
+        make_cosine_perturbed(a=0.5, kappa=1.0), (0.5,), window=1,
         n_samples=100000,
     )
     ok = rep.sup_distance is not None and rep.sup_distance <= 0.05

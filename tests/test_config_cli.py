@@ -168,6 +168,8 @@ class TestCliExitCodes:
     def test_no_command_is_usage_error(self, cli_env, capsys):
         assert run_cli() == 2
         assert run_cli("sample-gibbs", "--no-such-flag") == 2
+        # --workers has an effect only on surface-tension --table
+        assert run_cli("hydro", "--workers", "2") == 2
         capsys.readouterr()
 
     def test_runtime_errors_exit_one(self, cli_env, capsys):
@@ -200,6 +202,8 @@ class TestCliExitCodes:
                      id="dlr-no-sample"),
         pytest.param("dlr-check", ("--set", "dlr.n_samples=10"), "n_samples >= chains",
                      id="dlr-fewer-samples-than-chains"),
+        pytest.param("surface-tension", ("--table", "--workers", "-1"), "workers must be >= 0",
+                     id="table-negative-workers"),
     ])
     def test_degenerate_counts_exit_one(self, cli_env, capsys, command, flags, message):
         # refused before any sampling, with no artifact written

@@ -25,7 +25,9 @@ from oracles import (
     conditional_density_1d,
     density_moments,
     gaussian_bond_variance,
+    gaussian_window_law,
     reference_mala_chain,
+    window_ring,
 )
 
 
@@ -183,7 +185,7 @@ class TestVarianceSweep:
 class TestDlr:
     def test_gaussian_conditional_moments(self):
         rep = dlr_check(
-            make_gaussian(), 16, (0.5,), window=1,
+            make_gaussian(), (0.5,), window=1,
             n_samples=40000, chains=50, thin=2, burn=800, seed=16,
         )
         # conditional of the middle height is N((a+b)/2, 1/2)
@@ -192,10 +194,10 @@ class TestDlr:
         assert abs(rep.var_emp - 0.5) < 0.02
         assert rep.sup_distance < 0.05
 
-    def test_quadrature_agrees_with_independent_oracle(self):
-        pot = make_cosine_perturbed(0.7, 1.0)
+    @staticmethod
+    def _check_quadrature_against_oracle(pot):
         rep = dlr_check(
-            pot, 16, (0.3,), window=1,
+            pot, (0.3,), window=1,
             n_samples=30000, chains=50, thin=2, burn=800, seed=17,
         )
         left, right = rep.exterior
@@ -206,16 +208,74 @@ class TestDlr:
         assert rep.var_quad == pytest.approx(v, abs=1e-5)
         assert rep.sup_distance < 0.05
 
+    def test_quadrature_agrees_with_independent_oracle(self):
+        self._check_quadrature_against_oracle(make_cosine_perturbed(0.7, 1.0))
+
+    @pytest.mark.parametrize(
+        "pot", [make_cosine_perturbed(2.0, 1.0), make_split_bump()],
+        ids=["cosine-a2", "split_bump"],
+    )
+    def test_quadrature_agrees_on_nonconvex_potential(self, pot):
+        # V'' < 0 near 0 for both, so the conditional law is not log-concave
+        self._check_quadrature_against_oracle(pot)
+
+    def test_nonconvex_conditional_law_in_two_dimensions(self):
+        rep = dlr_check(
+            make_cosine_perturbed(2.0, 1.0), (0.5, 0.0), window=1,
+            n_samples=30000, chains=50, thin=2, burn=800, seed=20,
+        )
+        assert rep.sup_distance < 0.05
+        assert abs(rep.mean_emp - rep.mean_quad) < 4 * rep.mean_stderr
+
+    @pytest.mark.parametrize("d, width", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_gaussian_window_matches_exact_law(self, d, width):
+        tilt = np.array([0.5, -0.25, 0.125][:d])
+
+        def exterior(ys):
+            return ys @ tilt + 0.4 * np.cos(3.0 * ys.sum(axis=1))
+
+        mean, cov = gaussian_window_law(d, width, exterior)
+        rep = dlr_check(
+            make_gaussian(), tilt, window=width, exterior=exterior,
+            n_samples=40000, chains=50, thin=2, burn=800, seed=21,
+        )
+        assert abs(rep.mean_emp - mean[0]) < 4 * rep.mean_stderr
+        assert rep.var_emp == pytest.approx(cov[0, 0], rel=0.05)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_window_is_a_dirichlet_domain(self, d, width):
+        dom = gibbs._window_domain(d, width)
+        m = dom.n_interior
+        assert m == width**d
+        assert dom.n_layer == 2 * d * width ** (d - 1)
+        window = np.indices((width,) * d).reshape(d, -1).T
+        assert np.array_equal(dom.sites[:m], window)
+        ring = window_ring(d, width)
+        assert np.array_equal(dom.sites[m : m + dom.n_layer], ring)
+        # the report lists the ring values in lexicographic site order
+
+        def exterior(ys):
+            return ys @ np.array([1.0, 0.31, 0.097][:d])  # distinct per site
+
+        rep = dlr_check(
+            make_gaussian(), np.zeros(d), window=width, exterior=exterior,
+            n_samples=200, chains=10, thin=1, burn=200,
+        )
+        np.testing.assert_allclose(
+            rep.exterior, exterior(ring.astype(float)), rtol=0, atol=1e-12
+        )
+
     def test_two_starts_agree(self):
         rep = dlr_check(
-            make_cosine_perturbed(0.5, 1.0), 16, (0.0,), window=1,
+            make_cosine_perturbed(0.5, 1.0), (0.0,), window=1,
             n_samples=30000, chains=60, thin=2, burn=800, seed=18,
         )
         assert rep.two_start_distance < 0.08
 
     def test_window_width_two(self):
         rep = dlr_check(
-            make_gaussian(), 16, (0.0,), window=2,
+            make_gaussian(), (0.0,), window=2,
             n_samples=20000, chains=40, thin=2, burn=600, seed=19,
         )
         assert rep.sup_distance is None
