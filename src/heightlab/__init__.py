@@ -19,6 +19,7 @@ from .errors import (
     SplitFailed,
     StepTooLarge,
     TimeMismatch,
+    UnmixedChains,
 )
 from .lattice import (
     DiscretizedDomain,

@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--pot", help="potential kind: gaussian | cosine | split_bump")
         p.add_argument("--u", help="tilt, comma separated, e.g. 1,0")
-        p.add_argument("--N", type=int, help="lattice scale")
+        if name in _SCALED_COMMANDS:
+            p.add_argument("--N", type=int, help="lattice scale")
         p.add_argument("--d", type=int, help="dimension")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output root directory")
@@ -93,7 +94,7 @@ def _flag_overrides(args) -> list:
             items.append(f"lattice.d={len(parts)}")
     if args.d is not None:
         items.append(f"lattice.d={args.d}")
-    if args.N is not None:
+    if getattr(args, "N", None) is not None:
         items.append(f"lattice.N={args.N}")
     if args.seed is not None:
         items.append(f"seed={args.seed}")
@@ -460,6 +461,12 @@ COMMANDS = {  # name -> (help, handler)
     "hydro": ("microscopic vs PDE scaling study", cmd_hydro),
     "dlr-check": ("conditional-law check in a frozen window", cmd_dlr_check),
 }
+
+
+# the commands that read lattice.N, and so the only ones taking --N
+_SCALED_COMMANDS = frozenset(
+    {"sample-gibbs", "surface-tension", "convexity-probe", "decompose-flux", "simulate"}
+)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,6 @@ stamped into every output artifact next to the master seed.
 """
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -181,6 +180,8 @@ def to_dict(cfg: RunConfig) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib  # here, not at import: most runs never hash a config
+
     canon = json.dumps(to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 

@@ -21,6 +21,10 @@ class NonFinite(HeightLabError):
     """A field value became NaN or infinite."""
 
 
+class UnmixedChains(HeightLabError):
+    """A start group of chains never reached the law it samples."""
+
+
 class TimeMismatch(HeightLabError):
     """System clock does not match the requested macroscopic time."""
 

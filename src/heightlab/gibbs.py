@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TiltedPeriodicSystem
+from .errors import UnmixedChains
 from .lattice import DomainSpec, TorusLattice, discretize_domain
 from .rng import seed_key, stream
 
@@ -538,7 +539,9 @@ def dlr_check(
     quadrature; the report carries the sup distance between the empirical
     histogram and the bin-averaged exact density.  Larger windows (up to
     width 3) only compare the two overdispersed start groups against each
-    other.
+    other.  With ``window == 1``, ``UnmixedChains`` is raised when a start
+    group has no sample within 6 sd of the exact mean, as when ``burn`` is
+    too short for its chains to leave their start.
     """
     tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
     d = len(tilt)
@@ -643,6 +646,15 @@ def dlr_check(
         cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(xs))])
         cum_at = np.interp(edges, xs, cum)
         quad_density = np.diff(cum_at) / width
+        # a group with no sample in range would give 0/0 densities (the
+        # edges of larger windows span every sample)
+        for name, member in (("low", ~sample_group), ("high", sample_group)):
+            if not ((samples[member] >= edges[0]) & (samples[member] <= edges[-1])).any():
+                raise UnmixedChains(
+                    f"window {window}: no sample of the {name} start group lies within "
+                    f"6 sd of the exact mean after burn={burn} sweeps; its chains have "
+                    f"not reached the conditional law, so raise burn"
+                )
         emp_density, _ = np.histogram(samples, bins=edges, density=True)
         sup = float(np.abs(emp_density - quad_density).max())
     else:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DirichletSystem, macro_height, run_dirichlet, step_cap
+from .dynamics import DirichletSystem, advance, macro_height, step_cap
 from .errors import PlotSkipped, PotentialMismatch
 from .io import write_csv
 from .lattice import DomainSpec, boundary_height, cell_average, discretize_domain
@@ -200,7 +200,7 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
             ref = reference.field_at(t)
             gaps[t] = realization_gaps(fields, ref, exp.spec)
 
-        run_dirichlet(system, dt, times, collect=checkpoint)
+        advance(system, dt, times, collect=checkpoint)
         for t in times:
             g = gaps[t]
             table.rows.append(

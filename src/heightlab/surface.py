@@ -18,7 +18,6 @@ which is what makes the decomposition useful for uniqueness arguments.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -501,6 +500,9 @@ def build_table(
         for part in parts
     ]
     if len(jobs) > 1:
+        # imported here: multiprocessing costs every serial run memory and time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = list(pool.map(_table_batch, jobs))
     else:

@@ -194,7 +194,7 @@ class TestCliExitCodes:
         assert "no config key 'sampler.kind'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flags, message", [
-        pytest.param("surface-tension", ("--u", "0.5", "--set", "surface.nodes=1"),
+        pytest.param("surface-tension", ("--N", "4", "--u", "0.5", "--set", "surface.nodes=1"),
                      "nodes >= 2", id="sigma-one-node"),
         pytest.param("dlr-check", ("--set", "dlr.chains=0"), "chains >= 2", id="dlr-no-chain"),
         pytest.param("dlr-check", ("--set", "dlr.chains=1"), "chains >= 2", id="dlr-one-chain"),
@@ -202,12 +202,12 @@ class TestCliExitCodes:
                      id="dlr-no-sample"),
         pytest.param("dlr-check", ("--set", "dlr.n_samples=10"), "n_samples >= chains",
                      id="dlr-fewer-samples-than-chains"),
-        pytest.param("surface-tension", ("--table", "--workers", "-1"), "workers must be >= 0",
-                     id="table-negative-workers"),
+        pytest.param("surface-tension", ("--N", "4", "--table", "--workers", "-1"),
+                     "workers must be >= 0", id="table-negative-workers"),
     ])
     def test_degenerate_counts_exit_one(self, cli_env, capsys, command, flags, message):
         # refused before any sampling, with no artifact written
-        assert run_cli(command, "--N", "4", *flags, "--out", "root") == 1
+        assert run_cli(command, *flags, "--out", "root") == 1
         assert message in capsys.readouterr().err
         assert not any((cli_env / "root").glob("*/*.csv"))
 
@@ -223,6 +223,13 @@ class TestCliExitCodes:
         assert "step must be finite and > 0, got -0.1" in capsys.readouterr().err
         # 0 is the config's "auto-tuned", which the sampler receives as None
         assert _chain_options(from_dict({"sampler": {"step": 0}}).sampler)["step"] is None
+
+    @pytest.mark.parametrize("command", ["dlr-check", "hydro", "pde-solve", "certify-potential"])
+    def test_N_refused_where_no_lattice_scale_is_read(self, cli_env, capsys, command):
+        # lattice.N would only move the config hash on these commands
+        assert run_cli(command, "--N", "8", "--out", "root") == 2
+        assert "unrecognized arguments: --N 8" in capsys.readouterr().err
+        assert not (cli_env / "root").exists()
 
     def test_hydro_single_realization_exits_one(self, cli_env, capsys):
         assert run_cli("hydro", "--set", "hydro.realizations=1", "--out", "root") == 1
@@ -447,7 +454,7 @@ class TestCliCommands:
 
     def test_dlr_check_quick(self, cli_env, capsys):
         code = run_cli(
-            "dlr-check", "--pot", "cosine", "--u", "0.5", "--N", "8", "--out", "root",
+            "dlr-check", "--pot", "cosine", "--u", "0.5", "--out", "root",
             "--set", "dlr.n_samples=2000", "--set", "dlr.chains=10",
             "--set", "dlr.burn=200", "--set", "dlr.bins=30",
         )

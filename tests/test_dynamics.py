@@ -204,6 +204,21 @@ class TestEulerStep:
         with np.errstate(over="ignore"), pytest.raises(NonFinite):
             em_step(sys, 0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_boundary_data_refused(self, bad):
+        dom = discretize_domain(UNIT_BOX_1D, 6)
+        psi = np.zeros(dom.n_sites)
+        psi[-1] = bad  # a clamped site, which no step checks
+        with pytest.raises(NonFinite, match="boundary data"):
+            DirichletSystem(dom, make_gaussian(), psi, replicas=2)
+
+    def test_nonfinite_interior_detected(self):
+        dom = discretize_domain(UNIT_BOX_1D, 6)
+        sys = DirichletSystem(dom, make_gaussian(), np.zeros(dom.n_sites), replicas=2)
+        sys.phi[1, 0] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+            em_step(sys, 0.01)
+
     def test_same_seed_same_trajectory(self):
         dom = discretize_domain(UNIT_BOX_1D, 10)
         psi = np.zeros(dom.n_sites)
@@ -301,6 +316,27 @@ class TestMacroscopic:
         dom = discretize_domain(spec, 12)
         w = domain_cell_weights(spec, 12, dom.sites)
         assert w.sum() == pytest.approx(np.pi * 0.4**2, rel=2e-3)
+
+
+class TestCheckpointSteps:
+    def test_segments_land_on_each_checkpoint(self):
+        # uneven spans, a repeated checkpoint and t = 0, given out of order
+        times = (0.011, 0.0, 0.005, 0.005, 0.0021)
+        got = dynamics.checkpoint_steps(times, 12, 0.03)
+        assert [t for t, _, _ in got] == sorted(times)
+        prev = 0.0
+        for t, n_steps, dt_eff in got:
+            span = (t - prev) * 12**2
+            if span == 0:
+                assert n_steps == 0
+            else:
+                assert n_steps == max(1, int(np.ceil(span / 0.03)))
+                assert dt_eff == span / n_steps <= 0.03
+            prev = t
+
+    def test_negative_time_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dynamics.checkpoint_steps((0.1, -0.1), 8, 0.01)
 
 
 class TestEnergyTrace:

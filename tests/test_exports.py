@@ -8,6 +8,8 @@ so API that only tests call cannot creep back.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +45,16 @@ def test_every_export_is_used_by_the_program():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert sorted(set(unused) - EXEMPT) == []
+
+
+def test_import_loads_neither_hashlib_nor_multiprocessing():
+    # a fresh interpreter: they load only where a config is hashed or a
+    # table is built by a process pool, not with the package
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import heightlab; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('hashlib', 'multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

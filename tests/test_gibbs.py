@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heightlab import (
+    UnmixedChains,
     batch_means,
     dlr_check,
     estimate_bond_variance,
@@ -218,6 +219,16 @@ class TestDlr:
     def test_quadrature_agrees_on_nonconvex_potential(self, pot):
         # V'' < 0 near 0 for both, so the conditional law is not log-concave
         self._check_quadrature_against_oracle(pot)
+
+    def test_start_group_that_never_moves_raises(self):
+        # a ring spread of 200 keeps every chain at its start for burn=200;
+        # the typed error comes before any 0/0 density warning
+        with pytest.raises(UnmixedChains, match=r"window 1: .*burn=200"):
+            dlr_check(
+                make_gaussian(), np.zeros(3), window=1,
+                exterior=lambda ys: ys @ [1, 10, 100],
+                burn=200, n_samples=2000, chains=20,
+            )
 
     def test_nonconvex_conditional_law_in_two_dimensions(self):
         rep = dlr_check(

@@ -278,6 +278,30 @@ class TestRunMatchesPlainLoop:
             assert np.array_equal(got[key], want[key]), key
 
 
+class TestRunSkipsEnergyBookkeeping:
+    def test_no_dirichlet_sum_and_one_em_step_per_segment_step(self, monkeypatch):
+        calls = {"dirichlet_sum": 0, "em_step": 0}
+        dirichlet_sum, em_step = dynamics.DirichletSystem.dirichlet_sum, dynamics.em_step
+
+        def counting_sum(self):
+            calls["dirichlet_sum"] += 1
+            return dirichlet_sum(self)
+
+        def counting_step(*args, **kwargs):
+            calls["em_step"] += 1
+            return em_step(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.DirichletSystem, "dirichlet_sum", counting_sum)
+        monkeypatch.setattr(dynamics, "em_step", counting_step)
+        exp = small_experiment(times=(0.004, 0.011, 0.02))
+        run(exp)
+        dt = 0.9 * step_cap(exp.pot, exp.spec.d)
+        want = sum(
+            n for N in exp.scales for _, n, _ in dynamics.checkpoint_steps(exp.times, N, dt)
+        )
+        assert calls == {"dirichlet_sum": 0, "em_step": want}
+
+
 TABLE_RUN = """
 import numpy as np
 from heightlab import DomainSpec, SurfaceTensionTable, make_gaussian
