@@ -76,7 +76,7 @@ from .surface import (
 )
 from .pde import GaussianFlux, GridField, PdeGrid, TableFlux, l2_compare, solve
 from .hydro import ConvergenceTable, HydroExperiment
-from .config import RunConfig, config_hash, from_dict, load_config, to_dict
+from .config import RunConfig, config_hash, from_dict, to_dict
 from .rng import stream
 
 __version__ = "0.1.0"

@@ -2,14 +2,18 @@
 
 Every subcommand is driven by the same config tree: defaults, then an
 optional JSON config file, then --set dotted overrides, then the short
-convenience flags.  Artifacts land in ``<output root>/<command>-<config
-hash>/`` and each CSV header carries the hash and master seed, so a
-rerun of the same config in serial mode reproduces the bytes exactly.
+convenience flags.  A command takes only the config keys its handler
+reads and the short flags that set them, so no accepted key moves the
+config hash without an effect.  Artifacts land in ``<output
+root>/<command>-<config hash>/`` and each CSV header carries the hash
+and master seed, so a rerun of the same config in serial mode
+reproduces the bytes exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import warnings
@@ -24,6 +28,7 @@ from .config import (
     build_potential,
     build_profile,
     config_hash,
+    from_dict,
     tilt_vector,
 )
 from .dynamics import (
@@ -33,7 +38,7 @@ from .dynamics import (
     run_dirichlet,
     step_cap,
 )
-from .errors import HeightLabError, PlotSkipped
+from .errors import ConfigError, HeightLabError, PlotSkipped
 from .gibbs import (
     dlr_check,
     estimate_bond_variance,
@@ -54,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattice interface model laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument(
@@ -64,48 +69,54 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config leaf, e.g. sampler.sweeps=4000",
         )
-        p.add_argument("--pot", help="potential kind: gaussian | cosine | split_bump")
-        p.add_argument("--u", help="tilt, comma separated, e.g. 1,0")
-        if name in _SCALED_COMMANDS:
-            p.add_argument("--N", type=int, help="lattice scale")
-        p.add_argument("--d", type=int, help="dimension")
-        p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output root directory")
+        for flag, (key, options) in FLAGS.items():
+            if _reads(name, key):
+                p.add_argument(flag, **options)
     sub.choices["convexity-probe"].add_argument(
         "--v", help="second tilt for the probe, comma separated"
     )
     sub.choices["surface-tension"].add_argument(
         "--table", action="store_true", help="tabulate the whole grid from config"
     )
-    sub.choices["surface-tension"].add_argument(
-        "--workers", type=int, help="process pool size for --table, 0 = serial"
-    )
     return parser
+
+
+def _reads(command: str, key: str) -> bool:
+    """Whether ``command`` reads the config key (a leaf or a section);
+    every command reads output_dir, the default root for ``--out``."""
+    entries = COMMANDS[command][2]
+    return key == "output_dir" or key in entries or key.partition(".")[0] in entries
 
 
 def _flag_overrides(args) -> list:
     items = list(args.overrides or [])
-    if args.pot:
-        items.append(f"potential.kind={args.pot}")
-    if args.u is not None:
-        parts = [float(p) for p in args.u.split(",")]
-        items.append(f"lattice.tilt={list(parts)}")
-        if args.d is None:
-            items.append(f"lattice.d={len(parts)}")
-    if args.d is not None:
-        items.append(f"lattice.d={args.d}")
-    if getattr(args, "N", None) is not None:
-        items.append(f"lattice.N={args.N}")
-    if args.seed is not None:
-        items.append(f"seed={args.seed}")
-    if getattr(args, "workers", None) is not None:
-        items.append(f"workers={args.workers}")
+    for flag, (key, _) in FLAGS.items():
+        value = getattr(args, flag[2:], None)
+        if value is None:
+            continue
+        if flag == "--u":
+            value = [float(p) for p in value.split(",")]
+            if args.d is None:
+                items.append(f"lattice.d={len(value)}")
+        items.append(f"{key}={value}")
     return items
 
 
 def _load(args) -> tuple[RunConfig, dict, str]:
-    cfg = cfgmod.load_config(args.config) if args.config else RunConfig()
-    cfg = apply_overrides(cfg, _flag_overrides(args))
+    """Config, CSV header fields and output directory of the run; a
+    config-file or --set key the command never reads is a ConfigError."""
+    data = {}
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
+    cfg = apply_overrides(from_dict(data), _flag_overrides(args))
+    keys = [item.partition("=")[0] for item in args.overrides or ()]
+    for key, value in data.items():
+        keys += [f"{key}.{k}" for k in value] if key in cfgmod._SECTIONS else [key]
+    unread = sorted({k for k in keys if not _reads(args.command, k)})
+    if unread:
+        raise ConfigError(f"{args.command} never reads config keys {unread}")
     digest = config_hash(cfg)
     root = args.out or os.environ.get("HEIGHTLAB_OUT") or cfg.output_dir
     outdir = os.path.join(root, f"{args.command}-{digest}")
@@ -446,27 +457,49 @@ def cmd_dlr_check(cfg: RunConfig, meta, outdir, args) -> int:
     return 0
 
 
-COMMANDS = {  # name -> (help, handler)
+COMMANDS = {  # name -> (help, handler, config entries the handler reads)
     "certify-potential": (
-        "check a potential against its declared constants", cmd_certify_potential),
+        "check a potential against its declared constants", cmd_certify_potential,
+        ("potential",)),
     "sample-gibbs": (
-        "sample the tilted gradient ensemble, report estimates", cmd_sample_gibbs),
-    "surface-tension": (
-        "estimate sigma(u) by thermodynamic integration", cmd_surface_tension),
-    "convexity-probe": ("monotonicity quotient between two tilts", cmd_convexity_probe),
+        "sample the tilted gradient ensemble, report estimates", cmd_sample_gibbs,
+        ("potential", "lattice", "sampler", "seed")),
+    "surface-tension": (  # the union of the plain and --table runs
+        "estimate sigma(u) by thermodynamic integration", cmd_surface_tension,
+        ("potential", "lattice", "sampler", "surface", "seed", "workers")),
+    "convexity-probe": (
+        "monotonicity quotient between two tilts", cmd_convexity_probe,
+        ("potential", "lattice", "sampler", "surface.sweeps", "seed")),
     "decompose-flux": (
-        "uniformly elliptic flux decomposition at a tilt", cmd_decompose_flux),
-    "simulate": ("Langevin evolution in a domain with boundary data", cmd_simulate),
-    "pde-solve": ("deterministic limit equation solver", cmd_pde_solve),
-    "hydro": ("microscopic vs PDE scaling study", cmd_hydro),
-    "dlr-check": ("conditional-law check in a frozen window", cmd_dlr_check),
+        "uniformly elliptic flux decomposition at a tilt", cmd_decompose_flux,
+        ("potential", "lattice", "sampler", "surface.sweeps", "surface.nodes", "seed")),
+    "simulate": (
+        "Langevin evolution in a domain with boundary data", cmd_simulate,
+        ("potential", "lattice.N", "lattice.d", "domain", "boundary", "initial",
+         "dynamics", "seed")),
+    "pde-solve": (
+        "deterministic limit equation solver", cmd_pde_solve,
+        ("potential", "lattice.d", "domain", "boundary", "initial", "pde")),
+    "hydro": (
+        "microscopic vs PDE scaling study", cmd_hydro,
+        ("potential", "lattice.d", "domain", "boundary", "initial", "hydro",
+         "dynamics.dt", "pde.spacing", "pde.flux", "seed")),
+    "dlr-check": (
+        "conditional-law check in a frozen window", cmd_dlr_check,
+        ("potential", "lattice.d", "lattice.tilt", "dlr", "seed")),
 }
 
-
-# the commands that read lattice.N, and so the only ones taking --N
-_SCALED_COMMANDS = frozenset(
-    {"sample-gibbs", "surface-tension", "convexity-probe", "decompose-flux", "simulate"}
-)
+# short flag -> (config key, argparse options); a command takes the flag
+# only if it reads the key.  --u also sets lattice.d by its length.
+FLAGS = {
+    "--pot": ("potential.kind", {"help": "potential kind: gaussian | cosine | split_bump"}),
+    "--u": ("lattice.tilt", {"help": "tilt, comma separated, e.g. 1,0"}),
+    "--N": ("lattice.N", {"type": int, "help": "lattice scale"}),
+    "--d": ("lattice.d", {"type": int, "help": "dimension"}),
+    "--seed": ("seed", {"type": int, "help": "master seed"}),
+    "--workers": (
+        "workers", {"type": int, "help": "process pool size for --table, 0 = serial"}),
+}
 
 
 def main(argv=None) -> int:

@@ -119,18 +119,10 @@ class RunConfig:
     dlr: DlrConfig = field(default_factory=DlrConfig)
 
 
-_SECTIONS = {
-    "potential": PotentialConfig,
-    "lattice": LatticeConfig,
-    "domain": DomainConfig,
-    "boundary": ProfileConfig,
-    "initial": ProfileConfig,
-    "sampler": SamplerConfig,
-    "surface": SurfaceConfig,
-    "dynamics": DynamicsConfig,
-    "pde": PdeConfig,
-    "hydro": HydroConfig,
-    "dlr": DlrConfig,
+_SECTIONS = {  # section name -> its dataclass
+    f.name: f.default_factory
+    for f in dataclasses.fields(RunConfig)
+    if f.default_factory is not dataclasses.MISSING
 }
 
 
@@ -184,11 +176,6 @@ def config_hash(cfg: RunConfig) -> str:
 
     canon = json.dumps(to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return from_dict(json.load(fh))
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:

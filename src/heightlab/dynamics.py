@@ -238,19 +238,26 @@ class DirichletSystem:
         self._drawn = k  # steps of the block already handed out
         self._nbrs_t = np.ascontiguousarray(domain.neighbors.T)  # (2d, n_int)
 
-    def drift_interior(self) -> np.ndarray:
-        """-sum_{y ~ x} V'(phi(x) - phi(y)) on interior sites."""
+    def drift_interior(self, phi=None) -> np.ndarray:
+        """-sum_{y ~ x} V'(phi(x) - phi(y)) on interior sites, of this
+        system's heights or of ``phi``, heights laid out like them."""
+        phi = self.phi if phi is None else phi
         n_int = self.domain.n_interior
         if self.domain.d < 4:
             # numpy adds fewer than 8 terms left to right along any axis, so
             # reducing the (..., 2d, n_int) gather over axis -2 gives the
             # same bits as the slow short-axis sum of (..., n_int, 2d)
-            center = self.phi[..., None, :n_int]
-            return -self.pot.vp(center - self.phi[..., self._nbrs_t]).sum(axis=-2)
+            center = phi[..., None, :n_int]
+            return -self.pot.vp(center - phi[..., self._nbrs_t]).sum(axis=-2)
         # from 8 terms on (d >= 4) numpy's order depends on the memory
         # layout of the terms, so these keep the (..., n_int, 2d) gather
-        center = self.phi[..., :n_int, None]
-        return -self.pot.vp(center - self.phi[..., self.domain.neighbors]).sum(axis=-1)
+        center = phi[..., :n_int, None]
+        return -self.pot.vp(center - phi[..., self.domain.neighbors]).sum(axis=-1)
+
+    def energy(self, phi) -> np.ndarray | float:
+        """H(phi): V summed over the closure bonds, per replica."""
+        heads, tails = self.domain.bonds_closure.T
+        return self.pot.v(phi[..., heads] - phi[..., tails]).sum(axis=-1)
 
     def dirichlet_sum(self) -> np.ndarray | float:
         """Sum of squared gradients over directed closure bonds."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TiltedPeriodicSystem
+from .dynamics import DirichletSystem, TiltedPeriodicSystem
 from .errors import UnmixedChains
 from .lattice import DomainSpec, TorusLattice, discretize_domain
 from .rng import seed_key, stream
@@ -564,22 +564,15 @@ def dlr_check(
     m = dom.n_interior
     ring = dom.sites[m : m + dom.n_layer].astype(float)
     ext_val = np.asarray(exterior(ring), dtype=float)
-    heads, tails = dom.bonds_closure.T
-    nbrs_t = np.ascontiguousarray(dom.neighbors.T)  # (2d, m)
+    # the ring columns hold the frozen exterior; the cover sites past it
+    # carry no bond
+    boundary = np.zeros(dom.n_sites)
+    boundary[m : m + dom.n_layer] = ext_val
+    system = DirichletSystem(dom, pot, boundary)
 
-    def logp_of(x):
-        """Unnormalized log density of (chains, m + n_layer) heights."""
-        return -pot.v(x[:, heads] - x[:, tails]).sum(axis=1)
-
-    def grad_of(x):
-        """Gradient of -log p on the window: sum over neighbours of V'(x - y)."""
-        return pot.vp(x[:, None, :m] - x[:, nbrs_t]).sum(axis=1)
-
-    # the ring columns hold the frozen exterior; overdispersed starts:
-    # half the chains low, half high
+    # overdispersed starts: half the chains low, half high
     ext_lo, ext_hi = float(ext_val.min()), float(ext_val.max())
-    phi = np.empty((chains, m + dom.n_layer))
-    phi[:, m:] = ext_val
+    phi = np.tile(boundary, (chains, 1))
     phi[: chains // 2, :m] = ext_lo - 2.0
     phi[chains // 2 :, :m] = ext_hi + 2.0
     prop = phi.copy()
@@ -587,20 +580,21 @@ def dlr_check(
     group[chains // 2 :] = True
 
     h = 0.5 / max(pot.drift_lipschitz, 0.5)
-    logp = logp_of(phi)
-    grad = grad_of(phi)
+    # log density -H and its gradient -drift, kept at the accepted state
+    logp = -system.energy(phi)
+    grad = -system.drift_interior(phi)
 
     def mala_update(h):
-        """One MALA step of every chain; the gradient is kept at the accepted state."""
+        """One MALA step of every chain."""
         xi = rng.standard_normal((chains, m))
         prop[:, :m] = phi[:, :m] - h * grad + np.sqrt(2.0 * h) * xi
-        logp_prop = logp_of(prop)
-        gp = grad_of(prop)
+        logp_prop = -system.energy(prop)
+        gp = -system.drift_interior(prop)
         fwd = 2.0 * h * np.sum(xi**2, axis=1)
         rev = np.sum((phi[:, :m] - prop[:, :m] + h * gp) ** 2, axis=1)
         log_alpha = logp_prop - logp + (fwd - rev) / (4.0 * h)
         acc = np.log(rng.uniform(size=chains)) < log_alpha
-        phi[acc] = prop[acc]
+        phi[acc, :m] = prop[acc, :m]
         logp[acc] = logp_prop[acc]
         grad[acc] = gp[acc]
         return acc

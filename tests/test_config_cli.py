@@ -4,14 +4,17 @@ CLI runs use small sweep counts; the point here is exit codes, artifact
 layout, and byte-level reproducibility rather than statistics.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heightlab.cli import _chain_options, main
+from heightlab.cli import COMMANDS, FLAGS, _chain_options, _load, _reads, build_parser, main
 from heightlab.config import (
     RunConfig,
     apply_overrides,
@@ -20,7 +23,6 @@ from heightlab.config import (
     build_profile,
     config_hash,
     from_dict,
-    load_config,
     tilt_vector,
     to_dict,
 )
@@ -59,8 +61,8 @@ class TestConfigTree:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"lattice": {"N": 8}, "seed": 3}))
-        cfg = load_config(path)
-        assert cfg.lattice.N == 8 and cfg.seed == 3
+        cfg, meta, _ = _load(build_parser().parse_args(["sample-gibbs", "--config", str(path)]))
+        assert cfg.lattice.N == 8 and cfg.seed == 3 and meta["seed"] == 3
 
     def test_overrides(self):
         cfg = apply_overrides(
@@ -241,10 +243,10 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("command", ["hydro", "pde-solve"])
     def test_closed_form_flux_refused_for_cosine(self, cli_env, capsys, command):
         # pde.flux defaults to "gaussian", the Gaussian potential's closed form
+        study = ("--set", "hydro.scales=[8,16]", "--set", "hydro.realizations=8")
         code = run_cli(
             command, "--set", "potential.kind=cosine", "--set", "potential.a=2.0",
-            "--set", "hydro.scales=[8,16]", "--set", "hydro.realizations=8",
-            "--out", "root",
+            *(study if command == "hydro" else ()), "--out", "root",
         )
         assert code == 1
         assert "no closed-form flux" in capsys.readouterr().err
@@ -370,19 +372,20 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("key", ["sampler.step=0.05", "sampler.burn_in=30"])
     @pytest.mark.parametrize("command, csv, flags", [
-        pytest.param("surface-tension", "surface.csv", ("--u", "0.5"), id="surface-tension"),
+        pytest.param("surface-tension", "surface.csv",
+                     ("--u", "0.5", "--set", "surface.nodes=2"), id="surface-tension"),
         pytest.param("surface-tension", "surface_table.csv",
                      ("--table", "--d", "1", "--set", "surface.grid=[-0.5,0.5,3]"),
                      id="surface-tension-table"),
         pytest.param("convexity-probe", "convexity.csv", ("--u", "0.5", "--v=-0.5"),
                      id="convexity-probe"),
-        pytest.param("decompose-flux", "flux.csv", ("--u", "0.5"), id="decompose-flux"),
+        pytest.param("decompose-flux", "flux.csv", ("--u", "0.5", "--set", "surface.nodes=2"),
+                     id="decompose-flux"),
     ])
     def test_sampler_key_changes_the_csv(self, cli_env, capsys, key, command, csv, flags):
         # the key reaches the chains: the data rows change, not only the
         # config hash in the header
-        base = (command, "--pot", "cosine", "--N", "4", *flags,
-                "--set", "surface.sweeps=64", "--set", "surface.nodes=2")
+        base = (command, "--pot", "cosine", "--N", "4", *flags, "--set", "surface.sweeps=64")
         assert run_cli(*base, "--out", "default") == 0
         assert run_cli(*base, "--set", key, "--out", "keyed") == 0
         rows = [
@@ -463,3 +466,124 @@ class TestCliCommands:
         assert cols["sup_distance"][0] < 0.2
         assert cols["n_samples"][0] == 2000
         capsys.readouterr()
+
+
+# every config leaf, dotted, with its default value
+LEAVES = {
+    f"{key}.{leaf}" if isinstance(value, dict) else key: leaf_value
+    for key, value in to_dict(RunConfig()).items()
+    for leaf, leaf_value in (value.items() if isinstance(value, dict) else [(key, value)])
+}
+
+# a valid value for each short flag
+FLAG_VALUES = {"--pot": "cosine", "--u": "0.5", "--N": "8", "--d": "1", "--seed": "3",
+               "--workers": "0"}
+
+# tiny runs that reach every branch of a handler that reads config;
+# surface-tension declares the union of its plain and --table runs
+READ_RUNS = {
+    "certify-potential": [("--pot", "cosine")],
+    "sample-gibbs": [("--u", "0.5", "--N", "4", "--set", "sampler.sweeps=64")],
+    "surface-tension": [
+        ("--u", "0.5", "--N", "4", "--set", "surface.sweeps=64", "--set", "surface.nodes=2"),
+        ("--table", "--d", "1", "--N", "4", "--set", "surface.sweeps=64",
+         "--set", "surface.grid=[-0.5,0.5,3]"),
+    ],
+    "convexity-probe": [("--u", "0.5", "--v=-0.5", "--N", "4", "--set", "surface.sweeps=64")],
+    "decompose-flux": [
+        ("--u", "0.5", "--N", "4", "--set", "surface.sweeps=64", "--set", "surface.nodes=2")],
+    "simulate": [("--N", "8", "--d", "1", "--set", "domain.center=[0.5]",
+                  "--set", "dynamics.t_end=0.002")],
+    "pde-solve": [("--d", "1", "--set", "domain.center=[0.5]", "--set", "pde.spacing=0.125",
+                   "--set", "pde.t_end=0.01")],
+    "hydro": [("--d", "1", "--set", "domain.center=[0.5]", "--set", "hydro.scales=[8]",
+               "--set", "hydro.times=[0.002]", "--set", "hydro.realizations=2")],
+    "dlr-check": [("--pot", "cosine", "--u", "0.5", "--set", "dlr.n_samples=100",
+                   "--set", "dlr.chains=10", "--set", "dlr.burn=50")],
+}
+
+
+class _Reads:
+    """A config, or one of its sections, that logs each leaf read as a
+    dotted key."""
+
+    def __init__(self, obj, log, prefix=""):
+        self._obj, self._log, self._prefix = obj, log, prefix
+
+    def __getattr__(self, name):
+        value = getattr(self._obj, name)
+        key = self._prefix + name
+        if dataclasses.is_dataclass(value):
+            return _Reads(value, self._log, key + ".")
+        self._log.add(key)
+        return value
+
+
+class TestReadSets:
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_flag_parses_exactly_where_its_key_is_read(self, capsys, command, flag):
+        argv = [command, flag, FLAG_VALUES[flag]]
+        if _reads(command, FLAGS[flag][0]):
+            build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_set_accepted_exactly_where_the_leaf_is_read(self, command):
+        assert len(LEAVES) == 51
+        for key, value in LEAVES.items():
+            args = build_parser().parse_args([command, "--set", f"{key}={json.dumps(value)}"])
+            if _reads(command, key):
+                _load(args)
+            else:
+                with pytest.raises(ConfigError, match=f"never reads config keys \\['{key}'\\]"):
+                    _load(args)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_handler_reads_exactly_its_declared_entries(self, cli_env, capsys, command):
+        seen = set()
+        for flags in READ_RUNS[command]:
+            args = build_parser().parse_args([command, *flags, "--out", "root"])
+            cfg, meta, outdir = _load(args)
+            COMMANDS[command][1](_Reads(cfg, seen), meta, outdir, args)
+        capsys.readouterr()
+        assert sorted(k for k in seen if not _reads(command, k)) == []
+        entries = COMMANDS[command][2]
+        assert [e for e in entries if not any(k == e or k.startswith(e + ".") for k in seen)] == []
+
+    def test_config_file_key_must_be_read(self, cli_env, capsys):
+        path = cli_env / "run.json"
+        path.write_text(json.dumps({"potential": {"kind": "cosine"}, "seed": 3}))
+        assert run_cli("certify-potential", "--config", str(path), "--out", "root") == 1
+        assert "certify-potential never reads config keys ['seed']" in capsys.readouterr().err
+        assert not (cli_env / "root").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("certify-potential", "--u", "1", "--seed", "3"),
+        ("pde-solve", "--u", "1", "--seed", "4"),
+    ])
+    def test_unread_flags_are_usage_errors(self, cli_env, capsys, argv):
+        assert run_cli(*argv) == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (cli_env / "out").exists()
+
+    def test_readme_cli_lines_parse_and_pass_the_key_check(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        argvs = [shlex.split(line)[1:] for line in block.splitlines()
+                 if line.startswith("heightlab ")]
+        assert {argv[0] for argv in argvs} == set(COMMANDS)
+        for argv in argvs:
+            _load(build_parser().parse_args(argv))
+        # the table of the short flags and config keys each command takes
+        rows = [[cell.strip("` ") for cell in line.split("|")[1:4]]
+                for line in readme.splitlines() if line.startswith("| `")]
+        assert [name for name, _, _ in rows] == list(COMMANDS)
+        for name, flags, keys in rows:
+            taken = {flag for flag, (key, _) in FLAGS.items() if _reads(name, key)}
+            assert set(flags.split()) - {"--table", "--v"} == taken
+            assert [k.strip("` ") for k in keys.split(",")] == list(COMMANDS[name][2])
