@@ -11,11 +11,17 @@ corner order (0, 0), (0, 1), (1, 0), (1, 1), ...
 
 ``Multilinear`` evaluates only the value components it is asked for, so
 the PDE loop interpolates one flux column per face direction.  Points
-come component-major, one contiguous row per axis, and every
-intermediate (cell index, weights ``y`` and ``1 - y``, corner term) lives
-in a ``Workspace`` that is reused from call to call.  A lookup of the
-same size as the one before allocates only, per axis, the cell indices
-(``searchsorted`` takes no ``out=``) and the node widths.
+come component-major, one contiguous row per axis.  The cell search runs
+over each axis's interior nodes, which yields the cell directly; those
+nodes and the cell widths are cached when the kernel is built.  Each
+component takes one gather: one ``add`` fills a (2^d, m) index block
+from the cell's base index and the cached corner offsets, one ``take``
+reads all corners, d in-place multiplies apply the weights axis by axis,
+and one ``add.reduce`` sums the corners in order.  Every intermediate
+(base index, weights ``1 - y`` and ``y``, index block, corner terms)
+lives in a ``Workspace`` reused from call to call, so a lookup of the
+same size as the one before allocates only the cell indices of each
+axis (``searchsorted`` takes no ``out=``).
 """
 
 from __future__ import annotations
@@ -40,77 +46,85 @@ class Workspace:
         return buf[:n].reshape(shape)
 
 
-def _locate(a: np.ndarray, x: np.ndarray, y=None, tmp=None):
-    """Cell index i in [0, n-2] with a[i] <= x < a[i+1] (the last cell at
-    a[-1]) and the normalized distance y = (x - a[i]) / (a[i+1] - a[i]).
-
-    NaN lands in the last cell and yields a NaN distance.  A single-node
-    axis has one cell of zero width: index 0, distance 0.  ``y`` and
-    ``tmp``, when given, are float buffers of len(x): ``y`` receives the
-    distance and ``tmp`` is overwritten.
-    """
-    m = len(x)
-    y = np.empty(m) if y is None else y
-    if len(a) == 1:
-        y.fill(0.0)
-        return np.zeros(m, dtype=np.intp), y
-    tmp = np.empty(m) if tmp is None else tmp
-    i = np.searchsorted(a, x, side="right")
-    np.subtract(i, 1, out=i)
-    np.clip(i, 0, len(a) - 2, out=i)
-    a.take(i, out=y, mode="clip")
-    np.subtract(x, y, out=y)
-    np.diff(a).take(i, out=tmp, mode="clip")
-    np.divide(y, tmp, out=y)
-    return i, y
-
-
 class Multilinear:
-    """Multilinear interpolation on the tensor grid spanned by ``axes``.
+    """Multilinear interpolation on the tensor grid spanned by ``axes`` of
+    values with ``ncomp`` components per node.
 
     The nodes of every axis strictly increase.  A single-node axis has
     one cell of zero width: its corners coincide and its weight is 0.
     """
 
-    def __init__(self, axes):
+    def __init__(self, axes, ncomp: int = 1):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         self.shape = tuple(len(a) for a in self.axes)
+        self._inner = [a[1:-1] for a in self.axes]
+        self._width = [np.diff(a) for a in self.axes]
+        d = len(self.shape)
+        self._strides = [ncomp * math.prod(self.shape[k + 1:]) for k in range(d)]
+        # the upper corner of a single-node axis is that node again
+        steps = [s if n > 1 else 0 for s, n in zip(self._strides, self.shape)]
+        corners = np.array(list(itertools.product((0, 1), repeat=d)), np.intp)
+        offsets = corners @ np.array(steps, np.intp)
+        # [comp] -> (2^d, 1): flat offsets of the corners from a cell's base index
+        self._offsets = offsets[None, :, None] + np.arange(ncomp)[:, None, None]
         self.work = Workspace()
+
+    def _locate(self, k: int, x, y, tmp) -> np.ndarray:
+        """Cell index i in [0, n-2] along axis k with a[i] <= x < a[i+1] (the
+        last cell at a[-1]); writes y = (x - a[i]) / (a[i+1] - a[i]).
+
+        NaN lands in the last cell and yields a NaN distance.  A single-node
+        axis has one cell of zero width: index 0, distance 0.  ``y`` and
+        ``tmp`` are float buffers of len(x); ``tmp`` is overwritten.
+        """
+        a = self.axes[k]
+        i = np.searchsorted(self._inner[k], x, side="right")
+        if len(a) == 1:
+            y.fill(0.0)
+            return i
+        a.take(i, out=y, mode="clip")
+        np.subtract(x, y, out=y)
+        self._width[k].take(i, out=tmp, mode="clip")
+        np.divide(y, tmp, out=y)
+        return i
 
     def __call__(self, values, cols, comps, out) -> np.ndarray:
         """Write into ``out[r]`` the interpolant of ``values[..., comps[r]]``.
 
-        ``values`` has shape grid + (C,), ``cols`` (d, m) holds the points
-        one axis per row, already inside the grid box, and ``out`` is
-        (len(comps), m).  Returns ``out``.
+        ``values`` has shape grid + (ncomp,), ``cols`` (d, m) holds the
+        points one axis per row, already inside the grid box, and ``out``
+        is (len(comps), m).  Returns ``out``.
         """
         d, m = cols.shape
-        ncomp = values.size // math.prod(self.shape)
         flat = values.reshape(-1)
         base = self.work.get("base", (m,), np.intp)
-        idx = self.work.get("idx", (m,), np.intp)
-        term = self.work.get("term", (m,))
+        weights = self.work.get("weights", (d, 2, m))
+        idx = self.work.get("idx", (2**d, m), np.intp)
+        term = self.work.get("term", (2**d, m))
         base.fill(0)
-        weights, corner_strides = [], []
-        for k, a in enumerate(self.axes):
-            stride = ncomp * math.prod(self.shape[k + 1:])
-            y = self.work.get(f"y{k}", (m,))
-            y1 = self.work.get(f"y1_{k}", (m,))
-            i, _ = _locate(a, cols[k], y, y1)
+        for k in range(d):
+            y1, y = weights[k]
+            i = self._locate(k, cols[k], y, y1)
             np.subtract(1.0, y, out=y1)
-            np.add(base, np.multiply(i, stride, out=i), out=base)
-            weights.append((y1, y))
-            # the upper corner of a single-node axis is that node again
-            corner_strides.append(stride if len(a) > 1 else 0)
-        out.fill(0.0)
-        for corner in itertools.product((0, 1), repeat=d):
-            offset = sum(c * s for c, s in zip(corner, corner_strides))
-            for r, comp in enumerate(comps):
-                np.add(base, offset + comp, out=idx)
-                flat.take(idx, out=term, mode="clip")
-                for w, c in zip(weights, corner):
-                    np.multiply(term, w[c], out=term)
-                np.add(out[r], term, out=out[r])
+            np.add(base, np.multiply(i, self._strides[k], out=i), out=base)
+        # corner terms with one axis per dimension, and each axis's weights
+        # (1 - y, y) shaped to broadcast along that axis
+        corners = term.reshape((2,) * d + (m,))
+        ws = [
+            weights[k].reshape((1,) * k + (2,) + (1,) * (d - 1 - k) + (m,))
+            for k in range(d)
+        ]
+        for r, comp in enumerate(comps):
+            np.add(base, self._offsets[comp], out=idx)
+            flat.take(idx, out=term, mode="clip")
+            for w in ws:
+                np.multiply(corners, w, out=corners)
+            if m != 1:
+                np.add.reduce(term, axis=0, initial=0.0, out=out[r])
+            else:  # numpy sums a lone column pairwise from 8 terms on
+                out[r] = 0.0
+                for row in term:
+                    np.add(out[r], row, out=out[r])
         return out
 
 
@@ -120,9 +134,9 @@ def multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     ``pts`` must already lie in the grid box; the nodes of every axis
     strictly increase.  Returns shape (m,) + trailing.
     """
-    kernel = Multilinear(axes)
-    trailing = values.shape[len(kernel.shape):]
+    trailing = values.shape[len(axes):]
     ncomp = math.prod(trailing)
+    kernel = Multilinear(axes, ncomp)
     out = np.empty((ncomp, len(pts)))
     kernel(values, np.asarray(pts, dtype=float).T, range(ncomp), out)
     return out.T.reshape((len(pts),) + trailing)

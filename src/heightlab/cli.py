@@ -89,6 +89,11 @@ def _reads(command: str, key: str) -> bool:
     return key == "output_dir" or key in entries or key.partition(".")[0] in entries
 
 
+def _floats(text: str) -> list:
+    """A comma-separated vector, e.g. a tilt."""
+    return [float(p) for p in text.split(",")]
+
+
 def _flag_overrides(args) -> list:
     items = list(args.overrides or [])
     for flag, (key, _) in FLAGS.items():
@@ -96,7 +101,7 @@ def _flag_overrides(args) -> list:
         if value is None:
             continue
         if flag == "--u":
-            value = [float(p) for p in value.split(",")]
+            value = _floats(value)
             if args.d is None:
                 items.append(f"lattice.d={len(value)}")
         items.append(f"{key}={value}")
@@ -118,8 +123,12 @@ def _load(args) -> tuple[RunConfig, dict, str]:
     if unread:
         raise ConfigError(f"{args.command} never reads config keys {unread}")
     digest = config_hash(cfg)
+    # convexity-probe's second tilt is no config key, yet it changes the
+    # result: it names the run directory too, so probes of other pairs
+    # do not overwrite each other
+    run = config_hash(cfg, v=_floats(args.v)) if getattr(args, "v", None) else digest
     root = args.out or os.environ.get("HEIGHTLAB_OUT") or cfg.output_dir
-    outdir = os.path.join(root, f"{args.command}-{digest}")
+    outdir = os.path.join(root, f"{args.command}-{run}")
     meta = {"config": digest, "seed": cfg.seed}
     return cfg, meta, outdir
 
@@ -252,7 +261,7 @@ def cmd_convexity_probe(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     u = tilt_vector(cfg.lattice)
     if args.v:
-        v = np.array([float(p) for p in args.v.split(",")])
+        v = np.array(_floats(args.v))
     else:
         v = np.zeros_like(u)
     s, sf = cfg.sampler, cfg.surface

@@ -171,10 +171,11 @@ def to_dict(cfg: RunConfig) -> dict:
     return plain(cfg)
 
 
-def config_hash(cfg: RunConfig) -> str:
+def config_hash(cfg: RunConfig, **extra) -> str:
+    """Short digest of the config, and of ``extra`` run inputs outside it."""
     import hashlib  # here, not at import: most runs never hash a config
 
-    canon = json.dumps(to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(to_dict(cfg) | extra, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

@@ -19,8 +19,10 @@ Face direction i asks for component i only.  ``grad_many`` (m, d) is the
 full-vector lookup for callers outside the loop.  ``solve`` builds one
 ``_Stencil`` per call, holding the slices and the buffers for face
 tilts, node gradients, flux columns, divergence and increment, and every
-step fills it with ``out=`` ufuncs: a step allocates no arrays apart from
-a table lookup's cell search.
+step fills it with ``out=`` ufuncs.  A table flux keeps its clamped tilts,
+weights, corner indices and corner terms in buffers of its own, so a step
+allocates only each table lookup's cell indices: d arrays of m intp from
+``searchsorted``, which takes no ``out=``.
 """
 
 from __future__ import annotations

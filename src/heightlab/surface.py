@@ -315,8 +315,10 @@ class SurfaceTensionTable:
         self.sigma_err = np.asarray(sigma_err, dtype=float)
         self.meta = dict(meta or {})
         self.clamp_events = 0
-        self._kernel = Multilinear(self.axes)
+        self._kernel = Multilinear(self.axes, self.d)
         self._work = Workspace()
+        self._lo = np.array([[a[0]] for a in self.axes])
+        self._hi = np.array([[a[-1]] for a in self.axes])
         grid_shape = tuple(len(a) for a in self.axes)
         if self.sigma.shape != grid_shape or self.dsigma.shape != grid_shape + (self.d,):
             raise ValueError("table arrays do not match the axes")
@@ -327,14 +329,13 @@ class SurfaceTensionTable:
         per point with a coordinate changed by the clip (NaN included)."""
         d, m = cols.shape
         clipped = self._work.get("clipped", (d, m))
-        moved = self._work.get("moved", (m,), bool)
-        moved_k = self._work.get("moved_k", (m,), bool)
-        for k, a in enumerate(self.axes):
-            np.clip(cols[k], a[0], a[-1], out=clipped[k])
-            np.not_equal(clipped[k], cols[k], out=moved if k == 0 else moved_k)
-            if k:
-                np.logical_or(moved, moved_k, out=moved)
-        self.clamp_events += int(np.count_nonzero(moved))
+        moved = self._work.get("moved", (d, m), bool)
+        outside = self._work.get("outside", (m,), bool)
+        np.maximum(cols, self._lo, out=clipped)
+        np.minimum(clipped, self._hi, out=clipped)
+        np.not_equal(clipped, cols, out=moved)
+        moved.any(axis=0, out=outside)
+        self.clamp_events += int(np.count_nonzero(outside))
         return clipped
 
     def _points(self, u) -> np.ndarray:

@@ -303,6 +303,24 @@ class TestCliCommands:
         assert (float(meta["u"]), float(meta["v"])) == (1.0, -1.0)
         assert abs(cols["quotient"][0] - 1.0) < 1e-9
 
+    def test_convexity_probe_runs_differing_in_v_keep_their_own_directory(
+        self, cli_env, capsys
+    ):
+        # --v is no config key, yet it names the run directory: a probe of
+        # another pair must not overwrite the first one's convexity.csv
+        common = ("--u", "1", "--N", "4", "--out", "root", "--set", "surface.sweeps=64")
+        for v in ("--v=-1", "--v=-0.5", "--v=-1.0"):
+            assert run_cli("convexity-probe", v, *common) == 0
+        runs = sorted((cli_env / "root").iterdir())
+        assert len(runs) == 2
+        assert sorted(float(read_csv(r / "convexity.csv")[1]["v"]) for r in runs) == [-1.0, -0.5]
+        # without --v the directory is named by the config hash alone
+        assert run_cli("convexity-probe", *common) == 0
+        (plain,) = set((cli_env / "root").iterdir()) - set(runs)
+        _, meta = read_csv(plain / "convexity.csv")
+        assert plain.name == f"convexity-probe-{meta['config']}"
+        capsys.readouterr()
+
     def test_decompose_flux_gaussian(self, cli_env, capsys):
         code = run_cli(
             "decompose-flux", "--u", "0.5", "--N", "8", "--out", "root",

@@ -4,10 +4,12 @@ With the exact quadratic flux the scheme reduces to the classical
 five-point heat stencil, so every quantitative check here runs against
 the independent sine-series oracle or closed-form grid geometry.  The
 multilinear kernel behind table lookups and field sampling is checked
-against scipy's ``RegularGridInterpolator``, and the buffered,
-column-only step loop against the plain step loop in ``oracles``.
+against scipy's ``RegularGridInterpolator`` and, bit for bit in every
+dimension, against a plain per-corner loop; the buffered, column-only
+step loop is checked against the plain step loop in ``oracles``.
 """
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 import heightlab
 from heightlab import DomainSpec
-from heightlab._interp import _locate, multilinear
+from heightlab._interp import Multilinear, multilinear
 from heightlab.errors import CflViolation, FluxRangeExceeded, NonFinite
 from heightlab.pde import (
     GaussianFlux,
@@ -148,7 +150,46 @@ def rgi_per_component(axes, values, pts):
     return np.stack(cols, -1).reshape((len(pts),) + values.shape[d:])
 
 
+def per_corner_reference(axes, values, pts):
+    """The plain kernel: one gather and weighting per corner, ((v * w0) * w1)
+    * ..., with the corner terms added onto zero in corner order."""
+    d = len(axes)
+    flat = values.reshape(values.shape[:d] + (-1,))
+    cells, weights = [], []
+    for a, x in zip(axes, pts.T):
+        if len(a) == 1:
+            i, y = np.zeros(len(x), dtype=int), np.zeros(len(x))
+        else:
+            i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, len(a) - 2)
+            y = (x - a[i]) / (a[i + 1] - a[i])
+        cells.append(i)
+        weights.append((1.0 - y, y))
+    out = np.zeros((len(pts), flat.shape[-1]))
+    for corner in itertools.product((0, 1), repeat=d):
+        node = tuple(np.minimum(i + c, len(a) - 1) for i, c, a in zip(cells, corner, axes))
+        term = flat[node]
+        for w, c in zip(weights, corner):
+            term = term * w[c][:, None]
+        out = out + term
+    return out.reshape((len(pts),) + values.shape[d:])
+
+
 class TestMultilinearKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(grid_queries))
+    def test_bit_equal_to_per_corner_loop(self, case):
+        axes, values, pts = case
+        # add the lower walls and NaN coordinates to the nodes, inner
+        # points and upper walls; also look up a few points one at a time
+        lo = np.array([[a[0] for a in axes]])
+        nan = np.where(np.eye(len(axes), dtype=bool), np.nan, lo)
+        pts = np.concatenate([pts, lo, nan, np.full_like(lo, np.nan)])
+        want = per_corner_reference(axes, values, pts)
+        assert np.array_equal(multilinear(axes, values, pts), want, equal_nan=True)
+        for j in range(-len(axes) - 3, 0):
+            got = multilinear(axes, values, pts[j:][:1])
+            assert np.array_equal(got, want[j:][:1], equal_nan=True)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 2).flatmap(grid_queries))
     def test_bit_equal_to_rgi_in_one_and_two_dims(self, case):
@@ -170,7 +211,8 @@ class TestMultilinearKernel:
     def test_cell_holds_the_point(self, a, data):
         fracs = data.draw(arrays(float, 30, elements=st.floats(0.0, 1.0)))
         x = np.clip(np.concatenate([a, a[0] + fracs * (a[-1] - a[0])]), a[0], a[-1])
-        i, y = _locate(a, x)
+        y = np.empty(len(x))
+        i = Multilinear([a])._locate(0, x, y, np.empty(len(x)))
         if len(a) == 1:
             assert not i.any() and not y.any()
             return

@@ -6,6 +6,8 @@ machine precision.  The cosine and bump potentials exercise the
 statistical paths with fixed seeds so every assertion is reproducible.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -352,6 +354,34 @@ class TestClampSemantics:
             assert np.array_equal(out, full[:, i], equal_nan=True)
         moved = (np.clip(pts, -1.0, 1.0) != pts).any(axis=1).sum()
         assert tab.clamp_events == (tab.d + 1) * moved
+
+    def test_component_lookup_allocates_only_the_cell_indices(self):
+        # the PDE step's promise: a lookup of the same size as the one
+        # before allocates the searchsorted cell indices (d * m intp) and
+        # nothing else of size m (m bools alone would be 20 kB)
+        ax = np.linspace(-1.0, 1.0, 9)
+        u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+        z = np.zeros(u.shape[:-1])
+        tab = SurfaceTensionTable([ax, ax], u**3 + u, np.zeros_like(u), z, z)
+        m = 20_000
+        cols = np.random.default_rng(0).uniform(-1.5, 1.5, (tab.d, m))
+        out = np.empty(m)
+
+        def peak_bytes(lookup):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lookup()
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tab.grad_component(cols, 0, out)
+        tracemalloc.start()
+        try:
+            lookup = peak_bytes(lambda: tab.grad_component(cols, 1, out))
+            clamp = peak_bytes(lambda: tab._clamp(cols))
+        finally:
+            tracemalloc.stop()
+        assert lookup <= tab.d * m * np.dtype(np.intp).itemsize + 4096
+        assert clamp <= 4096  # freed before the search, so checked on its own
 
     def test_grad_many_results_do_not_alias(self):
         ax = np.linspace(-1.0, 1.0, 5)
