@@ -11,17 +11,23 @@ corner order (0, 0), (0, 1), (1, 0), (1, 1), ...
 
 ``Multilinear`` evaluates only the value components it is asked for, so
 the PDE loop interpolates one flux column per face direction.  Points
-come component-major, one contiguous row per axis.  The cell search runs
-over each axis's interior nodes, which yields the cell directly; those
-nodes and the cell widths are cached when the kernel is built.  Each
+come component-major, one contiguous row per axis.  The cell search
+guesses each point's cell by arithmetic, ``(x - a[0]) * (n-1) / (a[-1] -
+a[0])`` capped at the last cell, and checks the guess exactly: the
+distance ``y`` of the guessed cell is in [0, 1) only if the point lies in
+that cell, because rounding is monotone.  The points that fail the check
+(off the uniform spacing, ulps below a node, on the upper wall, NaN) are
+searched for over the axis's interior nodes, which yields the cell
+directly, and get their distance from the same arithmetic.  Each
 component takes one gather: one ``add`` fills a (2^d, m) index block
 from the cell's base index and the cached corner offsets, one ``take``
 reads all corners, d in-place multiplies apply the weights axis by axis,
 and one ``add.reduce`` sums the corners in order.  Every intermediate
-(base index, weights ``1 - y`` and ``y``, index block, corner terms)
-lives in a ``Workspace`` reused from call to call, so a lookup of the
-same size as the one before allocates only the cell indices of each
-axis (``searchsorted`` takes no ``out=``).
+(cells, check flags, base index, weights ``1 - y`` and ``y``, index
+block, corner terms) lives in a ``Workspace`` reused from call to call,
+and the views of it for each point count are built once, so a lookup of
+a size seen before allocates nothing of size m unless some points fail
+the check.
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ class Multilinear:
         self.shape = tuple(len(a) for a in self.axes)
         self._inner = [a[1:-1] for a in self.axes]
         self._width = [np.diff(a) for a in self.axes]
+        # cells per unit of x on a uniform axis: the guess of _locate
+        self._scale = [(len(a) - 1) / (a[-1] - a[0]) if len(a) > 1 else 0.0
+                       for a in self.axes]
         d = len(self.shape)
         self._strides = [ncomp * math.prod(self.shape[k + 1:]) for k in range(d)]
         # the upper corner of a single-node axis is that node again
@@ -68,25 +77,72 @@ class Multilinear:
         # [comp] -> (2^d, 1): flat offsets of the corners from a cell's base index
         self._offsets = offsets[None, :, None] + np.arange(ncomp)[:, None, None]
         self.work = Workspace()
+        self._views = {}
+        self._capacity = 0
 
-    def _locate(self, k: int, x, y, tmp) -> np.ndarray:
-        """Cell index i in [0, n-2] along axis k with a[i] <= x < a[i+1] (the
-        last cell at a[-1]); writes y = (x - a[i]) / (a[i+1] - a[i]).
+    def _views_for(self, m: int) -> tuple:
+        """The workspace views a lookup of m points works in, built once per
+        m.  Two sizes are kept, the face counts of a non-square grid; a size
+        that grows the workspace drops the views of the old buffers."""
+        views = self._views.get(m)
+        if views is not None:
+            return views
+        if m > self._capacity or len(self._views) == 2:
+            self._views.clear()
+            self._capacity = max(self._capacity, m)
+        d = len(self.shape)
+        get = self.work.get
+        weights = get("weights", (d, 2, m))
+        term = get("term", (2**d, m))
+        views = self._views[m] = (
+            get("cell", (m,), np.intp),
+            get("flag", (m,), bool),
+            get("base", (m,), np.intp),
+            weights,
+            get("idx", (2**d, m), np.intp),
+            term,
+            # corner terms with one axis per dimension, and each axis's
+            # weights (1 - y, y) shaped to broadcast along that axis
+            term.reshape((2,) * d + (m,)),
+            [weights[k].reshape((1,) * k + (2,) + (1,) * (d - 1 - k) + (m,))
+             for k in range(d)],
+        )
+        return views
+
+    def _locate(self, k: int, x, i, y, tmp, flag) -> None:
+        """Write the cell index i in [0, n-2] along axis k with a[i] <= x <
+        a[i+1] (the last cell at a[-1]) and y = (x - a[i]) / (a[i+1] - a[i]).
 
         NaN lands in the last cell and yields a NaN distance.  A single-node
-        axis has one cell of zero width: index 0, distance 0.  ``y`` and
-        ``tmp`` are float buffers of len(x); ``tmp`` is overwritten.
+        axis has one cell of zero width: index 0, distance 0.  ``i``, ``y``,
+        ``tmp`` and ``flag`` are intp, float, float and bool buffers of
+        len(x); ``tmp`` and ``flag`` are overwritten.
         """
         a = self.axes[k]
-        i = np.searchsorted(self._inner[k], x, side="right")
-        if len(a) == 1:
+        n = len(a)
+        if n == 1:
+            i.fill(0)
             y.fill(0.0)
-            return i
+            return
+        # guess: the cell of x if the nodes were uniform, NaN to the last
+        np.subtract(x, a[0], out=y)
+        np.multiply(y, self._scale[k], out=y)
+        np.fmin(y, n - 2, out=y)
+        np.copyto(i, y, casting="unsafe")
+        width = self._width[k]
         a.take(i, out=y, mode="clip")
         np.subtract(x, y, out=y)
-        self._width[k].take(i, out=tmp, mode="clip")
+        width.take(i, out=tmp, mode="clip")
         np.divide(y, tmp, out=y)
-        return i
+        # check: 0 <= y < 1 holds only if a[i] <= x < a[i+1]
+        np.floor(y, out=tmp)
+        np.not_equal(tmp, 0.0, out=flag)
+        if flag.any():
+            bad = np.flatnonzero(flag)
+            xb = x[bad]
+            ib = np.searchsorted(self._inner[k], xb, side="right")
+            i[bad] = ib
+            y[bad] = (xb - a[ib]) / width[ib]
 
     def __call__(self, values, cols, comps, out) -> np.ndarray:
         """Write into ``out[r]`` the interpolant of ``values[..., comps[r]]``.
@@ -97,23 +153,13 @@ class Multilinear:
         """
         d, m = cols.shape
         flat = values.reshape(-1)
-        base = self.work.get("base", (m,), np.intp)
-        weights = self.work.get("weights", (d, 2, m))
-        idx = self.work.get("idx", (2**d, m), np.intp)
-        term = self.work.get("term", (2**d, m))
+        i, flag, base, weights, idx, term, corners, ws = self._views_for(m)
         base.fill(0)
         for k in range(d):
             y1, y = weights[k]
-            i = self._locate(k, cols[k], y, y1)
+            self._locate(k, cols[k], i, y, y1, flag)
             np.subtract(1.0, y, out=y1)
             np.add(base, np.multiply(i, self._strides[k], out=i), out=base)
-        # corner terms with one axis per dimension, and each axis's weights
-        # (1 - y, y) shaped to broadcast along that axis
-        corners = term.reshape((2,) * d + (m,))
-        ws = [
-            weights[k].reshape((1,) * k + (2,) + (1,) * (d - 1 - k) + (m,))
-            for k in range(d)
-        ]
         for r, comp in enumerate(comps):
             np.add(base, self._offsets[comp], out=idx)
             flat.take(idx, out=term, mode="clip")

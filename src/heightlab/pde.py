@@ -20,9 +20,9 @@ full-vector lookup for callers outside the loop.  ``solve`` builds one
 ``_Stencil`` per call, holding the slices and the buffers for face
 tilts, node gradients, flux columns, divergence and increment, and every
 step fills it with ``out=`` ufuncs.  A table flux keeps its clamped tilts,
-weights, corner indices and corner terms in buffers of its own, so a step
-allocates only each table lookup's cell indices: d arrays of m intp from
-``searchsorted``, which takes no ``out=``.
+cells, weights, corner indices and corner terms in buffers of its own, so
+a step allocates only for the few tilts whose arithmetic cell guess fails
+its check and is searched for instead.
 """
 
 from __future__ import annotations

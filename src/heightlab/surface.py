@@ -289,11 +289,13 @@ def decompose_flux(
 
 
 def _increasing_axes(axes):
-    """The axes as float arrays; each must be 1-d with strictly increasing nodes."""
+    """The axes as float arrays; each must be 1-d with finite, strictly
+    increasing nodes."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     for a in axes:
-        if a.ndim != 1 or len(a) == 0 or not np.all(np.diff(a) > 0):
-            raise ValueError("each table axis must have strictly increasing nodes")
+        if (a.ndim != 1 or len(a) == 0 or not np.all(np.isfinite(a))
+                or not np.all(np.diff(a) > 0)):
+            raise ValueError("each table axis must have finite, strictly increasing nodes")
     return axes
 
 

@@ -9,6 +9,7 @@ dimension, against a plain per-corner loop; the buffered, column-only
 step loop is checked against the plain step loop in ``oracles``.
 """
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -22,9 +23,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import RegularGridInterpolator
 
 import heightlab
-from heightlab import DomainSpec
+from heightlab import DomainSpec, make_gaussian
 from heightlab._interp import Multilinear, multilinear
 from heightlab.errors import CflViolation, FluxRangeExceeded, NonFinite
+from heightlab.hydro import HydroExperiment, profile_zero, run
 from heightlab.pde import (
     GaussianFlux,
     GridField,
@@ -174,6 +176,13 @@ def per_corner_reference(axes, values, pts):
     return out.reshape((len(pts),) + values.shape[d:])
 
 
+def locate(a, x):
+    """The cell index and distance the kernel finds for the points x on axis a."""
+    i, y = np.empty(len(x), np.intp), np.empty(len(x))
+    Multilinear([a])._locate(0, x, i, y, np.empty(len(x)), np.empty(len(x), bool))
+    return i, y
+
+
 class TestMultilinearKernel:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3).flatmap(grid_queries))
@@ -211,15 +220,38 @@ class TestMultilinearKernel:
     def test_cell_holds_the_point(self, a, data):
         fracs = data.draw(arrays(float, 30, elements=st.floats(0.0, 1.0)))
         x = np.clip(np.concatenate([a, a[0] + fracs * (a[-1] - a[0])]), a[0], a[-1])
-        y = np.empty(len(x))
-        i = Multilinear([a])._locate(0, x, y, np.empty(len(x)))
+        i, y = locate(a, x)
         if len(a) == 1:
             assert not i.any() and not y.any()
             return
+        assert np.array_equal(i, np.searchsorted(a[1:-1], x, side="right"))
         assert np.all((0 <= i) & (i <= len(a) - 2))
         assert np.all(a[i] <= x)
         assert np.all((x < a[i + 1]) | ((i == len(a) - 2) & (x == a[-1])))
         assert np.all((y >= 0.0) & (y <= 1.0))
+
+    @pytest.mark.parametrize("a", [
+        np.linspace(-8.0, 8.0, 33),
+        np.linspace(-1.0, 1.0, 7),
+        np.linspace(0.1, 0.7, 4),
+        np.linspace(-1.0, 1.0, 9) + np.random.default_rng(4).uniform(-0.05, 0.05, 9),
+        np.array([-2.8, -1.9, -1.05, 0.0, 0.7, 1.95, 2.9]),
+        np.array([-0.5, 2.0]),
+        np.array([0.3]),
+    ], ids=["33-nodes", "7-nodes", "4-nodes", "jittered", "jittered-zero", "one-cell", "one-node"])
+    def test_cell_is_the_binary_search_cell(self, a):
+        # the arithmetic guess misses below a node by ulps, on jittered
+        # nodes and at the upper wall; every miss must be caught
+        tiny = np.array([-4.44e-16, -5.55e-17, -0.0, 0.0, 5.55e-17, 4.44e-16])
+        near = [np.nextafter(a, -np.inf), np.nextafter(a, np.inf), (a[:, None] + tiny).ravel()]
+        x = np.concatenate([np.clip(np.concatenate([a, tiny, *near]), a[0], a[-1]), [np.nan]])
+        i, y = locate(a, x)
+        if len(a) == 1:
+            assert not i.any() and not y.any()
+            return
+        want = np.searchsorted(a[1:-1], x, side="right")
+        assert np.array_equal(i, want)
+        assert np.array_equal(y, (x - a[want]) / np.diff(a)[want], equal_nan=True)
 
     def test_nan_query_gives_nan(self):
         a = np.linspace(0.0, 1.0, 5)
@@ -480,6 +512,46 @@ class TestSolveMatchesPlainStepLoop:
         assert ref["range_exceeded"]
         assert ours.clamp_events == ref["clamped"] > 0
         assert str(err.value).startswith(f"{ref['clamped']} of ~{ref['queries']} ")
+
+
+def digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+class TestTableFluxPins:
+    """sha256 of table-flux outputs: a lookup change that keeps cells,
+    weights and sums leaves every byte of them as it was."""
+
+    @pytest.mark.parametrize("case, want", [
+        ("d2-table-clamping",
+         "c85b37eba9ed8c58e595795320301be752480f39fefe89cac95eae8df40e50ce"),
+        ("non-square-box-table",
+         "88dd6c4eff25b61e67890b4f2c2430ea76a3ea5c5d3246d0f9c4d5255990747c"),
+    ])
+    def test_solve(self, case, want):
+        spec, spacing, make_flux, boundary, kw = MATCH_CASES[case]
+        flux = make_flux()
+        sol = solve(PdeGrid(spec, spacing), off_center_bump(), flux, 0.005,
+                    boundary=boundary, record=RECORD, **kw)
+        counts = np.array([sol.steps, flux.clamp_events], np.int64)
+        assert digest(sol.final, *sol.snapshots.values(), counts) == want
+
+    def test_hydro_run_gaps(self):
+        exp = HydroExperiment(
+            pot=make_gaussian(),
+            spec=unit_box(2),
+            boundary=profile_zero,
+            initial=off_center_bump(amp=0.4, center=(0.4, 0.5)),
+            scales=(8, 16),
+            times=(0.004, 0.01),
+            realizations=4,
+            pde_spacing=1 / 32,
+            flux=TableFlux(nonlinear_table()),
+        )
+        per_seed = run(exp).meta["per_seed"]
+        assert digest(*(per_seed[key] for key in sorted(per_seed))) == (
+            "860e54f3e9ea86518da05bbb855ee73fff1530566debc012dd3b62cd0c891ac4"
+        )
 
 
 FAULT_RUN = """

@@ -22,6 +22,7 @@ from heightlab import (
     make_split_bump,
     split_potential,
 )
+from heightlab.io import write_csv
 from heightlab.potential import bump_callables
 from heightlab.surface import (
     SurfaceTensionTable,
@@ -240,6 +241,26 @@ class TestSurfaceTensionTable:
         with pytest.raises(ValueError, match="strictly increasing"):
             build_table(make_gaussian(), 8, [np.array(axis)], sweeps=50)
 
+    @pytest.mark.parametrize("axis", [[-np.inf, 0.0, 1.0], [-1.0, 0.0, np.inf],
+                                      [-1.0, 0.0, np.nan]])
+    def test_axes_must_be_finite(self, axis, tmp_path, monkeypatch):
+        with pytest.raises(ValueError, match="finite"):
+            SurfaceTensionTable([np.array(axis)] * 2, np.zeros((3, 3, 2)),
+                                np.zeros((3, 3, 2)), np.zeros((3, 3)), np.zeros((3, 3)))
+        path = write_csv(tmp_path / "table.csv", {
+            "u_0": axis, "sigma": [0.0] * 3, "sigma_err": [0.0] * 3,
+            "dsigma_0": [0.0] * 3, "dsigma_err_0": [0.0] * 3,
+        })
+        with pytest.raises(ValueError, match="finite"):
+            SurfaceTensionTable.from_csv(path)
+
+        def no_sampling(args):
+            raise AssertionError("build_table sampled before checking its axes")
+
+        monkeypatch.setattr("heightlab.surface._table_batch", no_sampling)
+        with pytest.raises(ValueError, match="finite"):
+            build_table(make_gaussian(), 8, [np.array(axis)], sweeps=50)
+
     def test_axes_must_contain_origin(self):
         with pytest.raises(ValueError):
             build_table(make_gaussian(), 8, [np.array([0.5, 1.0])], sweeps=50)
@@ -357,14 +378,18 @@ class TestClampSemantics:
 
     def test_component_lookup_allocates_only_the_cell_indices(self):
         # the PDE step's promise: a lookup of the same size as the one
-        # before allocates the searchsorted cell indices (d * m intp) and
-        # nothing else of size m (m bools alone would be 20 kB)
+        # before allocates at most the cell indices (d * m intp), and only
+        # for points whose guessed cell fails its check (here the upper
+        # walls); points inside the box allocate nothing of size m (m
+        # bools alone would be 20 kB)
         ax = np.linspace(-1.0, 1.0, 9)
         u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
         z = np.zeros(u.shape[:-1])
         tab = SurfaceTensionTable([ax, ax], u**3 + u, np.zeros_like(u), z, z)
         m = 20_000
-        cols = np.random.default_rng(0).uniform(-1.5, 1.5, (tab.d, m))
+        rng = np.random.default_rng(0)
+        cols = rng.uniform(-1.5, 1.5, (tab.d, m))
+        inner = rng.uniform(-0.99, 0.99, (tab.d, m))
         out = np.empty(m)
 
         def peak_bytes(lookup):
@@ -377,10 +402,12 @@ class TestClampSemantics:
         tracemalloc.start()
         try:
             lookup = peak_bytes(lambda: tab.grad_component(cols, 1, out))
+            interior = peak_bytes(lambda: tab.grad_component(inner, 1, out))
             clamp = peak_bytes(lambda: tab._clamp(cols))
         finally:
             tracemalloc.stop()
         assert lookup <= tab.d * m * np.dtype(np.intp).itemsize + 4096
+        assert interior <= 4096
         assert clamp <= 4096  # freed before the search, so checked on its own
 
     def test_grad_many_results_do_not_alias(self):
