@@ -2,9 +2,12 @@
 
 Every subcommand is driven by the same config tree: defaults, then an
 optional JSON config file, then --set dotted overrides, then the short
-convenience flags.  A command takes only the config keys its handler
-reads and the short flags that set them, so no accepted key moves the
-config hash without an effect.  Artifacts land in ``<output
+convenience flags.  Each command runs one handler, with no mode flag,
+and takes only the config keys that handler reads and the short flags
+that set them, so no accepted key moves the config hash without an
+effect: ``surface-tension`` estimates sigma at one tilt, and
+``surface-table`` tabulates grad sigma over the ``surface.grid`` tilts.
+Artifacts land in ``<output
 root>/<command>-<config hash>/`` and each CSV header carries the hash
 and master seed, so a rerun of the same config in serial mode
 reproduces the bytes exactly.
@@ -75,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, **options)
     sub.choices["convexity-probe"].add_argument(
         "--v", help="second tilt for the probe, comma separated"
-    )
-    sub.choices["surface-tension"].add_argument(
-        "--table", action="store_true", help="tabulate the whole grid from config"
     )
     return parser
 
@@ -212,18 +212,6 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     u = tilt_vector(cfg.lattice)
     s, sf = cfg.sampler, cfg.surface
-    if args.table:
-        lo, hi, count = sf.grid
-        axes = [np.linspace(lo, hi, int(count)) for _ in range(cfg.lattice.d)]
-        table = build_table(
-            pot, cfg.lattice.N, axes, sweeps=sf.sweeps, seed=cfg.seed,
-            **_chain_options(s), workers=cfg.workers,
-        )
-        table.meta.update(config=meta["config"])
-        path = os.path.join(outdir, "surface_table.csv")
-        table.to_csv(path)
-        print(f"surface table: {table.sigma.size} nodes -> {path}")
-        return 0
     est = sigma(
         pot, cfg.lattice.N, u, nodes=sf.nodes, sweeps=sf.sweeps,
         seed=cfg.seed, **_chain_options(s),
@@ -254,6 +242,22 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
             "tilt": ",".join(repr(float(x)) for x in u),
         },
     )
+    return 0
+
+
+def cmd_surface_table(cfg: RunConfig, meta, outdir, args) -> int:
+    pot = build_potential(cfg.potential)
+    sf = cfg.surface
+    lo, hi, count = sf.grid
+    axes = [np.linspace(lo, hi, int(count)) for _ in range(cfg.lattice.d)]
+    table = build_table(
+        pot, cfg.lattice.N, axes, sweeps=sf.sweeps, seed=cfg.seed,
+        **_chain_options(cfg.sampler), workers=cfg.workers,
+    )
+    table.meta.update(config=meta["config"])
+    path = os.path.join(outdir, "surface_table.csv")
+    table.to_csv(path)
+    print(f"surface table: {table.sigma.size} nodes -> {path}")
     return 0
 
 
@@ -473,9 +477,13 @@ COMMANDS = {  # name -> (help, handler, config entries the handler reads)
     "sample-gibbs": (
         "sample the tilted gradient ensemble, report estimates", cmd_sample_gibbs,
         ("potential", "lattice", "sampler", "seed")),
-    "surface-tension": (  # the union of the plain and --table runs
+    "surface-tension": (
         "estimate sigma(u) by thermodynamic integration", cmd_surface_tension,
-        ("potential", "lattice", "sampler", "surface", "seed", "workers")),
+        ("potential", "lattice", "sampler", "surface.sweeps", "surface.nodes", "seed")),
+    "surface-table": (
+        "tabulate grad sigma over the surface.grid tilts", cmd_surface_table,
+        ("potential", "lattice.N", "lattice.d", "sampler", "surface.sweeps",
+         "surface.grid", "seed", "workers")),
     "convexity-probe": (
         "monotonicity quotient between two tilts", cmd_convexity_probe,
         ("potential", "lattice", "sampler", "surface.sweeps", "seed")),
@@ -507,7 +515,7 @@ FLAGS = {
     "--d": ("lattice.d", {"type": int, "help": "dimension"}),
     "--seed": ("seed", {"type": int, "help": "master seed"}),
     "--workers": (
-        "workers", {"type": int, "help": "process pool size for --table, 0 = serial"}),
+        "workers", {"type": int, "help": "process pool size, 0 = serial"}),
 }
 
 

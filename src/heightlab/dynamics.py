@@ -407,18 +407,16 @@ def domain_cell_weights(spec, N: int, sites: np.ndarray) -> np.ndarray:
     return frac * N ** (-d)
 
 
-def macro_height(system: DirichletSystem, t_macro: float, tol: float | None = None):
+def macro_height(system: DirichletSystem, t_macro: float):
     """Diffusively rescaled profile at macroscopic time t.
 
-    Requires the system clock to sit at N^2 t within ``tol`` (default
-    1e-9 relative), else ``TimeMismatch``.  For replicated systems a
-    list of fields is returned.
+    Requires the system clock to sit at N^2 t within 1e-9 relative, else
+    ``TimeMismatch``.  For replicated systems a list of fields is
+    returned.
     """
     dom = system.domain
     micro = dom.N**2 * t_macro
-    if tol is None:
-        tol = 1e-9 * max(1.0, abs(micro))
-    if abs(system.t - micro) > tol:
+    if abs(system.t - micro) > 1e-9 * max(1.0, abs(micro)):
         raise TimeMismatch(
             f"system at t={system.t:g}, requested {micro:g} (macro {t_macro:g})"
         )
@@ -543,10 +541,10 @@ class EnergyDiagnostic:
     ok: bool
 
 
-def energy_diagnostic(
-    trace: EnergyTrace, c_minus: float, K: float = K_ENERGY_DEFAULT
-) -> EnergyDiagnostic:
-    """Check E|h(t)|^2 + c_minus E integral <= 2 E|h(0)|^2 + K (1 + t)."""
+def energy_diagnostic(trace: EnergyTrace, c_minus: float) -> EnergyDiagnostic:
+    """Check E|h(t)|^2 + c_minus E integral <= 2 E|h(0)|^2 + K (1 + t),
+    with K the calibrated ``K_ENERGY_DEFAULT``."""
+    K = K_ENERGY_DEFAULT
     lhs = trace.h_norm_sq.mean(axis=1) + c_minus * trace.dirichlet_integral.mean(axis=1)
     rhs = 2.0 * trace.initial_norm_sq.mean() + K * (1.0 + trace.times)
     return EnergyDiagnostic(trace.times, lhs, rhs, K, bool((lhs <= rhs).all()))

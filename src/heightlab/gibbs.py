@@ -51,16 +51,16 @@ N_BATCHES = 32  # batches behind every error bar
 RECORD_BLOCK_BYTES = 32 * 1024
 
 
-def batch_means(series, n_batches: int = N_BATCHES):
+def batch_means(series):
     """(mean, stderr, ess) of a stationary series via batch means."""
     x = np.asarray(series, dtype=float)
-    if len(x) < n_batches:
-        raise ValueError(f"need at least {n_batches} samples, got {len(x)}")
-    m = len(x) // n_batches
-    x = x[len(x) - m * n_batches :]
-    means = x.reshape(n_batches, m).mean(axis=1)
+    if len(x) < N_BATCHES:
+        raise ValueError(f"need at least {N_BATCHES} samples, got {len(x)}")
+    m = len(x) // N_BATCHES
+    x = x[len(x) - m * N_BATCHES :]
+    means = x.reshape(N_BATCHES, m).mean(axis=1)
     value = float(x.mean())
-    stderr = float(np.sqrt(means.var(ddof=1) / n_batches))
+    stderr = float(np.sqrt(means.var(ddof=1) / N_BATCHES))
     if stderr > 0:
         ess = float(min(x.var(ddof=1) / stderr**2, len(x)))
     else:
@@ -68,8 +68,9 @@ def batch_means(series, n_batches: int = N_BATCHES):
     return value, stderr, ess
 
 
-def integrated_autocorr_time(series, c: float = 5.0) -> float:
-    """Self-consistent windowed IACT estimate (FFT autocorrelation)."""
+def integrated_autocorr_time(series) -> float:
+    """Self-consistent windowed IACT estimate (FFT autocorrelation): the
+    window is the first lag k with k >= 5 tau(k)."""
     x = np.asarray(series, dtype=float)
     n = len(x)
     if n < 4:
@@ -83,7 +84,7 @@ def integrated_autocorr_time(series, c: float = 5.0) -> float:
     acf /= acf[0]
     taus = 2.0 * np.cumsum(acf) - 1.0
     for k in range(1, n):
-        if k >= c * taus[k]:
+        if k >= 5.0 * taus[k]:
             return float(max(taus[k], 1.0))
     return float(max(taus[-1], 1.0))
 
@@ -230,7 +231,8 @@ class GibbsSampler:
 
     # -- preparation ----------------------------------------------------------
 
-    def _tune(self, rounds: int = 40, per_round: int = 25):
+    def _tune(self):
+        rounds, per_round = 40, 25
         lo, hi = 0.50, 0.65
         tuning = np.ones(self._n, dtype=bool)
         for _ in range(rounds):
@@ -244,14 +246,15 @@ class GibbsSampler:
             if not tuning.any():
                 break
 
-    def _adaptive_burn_in(self, base: int = 1000):
-        """``base`` probed sweeps, then each chain up to 10 IACT of its probes.
+    def _adaptive_burn_in(self):
+        """1000 probed sweeps, then each chain up to 10 IACT of its probes.
 
         The probes are the mean of V over all bonds (summed over axes) and
         of V' over axis 0, read from the kept pass: each sum divided by the
         bond count is what ``.mean()`` computes.
         """
         n_bonds = self.system.lattice.n_sites
+        base = 1000
         probes = np.empty((2, self._n, base))
         for k in range(base):
             self._sweep()

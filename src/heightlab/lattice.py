@@ -80,9 +80,7 @@ class DomainSpec:
         return DomainSpec(shape="box", center=tuple(center), sides=sides)
 
     @staticmethod
-    def ball(radius: float, center=None, d: int = 1) -> "DomainSpec":
-        if center is None:
-            center = (0.0,) * d
+    def ball(radius: float, center) -> "DomainSpec":
         return DomainSpec(shape="ball", center=tuple(center), radius=float(radius))
 
     @property
@@ -325,18 +323,17 @@ def discretize_domain(spec: DomainSpec, N: int) -> DiscretizedDomain:
 # boundary data
 
 
-def cell_average(f, N: int, sites: np.ndarray, order: int = 5) -> np.ndarray:
+def cell_average(f, N: int, sites: np.ndarray) -> np.ndarray:
     """Average of f over the cells B(x/N, 1/N), Gauss-Legendre per axis.
 
-    ``f`` maps an (M, d) array of points to (M,) values.  A tensor rule
-    of the given order is exact for polynomials up to degree 2*order - 1
-    per axis.
+    ``f`` maps an (M, d) array of points to (M,) values.  The 5-point
+    tensor rule is exact for polynomials up to degree 9 per axis.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     m, d = sites.shape
-    nodes, weights = _gauss_legendre(order)
+    nodes, weights = _gauss_legendre(5)
     grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    offs = np.stack([g.ravel() for g in grids], axis=-1)  # (order^d, d)
+    offs = np.stack([g.ravel() for g in grids], axis=-1)  # (5^d, d)
     wgrids = np.meshgrid(*([weights] * d), indexing="ij")
     w = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1) / 2.0**d
     pts = sites[:, None, :] / N + offs[None, :, :] / (2.0 * N)

@@ -60,12 +60,10 @@ class TableFlux:
     ``FluxRangeExceeded`` at the end of a solve.
     """
 
-    def __init__(self, table, c1: float | None = None, c2: float | None = None):
+    def __init__(self, table):
         lo, hi = table.monotonicity_bounds()
-        self.monotone_lower = float(c1 if c1 is not None else lo)
-        self.lipschitz_upper = float(
-            c2 if c2 is not None else max(hi, table.lipschitz_upper())
-        )
+        self.monotone_lower = float(lo)
+        self.lipschitz_upper = float(max(hi, table.lipschitz_upper()))
         if self.monotone_lower <= 0:
             raise ValueError(
                 f"flux table is not monotone (C1 = {self.monotone_lower:g})"
@@ -271,7 +269,6 @@ def solve(
     boundary=None,
     dt: float | None = None,
     record=(),
-    safety: float = 0.9,
     clamp_tol: float = 1e-3,
 ) -> PdeSolution:
     """Integrate to ``t_end``, recording snapshots at the given times.
@@ -279,7 +276,7 @@ def solve(
     ``h0`` is a callable on points or a nodal array; ``boundary`` is the
     callable supplying values at non-interior nodes (defaults to freezing
     the initial values there).  A user ``dt`` above the CFL cap raises
-    ``CflViolation``; the automatic step is ``safety`` times the cap and
+    ``CflViolation``; the automatic step is 0.9 times the cap and
     each recording segment lands exactly.
     """
     h = grid.evaluate(h0) if callable(h0) else np.array(h0, dtype=float)
@@ -293,7 +290,7 @@ def solve(
     cap = grid.spacing**2 / (2.0 * grid.d * flux.lipschitz_upper)
     if dt is not None and dt > cap * (1 + 1e-12):
         raise CflViolation(f"dt={dt:g} exceeds CFL cap {cap:g}")
-    dt_base = dt if dt is not None else safety * cap
+    dt_base = dt if dt is not None else 0.9 * cap
 
     record = sorted(set(float(t) for t in record) | {float(t_end)})
     if record[0] < 0 or record[-1] > t_end + 1e-12:

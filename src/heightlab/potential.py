@@ -132,9 +132,6 @@ def split_potential(
     vpp: Callable[[Array], Array],
     M: float,
     name: str = "split",
-    grid_halfwidth: float | None = None,
-    grid_step: float = 1e-3,
-    strict: bool = True,
 ) -> Potential:
     """Threshold split of a symmetric C^2 potential at |x| = M.
 
@@ -143,11 +140,10 @@ def split_potential(
     V(x) + alpha |x| with alpha = V''(M) M - V'(M).  The remainder
     g = V - V0 then has compactly supported g'' and bounded g'.
 
-    With ``strict`` (default) the split is certified on a grid: the
-    measured curvature of V0 must stay positive and |g'| + |g''| must not
-    keep growing at the grid edge, else ``SplitFailed``.  Pass
-    ``strict=False`` to obtain the candidate split regardless (useful for
-    inspecting an invalid input).
+    The split is certified on a grid of step 1e-3 over
+    [-max(3M + 5, 20), max(3M + 5, 20)]: the measured curvature of V0
+    must stay positive and |g'| + |g''| must not keep growing at the grid
+    edge, else ``SplitFailed``.
     """
     M = float(M)
     if M <= 0:
@@ -184,22 +180,21 @@ def split_potential(
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) <= M, vpp(x) - cM, 0.0)
 
-    half = grid_halfwidth if grid_halfwidth is not None else max(3 * M + 5.0, 20.0)
-    xs = np.arange(-half, half + grid_step / 2, grid_step)
+    half, step = max(3 * M + 5.0, 20.0), 1e-3
+    xs = np.arange(-half, half + step / 2, step)
     curv = v0pp(xs)
     c_minus = float(curv.min())
     c_plus = float(curv.max())
     gbound = np.abs(gp(xs)) + np.abs(gpp(xs))
     c_g = float(gbound.max())
-    if strict:
-        if c_minus <= 0.0:
-            raise SplitFailed(
-                f"V0'' reaches {c_minus:.3e} at |x| ~ "
-                f"{abs(xs[int(np.argmin(curv))]):.3f}; no uniformly convex split"
-            )
-        tail = gbound[-200:]
-        if tail[-1] > tail[0] + 1e-9 and tail[-1] > 0.99 * c_g:
-            raise SplitFailed("|g'| + |g''| still growing at the grid edge")
+    if c_minus <= 0.0:
+        raise SplitFailed(
+            f"V0'' reaches {c_minus:.3e} at |x| ~ "
+            f"{abs(xs[int(np.argmin(curv))]):.3f}; no uniformly convex split"
+        )
+    tail = gbound[-200:]
+    if tail[-1] > tail[0] + 1e-9 and tail[-1] > 0.99 * c_g:
+        raise SplitFailed("|g'| + |g''| still growing at the grid edge")
     return Potential(
         name=name,
         v=lambda x: np.asarray(v(x), dtype=float),
@@ -259,9 +254,6 @@ def potential_from_spec(spec: dict) -> Potential:
 @dataclass(frozen=True)
 class CertificationReport:
     potential: str
-    grid_lo: float
-    grid_hi: float
-    grid_step: float
     v0pp_min: float
     v0pp_max: float
     g_bound_max: float          # max of |g'| + |g''| on the grid
@@ -285,34 +277,24 @@ class CertificationReport:
         )
 
 
-def certify(
-    pot: Potential,
-    lo: float = -50.0,
-    hi: float = 50.0,
-    step: float = 1e-3,
-    slack: float = 1e-9,
-) -> CertificationReport:
+def certify(pot: Potential) -> CertificationReport:
     """Grid-scan check of a potential against its declared constants.
 
-    The scan must cover at least [-20, 20].  Curvature of V0 must stay in
-    [c_minus - slack, c_plus + slack], |g'| + |g''| below c_g + slack,
+    The scan runs over [-50, 50] at step 1e-3.  Curvature of V0 must stay
+    in [c_minus - 1e-9, c_plus + 1e-9], |g'| + |g''| below c_g + 1e-9,
     V must be even to 1e-10 and equal V0 + g to relative 1e-10, and the
-    finite-difference slope of V' must not exceed c_plus + c_g.
+    finite-difference slope of V' must not exceed c_plus + c_g + step.
     """
-    if lo > -20.0 or hi < 20.0:
-        raise ValueError("certification grid must cover [-20, 20]")
-    xs = np.arange(lo, hi + step / 2, step)
+    step, slack = 1e-3, 1e-9
+    xs = np.arange(-50.0, 50.0 + step / 2, step)
     curv = pot.v0pp(xs)
     gbound = np.abs(pot.gp(xs)) + np.abs(pot.gpp(xs))
     vx = pot.v(xs)
     sym = float(np.abs(vx - pot.v(-xs)).max())
     split = float((np.abs(vx - pot.v0(xs) - pot.g(xs)) / (1.0 + np.abs(vx))).max())
     slopes = np.abs(np.diff(pot.vp(xs))) / step
-    report = CertificationReport(
+    return CertificationReport(
         potential=pot.name,
-        grid_lo=float(lo),
-        grid_hi=float(hi),
-        grid_step=float(step),
         v0pp_min=float(curv.min()),
         v0pp_max=float(curv.max()),
         g_bound_max=float(gbound.max()),
@@ -327,7 +309,6 @@ def certify(
         split_ok=bool(split <= 1e-10),
         lipschitz_ok=bool(slopes.max() <= pot.drift_lipschitz + step),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

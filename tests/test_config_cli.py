@@ -170,7 +170,7 @@ class TestCliExitCodes:
     def test_no_command_is_usage_error(self, cli_env, capsys):
         assert run_cli() == 2
         assert run_cli("sample-gibbs", "--no-such-flag") == 2
-        # --workers has an effect only on surface-tension --table
+        # --workers has an effect only on surface-table
         assert run_cli("hydro", "--workers", "2") == 2
         capsys.readouterr()
 
@@ -204,7 +204,7 @@ class TestCliExitCodes:
                      id="dlr-no-sample"),
         pytest.param("dlr-check", ("--set", "dlr.n_samples=10"), "n_samples >= chains",
                      id="dlr-fewer-samples-than-chains"),
-        pytest.param("surface-tension", ("--N", "4", "--table", "--workers", "-1"),
+        pytest.param("surface-table", ("--N", "4", "--workers", "-1"),
                      "workers must be >= 0", id="table-negative-workers"),
     ])
     def test_degenerate_counts_exit_one(self, cli_env, capsys, command, flags, message):
@@ -282,7 +282,7 @@ class TestCliCommands:
         from heightlab.surface import SurfaceTensionTable
 
         code = run_cli(
-            "surface-tension", "--table", "--d", "1", "--N", "8", "--out", "root",
+            "surface-table", "--d", "1", "--N", "8", "--out", "root",
             "--set", "surface.sweeps=200", "--set", "surface.grid=[-0.5,0.5,3]",
         )
         assert code == 0
@@ -364,8 +364,7 @@ class TestCliCommands:
         runs = [
             ("sample-gibbs", "--u", "0.5", "--N", "8", "--seed", "5",
              "--set", "sampler.sweeps=2000"),
-            ("surface-tension", "--u", "1", "--table",
-             "--set", "surface.grid=[-0.5,0.5,5]"),
+            ("surface-table", "--d", "1", "--set", "surface.grid=[-0.5,0.5,5]"),
             ("hydro", "--set", "hydro.scales=[8,16]", "--set", "hydro.realizations=8"),
         ]
         for argv in runs:
@@ -373,8 +372,8 @@ class TestCliCommands:
         want = {
             "sample-gibbs-c68995af4073/gibbs.csv":
                 "bd8124a1abf3c6490be892e22b5263e09681720eea164436e1c846c3db256e2f",
-            "surface-tension-ff7b0b6f9033/surface_table.csv":
-                "b35b93f0e5241c6180ac6ac862fb8248ea5170d7374213b97a41078b24859885",
+            "surface-table-75708abaea2a/surface_table.csv":
+                "18c2075e0eb36325d7b6f370939e6cacca0b0bb8ed22a33a69fadcab7f739678",
             "hydro-6533410c8851/convergence.csv":
                 "270a3ad8b6a0a2e496f6843afd94ec53339ca154de5c1b6ee0fb964abedd51cc",
             "hydro-6533410c8851/gap_vs_N.dat":
@@ -386,15 +385,20 @@ class TestCliCommands:
             for p in root.rglob("*") if p.suffix in (".csv", ".dat")
         }
         assert got == want
+        # the table's data rows as `surface-tension --u 1 --table` wrote
+        # them, before the table had a command of its own
+        rows = [line for line in (root / "surface-table-75708abaea2a/surface_table.csv")
+                .read_bytes().splitlines(keepends=True) if not line.startswith(b"#")]
+        assert hashlib.sha256(b"".join(rows)).hexdigest() == (
+            "f225a5b881141f8eb948e79821e43b4fd0ef0f0b644849abd7c2ef31e30e246a")
         capsys.readouterr()
 
     @pytest.mark.parametrize("key", ["sampler.step=0.05", "sampler.burn_in=30"])
     @pytest.mark.parametrize("command, csv, flags", [
         pytest.param("surface-tension", "surface.csv",
                      ("--u", "0.5", "--set", "surface.nodes=2"), id="surface-tension"),
-        pytest.param("surface-tension", "surface_table.csv",
-                     ("--table", "--d", "1", "--set", "surface.grid=[-0.5,0.5,3]"),
-                     id="surface-tension-table"),
+        pytest.param("surface-table", "surface_table.csv",
+                     ("--d", "1", "--set", "surface.grid=[-0.5,0.5,3]"), id="surface-table"),
         pytest.param("convexity-probe", "convexity.csv", ("--u", "0.5", "--v=-0.5"),
                      id="convexity-probe"),
         pytest.param("decompose-flux", "flux.csv", ("--u", "0.5", "--set", "surface.nodes=2"),
@@ -497,27 +501,26 @@ LEAVES = {
 FLAG_VALUES = {"--pot": "cosine", "--u": "0.5", "--N": "8", "--d": "1", "--seed": "3",
                "--workers": "0"}
 
-# tiny runs that reach every branch of a handler that reads config;
-# surface-tension declares the union of its plain and --table runs
+# one tiny run per command, reaching every branch of its handler that
+# reads config
 READ_RUNS = {
-    "certify-potential": [("--pot", "cosine")],
-    "sample-gibbs": [("--u", "0.5", "--N", "4", "--set", "sampler.sweeps=64")],
-    "surface-tension": [
-        ("--u", "0.5", "--N", "4", "--set", "surface.sweeps=64", "--set", "surface.nodes=2"),
-        ("--table", "--d", "1", "--N", "4", "--set", "surface.sweeps=64",
-         "--set", "surface.grid=[-0.5,0.5,3]"),
-    ],
-    "convexity-probe": [("--u", "0.5", "--v=-0.5", "--N", "4", "--set", "surface.sweeps=64")],
-    "decompose-flux": [
-        ("--u", "0.5", "--N", "4", "--set", "surface.sweeps=64", "--set", "surface.nodes=2")],
-    "simulate": [("--N", "8", "--d", "1", "--set", "domain.center=[0.5]",
-                  "--set", "dynamics.t_end=0.002")],
-    "pde-solve": [("--d", "1", "--set", "domain.center=[0.5]", "--set", "pde.spacing=0.125",
-                   "--set", "pde.t_end=0.01")],
-    "hydro": [("--d", "1", "--set", "domain.center=[0.5]", "--set", "hydro.scales=[8]",
-               "--set", "hydro.times=[0.002]", "--set", "hydro.realizations=2")],
-    "dlr-check": [("--pot", "cosine", "--u", "0.5", "--set", "dlr.n_samples=100",
-                   "--set", "dlr.chains=10", "--set", "dlr.burn=50")],
+    "certify-potential": ("--pot", "cosine"),
+    "sample-gibbs": ("--u", "0.5", "--N", "4", "--set", "sampler.sweeps=64"),
+    "surface-tension": (
+        "--u", "0.5", "--N", "4", "--set", "surface.sweeps=64", "--set", "surface.nodes=2"),
+    "surface-table": ("--d", "1", "--N", "4", "--set", "surface.sweeps=64",
+                      "--set", "surface.grid=[-0.5,0.5,3]"),
+    "convexity-probe": ("--u", "0.5", "--v=-0.5", "--N", "4", "--set", "surface.sweeps=64"),
+    "decompose-flux": (
+        "--u", "0.5", "--N", "4", "--set", "surface.sweeps=64", "--set", "surface.nodes=2"),
+    "simulate": ("--N", "8", "--d", "1", "--set", "domain.center=[0.5]",
+                 "--set", "dynamics.t_end=0.002"),
+    "pde-solve": ("--d", "1", "--set", "domain.center=[0.5]", "--set", "pde.spacing=0.125",
+                  "--set", "pde.t_end=0.01"),
+    "hydro": ("--d", "1", "--set", "domain.center=[0.5]", "--set", "hydro.scales=[8]",
+              "--set", "hydro.times=[0.002]", "--set", "hydro.realizations=2"),
+    "dlr-check": ("--pot", "cosine", "--u", "0.5", "--set", "dlr.n_samples=100",
+                  "--set", "dlr.chains=10", "--set", "dlr.burn=50"),
 }
 
 
@@ -564,10 +567,9 @@ class TestReadSets:
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_handler_reads_exactly_its_declared_entries(self, cli_env, capsys, command):
         seen = set()
-        for flags in READ_RUNS[command]:
-            args = build_parser().parse_args([command, *flags, "--out", "root"])
-            cfg, meta, outdir = _load(args)
-            COMMANDS[command][1](_Reads(cfg, seen), meta, outdir, args)
+        args = build_parser().parse_args([command, *READ_RUNS[command], "--out", "root"])
+        cfg, meta, outdir = _load(args)
+        COMMANDS[command][1](_Reads(cfg, seen), meta, outdir, args)
         capsys.readouterr()
         assert sorted(k for k in seen if not _reads(command, k)) == []
         entries = COMMANDS[command][2]
@@ -589,6 +591,22 @@ class TestReadSets:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert not (cli_env / "out").exists()
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (("surface-tension", "--set", "surface.grid=[-1,1,3]"), 1,
+         "surface-tension never reads config keys ['surface.grid']"),
+        (("surface-tension", "--workers", "2"), 2, "unrecognized arguments: --workers 2"),
+        (("surface-table", "--u", "1"), 2, "unrecognized arguments: --u 1"),
+        (("surface-table", "--set", "surface.nodes=3"), 1,
+         "surface-table never reads config keys ['surface.nodes']"),
+    ])
+    def test_sigma_and_table_refuse_each_others_keys(self, cli_env, capsys, argv, code, message):
+        # the sigma estimate never reads the grid or the pool size, and the
+        # table never reads the tilt or the quadrature nodes
+        run = (*argv, "--N", "4", "--set", "surface.sweeps=64", "--out", "root")
+        assert run_cli(*run) == code
+        assert message in capsys.readouterr().err
+        assert not (cli_env / "root").exists()
+
     def test_readme_cli_lines_parse_and_pass_the_key_check(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -603,5 +621,5 @@ class TestReadSets:
         assert [name for name, _, _ in rows] == list(COMMANDS)
         for name, flags, keys in rows:
             taken = {flag for flag, (key, _) in FLAGS.items() if _reads(name, key)}
-            assert set(flags.split()) - {"--table", "--v"} == taken
+            assert set(flags.split()) - {"--v"} == taken
             assert [k.strip("` ") for k in keys.split(",")] == list(COMMANDS[name][2])

@@ -364,10 +364,6 @@ class TestTableFlux:
         with pytest.raises(ValueError):
             TableFlux(tab)
 
-    def test_bound_overrides(self):
-        flux = TableFlux(linear_table([-1.0, 0.0, 1.0]), c1=0.5, c2=2.0)
-        assert flux.monotone_lower == 0.5 and flux.lipschitz_upper == 2.0
-
     def test_tabulated_solution_matches_exact_flux(self):
         g = PdeGrid(unit_box(), 0.0625)
         h0 = lambda p: np.sin(np.pi * p[:, 0])

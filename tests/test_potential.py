@@ -136,10 +136,6 @@ class TestCertify:
         assert not rep.symmetry_ok
         assert not rep.ok
 
-    def test_grid_must_cover_core(self):
-        with pytest.raises(ValueError):
-            certify(make_gaussian(), lo=-5.0, hi=5.0)
-
     @pytest.mark.parametrize(
         "pot",
         [make_gaussian(), make_cosine_perturbed(0.5, 1.0), make_split_bump()],
