@@ -34,13 +34,7 @@ from .config import (
     from_dict,
     tilt_vector,
 )
-from .dynamics import (
-    DirichletSystem,
-    energy_diagnostic,
-    macro_height,
-    run_dirichlet,
-    step_cap,
-)
+from .dynamics import energy_diagnostic, macro_height, run_dirichlet, step_cap
 from .errors import ConfigError, HeightLabError, PlotSkipped
 from .gibbs import (
     dlr_check,
@@ -48,9 +42,14 @@ from .gibbs import (
     estimate_identity2,
     make_sampler,
 )
-from .hydro import HydroExperiment, report as hydro_report, resolve_flux, run as hydro_run
+from .hydro import (
+    HydroExperiment,
+    clamped_system,
+    report as hydro_report,
+    resolve_flux,
+    run as hydro_run,
+)
 from .io import save_field, write_csv
-from .lattice import boundary_height, cell_average, discretize_domain
 from .pde import PdeGrid, solve
 from .potential import certify
 from .surface import build_table, convexity_probe, decompose_flux, grad_sigma, sigma
@@ -346,14 +345,10 @@ def cmd_simulate(cfg: RunConfig, meta, outdir, args) -> int:
     pot = build_potential(cfg.potential)
     d = cfg.lattice.d
     N = cfg.lattice.N
-    spec = build_domain(cfg.domain, d)
-    f = build_profile(cfg.boundary, d)
-    h0 = build_profile(cfg.initial, d)
-    dom = discretize_domain(spec, N)
-    psi = boundary_height(f, N, dom.sites)
-    phi0 = psi.copy()
-    phi0[: dom.n_interior] = N * cell_average(h0, N, dom.sites[: dom.n_interior])
-    system = DirichletSystem(dom, pot, psi, phi0=phi0, seed=cfg.seed)
+    system = clamped_system(
+        build_domain(cfg.domain, d), N, pot, build_profile(cfg.boundary, d),
+        build_profile(cfg.initial, d), seed=cfg.seed,
+    )
     dyn = cfg.dynamics
     dt = dyn.dt or 0.9 * step_cap(pot, d)
     times = (dyn.t_end,)
@@ -470,6 +465,9 @@ def cmd_dlr_check(cfg: RunConfig, meta, outdir, args) -> int:
     return 0
 
 
+# the sampler keys _chain_options reads; these commands run surface.sweeps
+CHAIN_KEYS = ("sampler.step", "sampler.burn_in", "sampler.thin")
+
 COMMANDS = {  # name -> (help, handler, config entries the handler reads)
     "certify-potential": (
         "check a potential against its declared constants", cmd_certify_potential,
@@ -479,17 +477,17 @@ COMMANDS = {  # name -> (help, handler, config entries the handler reads)
         ("potential", "lattice", "sampler", "seed")),
     "surface-tension": (
         "estimate sigma(u) by thermodynamic integration", cmd_surface_tension,
-        ("potential", "lattice", "sampler", "surface.sweeps", "surface.nodes", "seed")),
+        ("potential", "lattice", *CHAIN_KEYS, "surface.sweeps", "surface.nodes", "seed")),
     "surface-table": (
         "tabulate grad sigma over the surface.grid tilts", cmd_surface_table,
-        ("potential", "lattice.N", "lattice.d", "sampler", "surface.sweeps",
+        ("potential", "lattice.N", "lattice.d", *CHAIN_KEYS, "surface.sweeps",
          "surface.grid", "seed", "workers")),
     "convexity-probe": (
         "monotonicity quotient between two tilts", cmd_convexity_probe,
-        ("potential", "lattice", "sampler", "surface.sweeps", "seed")),
+        ("potential", "lattice", *CHAIN_KEYS, "surface.sweeps", "seed")),
     "decompose-flux": (
         "uniformly elliptic flux decomposition at a tilt", cmd_decompose_flux,
-        ("potential", "lattice", "sampler", "surface.sweeps", "surface.nodes", "seed")),
+        ("potential", "lattice", *CHAIN_KEYS, "surface.sweeps", "surface.nodes", "seed")),
     "simulate": (
         "Langevin evolution in a domain with boundary data", cmd_simulate,
         ("potential", "lattice.N", "lattice.d", "domain", "boundary", "initial",

@@ -328,9 +328,10 @@ def em_step(system, dt: float, noise_scale: float = 1.0) -> None:
 class MacroscopicField:
     """Piecewise-constant profile h(theta) = value on the cell B(x/N, 1/N).
 
-    Values cover every cell that meets the domain; exterior queries
-    return 0.  ``sample`` and ``cell_centers`` make the field usable by
-    the L2 comparison in :mod:`heightlab.pde`.
+    Values cover every cell that meets the domain, one per site, shape
+    (n_sites,) or, for replicas, (R, n_sites); exterior queries return 0.
+    ``sample`` and ``cell_centers`` make the field usable by the L2
+    comparison in :mod:`heightlab.pde`, which gives one gap per replica.
     """
 
     def __init__(self, N: int, sites: np.ndarray, values: np.ndarray, spec):
@@ -372,17 +373,19 @@ class MacroscopicField:
         return ids
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        """Value of the cell containing each point (0 outside coverage)."""
+        """Value of the cell containing each point (0 outside coverage), a
+        fresh (m,) or (R, m) array; ``take`` keeps each replica's row
+        contiguous, so its sums match a single row's bit for bit."""
         ids = self.cell_ids(points)
-        ok = ids >= 0
-        out = np.zeros(len(ids))
-        out[ok] = self.values[ids[ok]]
+        out = self.values.take(ids, axis=-1)
+        out[..., ids < 0] = 0.0
         return out
 
-    def l2_norm_sq(self) -> float:
-        """Squared L2(D) norm, cells weighted by their overlap with D."""
-        w = domain_cell_weights(self.spec, self.N, self.sites)
-        return float(np.dot(self.values**2, w))
+    def l2_norm_sq(self) -> float | np.ndarray:
+        """Squared L2(D) norm, cells weighted by their overlap with D; a
+        float, or (R,) for replicas."""
+        norm = (self.values**2) @ domain_cell_weights(self.spec, self.N, self.sites)
+        return norm if np.ndim(norm) else float(norm)
 
 
 def domain_cell_weights(spec, N: int, sites: np.ndarray) -> np.ndarray:
@@ -407,12 +410,13 @@ def domain_cell_weights(spec, N: int, sites: np.ndarray) -> np.ndarray:
     return frac * N ** (-d)
 
 
-def macro_height(system: DirichletSystem, t_macro: float):
-    """Diffusively rescaled profile at macroscopic time t.
+def macro_height(system: DirichletSystem, t_macro: float) -> MacroscopicField:
+    """Diffusively rescaled profile at macroscopic time t, one field whose
+    values are laid out like the system's heights: (n_sites,) or
+    (replicas, n_sites).
 
     Requires the system clock to sit at N^2 t within 1e-9 relative, else
-    ``TimeMismatch``.  For replicated systems a list of fields is
-    returned.
+    ``TimeMismatch``.
     """
     dom = system.domain
     micro = dom.N**2 * t_macro
@@ -420,10 +424,7 @@ def macro_height(system: DirichletSystem, t_macro: float):
         raise TimeMismatch(
             f"system at t={system.t:g}, requested {micro:g} (macro {t_macro:g})"
         )
-    vals = system.phi / dom.N
-    if vals.ndim == 1:
-        return MacroscopicField(dom.N, dom.sites, vals, dom.spec)
-    return [MacroscopicField(dom.N, dom.sites, v, dom.spec) for v in vals]
+    return MacroscopicField(dom.N, dom.sites, system.phi / dom.N, dom.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +507,10 @@ def run_dirichlet(
     dom = system.domain
     n_rep = 1 if system.phi.ndim == 1 else system.phi.shape[0]
     scale = dom.N ** (-dom.d)
-    weights = domain_cell_weights(dom.spec, dom.N, dom.sites)
 
     def norm_sq():
-        h = system.phi / dom.N
-        return np.atleast_1d((h**2) @ weights)
+        h = MacroscopicField(dom.N, dom.sites, system.phi / dom.N, dom.spec)
+        return np.atleast_1d(h.l2_norm_sq())
 
     times = np.asarray(sorted(float(t) for t in times))
     initial = norm_sq()
@@ -536,15 +536,13 @@ def run_dirichlet(
 class EnergyDiagnostic:
     times: np.ndarray
     lhs: np.ndarray      # mean over replicas of |h|^2 + c_minus * integral
-    rhs: np.ndarray      # 2 E|h(0)|^2 + K (1 + t)
-    K: float
+    rhs: np.ndarray      # 2 E|h(0)|^2 + K (1 + t), K = K_ENERGY_DEFAULT
     ok: bool
 
 
 def energy_diagnostic(trace: EnergyTrace, c_minus: float) -> EnergyDiagnostic:
     """Check E|h(t)|^2 + c_minus E integral <= 2 E|h(0)|^2 + K (1 + t),
     with K the calibrated ``K_ENERGY_DEFAULT``."""
-    K = K_ENERGY_DEFAULT
     lhs = trace.h_norm_sq.mean(axis=1) + c_minus * trace.dirichlet_integral.mean(axis=1)
-    rhs = 2.0 * trace.initial_norm_sq.mean() + K * (1.0 + trace.times)
-    return EnergyDiagnostic(trace.times, lhs, rhs, K, bool((lhs <= rhs).all()))
+    rhs = 2.0 * trace.initial_norm_sq.mean() + K_ENERGY_DEFAULT * (1.0 + trace.times)
+    return EnergyDiagnostic(trace.times, lhs, rhs, bool((lhs <= rhs).all()))

@@ -3,9 +3,11 @@
 For each lattice scale N the microscopic system starts from cell
 averages of the initial profile, evolves under the Langevin dynamics for
 N^2 t microscopic time units, and is rescaled to a piecewise-constant
-macroscopic profile.  The squared L2 distance to the limiting PDE
-solution, averaged over independent realizations, should shrink as N
-grows; the convergence table records exactly that.
+macroscopic profile.  The realizations of one scale are the replicas
+of one system, so their profiles form one ``MacroscopicField`` and
+``l2_compare`` gives one squared L2 distance to the limiting PDE
+solution per realization.  Their mean should shrink as N grows; the
+convergence table records exactly that.
 """
 
 from __future__ import annotations
@@ -20,15 +22,7 @@ from .dynamics import DirichletSystem, advance, macro_height, step_cap
 from .errors import PlotSkipped, PotentialMismatch
 from .io import write_csv
 from .lattice import DomainSpec, boundary_height, cell_average, discretize_domain
-from .pde import (
-    GaussianFlux,
-    PdeGrid,
-    TableFlux,
-    l2_compare,
-    quadrature,
-    solve,
-    squared_l2,
-)
+from .pde import GaussianFlux, PdeGrid, TableFlux, l2_compare, solve
 from .surface import SurfaceTensionTable
 
 
@@ -126,26 +120,15 @@ def resolve_flux(flux, pot):
     return flux
 
 
-def realization_gaps(fields, ref, spec) -> np.ndarray:
-    """``l2_compare(field, ref, spec)`` for each field, on one quadrature.
-
-    The fields are the realizations of one replicated system, so they
-    share N and sites: the quadrature points, the reference samples and
-    the cell of each point are found once, and each gap is a gather, a
-    difference and a sum, bit for bit what ``l2_compare`` returns.
-    """
-    pts, weight = quadrature(fields[0], ref, spec)
-    if not len(pts):  # nothing to sample: l2_compare's zero gap
-        return np.array([l2_compare(fld, ref, spec) for fld in fields])
-    ref_vals = np.asarray(ref.sample(pts))
-    ids = fields[0].cell_ids(pts)
-    covered = ids >= 0
-    return np.array(
-        [
-            squared_l2(np.where(covered, fld.values[ids], 0.0) - ref_vals, weight)
-            for fld in fields
-        ]
-    )
+def clamped_system(spec, N, pot, boundary, initial, seed, replicas=None):
+    """The ``DirichletSystem`` of ``spec`` at scale N: N times the cell
+    averages of ``boundary`` on the clamped sites and of ``initial``
+    inside, replicated if ``replicas`` is given."""
+    dom = discretize_domain(spec, N)
+    psi = boundary_height(boundary, N, dom.sites)
+    phi0 = psi.copy()
+    phi0[: dom.n_interior] = N * cell_average(initial, N, dom.sites[: dom.n_interior])
+    return DirichletSystem(dom, pot, psi, phi0=phi0, seed=seed, replicas=replicas)
 
 
 def run(exp: HydroExperiment) -> ConvergenceTable:
@@ -184,25 +167,19 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
     dt = exp.dt if exp.dt is not None else 0.9 * step_cap(exp.pot, d)
     per_seed: dict = {}
     for N in exp.scales:
-        dom = discretize_domain(exp.spec, N)
-        psi = boundary_height(exp.boundary, N, dom.sites)
-        phi0 = psi.copy()
-        phi0[: dom.n_interior] = N * cell_average(
-            exp.initial, N, dom.sites[: dom.n_interior]
+        system = clamped_system(
+            exp.spec, N, exp.pot, exp.boundary, exp.initial,
+            seed=(exp.seed, N), replicas=exp.realizations,
         )
-        system = DirichletSystem(
-            dom, exp.pot, psi, phi0=phi0, seed=(exp.seed, N), replicas=exp.realizations
-        )
-        gaps = {t: None for t in times}
+        fields = {}  # t -> the replicas' profile, one field
 
-        def checkpoint(t, sys):
-            fields = macro_height(sys, t)
-            ref = reference.field_at(t)
-            gaps[t] = realization_gaps(fields, ref, exp.spec)
+        def keep(t, sys):
+            fields[t] = macro_height(sys, t)
 
-        advance(system, dt, times, collect=checkpoint)
+        advance(system, dt, times, collect=keep)
+        del system  # its noise block is freed before the gaps are formed
         for t in times:
-            g = gaps[t]
+            g = l2_compare(fields[t], reference.field_at(t), exp.spec)
             table.rows.append(
                 {
                     "N": N,

@@ -345,20 +345,20 @@ def quadrature(a, b, spec: DomainSpec) -> tuple[np.ndarray, float]:
     return pts[spec.contains(pts)], finer.cell_volume
 
 
-def squared_l2(diff: np.ndarray, weight: float) -> float:
-    """Midpoint-rule integral of diff^2 over the quadrature points."""
-    return float(np.sum(diff**2) * weight)
-
-
-def l2_compare(a, b, spec: DomainSpec) -> float:
+def l2_compare(a, b, spec: DomainSpec) -> float | np.ndarray:
     """Squared L2(D) distance by midpoint rule on the finer field's cells.
 
     Both arguments expose ``spacing``, ``cell_volume``, ``cell_centers``
-    and ``sample``; the finer field supplies the quadrature points, so
-    comparisons across coarse fields against one fine reference share
-    identical quadrature geometry.
+    and ``sample`` (a fresh array); the finer field supplies the
+    quadrature points, so comparisons across coarse fields against one
+    fine reference share identical quadrature geometry.  When ``a`` holds
+    replicas, such as a ``MacroscopicField`` with (R, n_sites) values,
+    the result is one gap per replica, (R,), else a float.  The squared
+    difference is formed in place in ``a``'s samples, the one
+    (R, points) array a batched compare holds.
     """
     pts, weight = quadrature(a, b, spec)
-    if not len(pts):
-        return 0.0
-    return squared_l2(np.asarray(a.sample(pts)) - np.asarray(b.sample(pts)), weight)
+    diff = a.sample(pts)
+    diff -= b.sample(pts)
+    gap = np.sum(np.square(diff, out=diff), axis=-1) * weight
+    return gap if np.ndim(gap) else float(gap)

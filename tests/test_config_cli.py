@@ -366,6 +366,8 @@ class TestCliCommands:
              "--set", "sampler.sweeps=2000"),
             ("surface-table", "--d", "1", "--set", "surface.grid=[-0.5,0.5,5]"),
             ("hydro", "--set", "hydro.scales=[8,16]", "--set", "hydro.realizations=8"),
+            ("simulate", "--N", "16", "--d", "1", "--set", "initial.kind=bump",
+             "--set", "dynamics.t_end=0.02"),
         ]
         for argv in runs:
             assert run_cli(*argv, "--out", "readme") == 0
@@ -378,6 +380,10 @@ class TestCliCommands:
                 "270a3ad8b6a0a2e496f6843afd94ec53339ca154de5c1b6ee0fb964abedd51cc",
             "hydro-6533410c8851/gap_vs_N.dat":
                 "c290b4e8a7edb78e2531f6a934b9cd1465b711b2a6254077ec9b845f9d8d831e",
+            "simulate-00c9d47fab04/final_height.csv":
+                "9802bf5d1f05246326b065c7b8bf5e38fea9354a851545efa08dfc78905f9e79",
+            "simulate-00c9d47fab04/energy.csv":
+                "cd756fdf861e51a322bd2d03552a9e18662143eea52e5e0c16c463f530fd98fd",
         }
         root = cli_env / "readme"
         got = {
@@ -605,6 +611,16 @@ class TestReadSets:
         run = (*argv, "--N", "4", "--set", "surface.sweeps=64", "--out", "root")
         assert run_cli(*run) == code
         assert message in capsys.readouterr().err
+        assert not (cli_env / "root").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["surface-tension", "surface-table", "convexity-probe", "decompose-flux"])
+    def test_chain_commands_refuse_sampler_sweeps(self, cli_env, capsys, command):
+        # their chains run surface.sweeps; of the sampler section they read
+        # only step, burn_in and thin
+        assert run_cli(command, "--set", "sampler.sweeps=5", "--out", "root") == 1
+        assert (f"{command} never reads config keys ['sampler.sweeps']"
+                in capsys.readouterr().err)
         assert not (cli_env / "root").exists()
 
     def test_readme_cli_lines_parse_and_pass_the_key_check(self):

@@ -186,6 +186,10 @@ class TestRun:
         b = run(small_experiment())
         assert a.rows == b.rows
 
+    def test_repeated_checkpoint_time_repeats_its_rows(self):
+        rows = run(small_experiment(scales=(8,), times=(0.01, 0.01))).rows
+        assert len(rows) == 2 and rows[0] == rows[1]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             run(small_experiment(scales=()))
@@ -406,7 +410,7 @@ class TestReport:
 
 
 class TestSharedQuadrature:
-    """realization_gaps equals per-field l2_compare, bit for bit."""
+    """l2_compare of a batched field equals l2_compare of each row, bit for bit."""
 
     @pytest.mark.parametrize(
         "spec,N,spacing",
@@ -423,11 +427,12 @@ class TestSharedQuadrature:
         grid = PdeGrid(spec, spacing)
         ref = GridField(grid, rng.normal(size=grid.shape))
         sites = discretize_domain(spec, N).sites
-        fields = [
-            MacroscopicField(N, sites, rng.normal(size=len(sites)), spec) for _ in range(4)
-        ]
-        want = np.array([l2_compare(f, ref, spec) for f in fields])
-        assert np.array_equal(hydro.realization_gaps(fields, ref, spec), want)
+        rows = rng.normal(size=(4, len(sites)))
+        want = np.array([l2_compare(MacroscopicField(N, sites, v, spec), ref, spec)
+                         for v in rows])
+        got = l2_compare(MacroscopicField(N, sites, rows, spec), ref, spec)
+        assert got.shape == (4,)
+        assert np.array_equal(got, want)
 
     def test_ball_has_points_outside_macro_coverage(self):
         # at N = 9 the nodes (0.5, 0) and (0, 0.5) on the circle round up
