@@ -357,12 +357,12 @@ def cmd_simulate(cfg: RunConfig, meta, outdir, args) -> int:
     diag = energy_diagnostic(trace, pot.c_minus)
     print(
         f"simulate: N={N} t={dyn.t_end} dt={dt:.3g} "
-        f"|h|^2={field.l2_norm_sq():.6f} energy_ok={diag.ok}"
+        f"|h|^2={field.l2_norm_sq()[0]:.6f} energy_ok={diag.ok}"
     )
     save_field(
         os.path.join(outdir, "final_height.csv"),
         field.sites,
-        field.values,
+        field.values[0],
         meta | {"potential": pot.name, "N": N, "t": repr(dyn.t_end)},
     )
     write_csv(

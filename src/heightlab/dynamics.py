@@ -5,22 +5,27 @@ The stochastic dynamics is
     d phi_t(x) = -sum_{y ~ x} V'(phi_t(x) - phi_t(y)) dt + sqrt(2) dw_t(x),
 
 whose invariant density is proportional to exp(-H) with
-H = sum over undirected bonds of V(gradient).  Two settings:
+H = sum over undirected bonds of V(gradient).  Two settings, each a
+batch of independent replicas (or chains) along a leading axis:
 
 * ``DirichletSystem``: heights evolve on the interior sites of a
   discretized domain while every exterior site is clamped to boundary
   data for all time.
 * ``TiltedPeriodicSystem``: zero-average representative heights on a
-  torus carrying a fixed mean tilt u; bond variables are eta_tilde + u_i
-  and the energy sums V over the tilted bonds.
+  torus, chain j carrying a fixed mean tilt u_j; bond variables are
+  eta_tilde + u_j and the energy sums V over the tilted bonds.
 
-The Euler-Maruyama step keeps dt below 0.1 / (2 d Lip(V')); the scheme
-is then a contraction in the convex part and stays finite.
+Replica or chain r draws from its own stream, so it follows the same
+trajectory whether it runs alone or in a batch.  Both systems expose
+``d``, ``pot``, ``drift_interior()`` and ``moving``, the view of the
+sites that move (on a torus all of them), which is all ``em_step``
+needs.  The Euler-Maruyama step keeps dt below 0.1 / (2 d Lip(V')); the
+scheme is then a contraction in the convex part and stays finite.
 
-A ``DirichletSystem`` draws its noise ahead, in per-replica blocks of
-several steps, from the same per-replica streams: a Generator fills an
-array in draw order, so a block holds exactly the numbers that one
-``standard_normal(n_interior)`` call per step would give.  The block is
+A ``NoiseBlock`` draws the step noise ahead, in per-replica blocks of
+several steps, from the per-replica streams: a Generator fills an array
+in draw order, so a block holds exactly the numbers that one
+``standard_normal`` call per replica and step would give.  The block is
 sized to ``NOISE_BLOCK_BYTES`` (never less than one step), so batched
 runs stay small in memory however many steps they take.  It is 1 MiB
 because a Philox fill has a fixed cost per call: with 256 replicas a
@@ -51,7 +56,7 @@ from .rng import seed_key, stream
 # against t, times a 1.2 safety factor, rounded up).
 K_ENERGY_DEFAULT = 1.74
 
-# Bytes of pre-drawn noise a DirichletSystem keeps, for all replicas
+# Bytes of pre-drawn noise a NoiseBlock keeps, for all replicas
 # together; one step's worth is drawn even if that is more.
 NOISE_BLOCK_BYTES = 1024 * 1024
 
@@ -64,142 +69,157 @@ def step_cap(pot, d: int) -> float:
     return 0.1 / (2 * d * lip)
 
 
+class NoiseBlock:
+    """Standard normals for the steps of a batch, one stream per replica.
+
+    Calling it returns the next step's (replicas,) + ``shape`` normals, a
+    view into the block that is valid until the block is refilled.  The
+    (replicas, K) + ``shape`` block is made on the first call, so a
+    system that never takes a noisy step holds none, and refilled with
+    one ``standard_normal(out=...)`` call per replica; the stream, and
+    hence every trajectory, is the same as with one draw per replica and
+    step.  K is the number of steps that fit in ``NOISE_BLOCK_BYTES``, at
+    least 1.
+    """
+
+    def __init__(self, rngs: list, shape: tuple):
+        self.rngs = rngs
+        self.shape = shape  # one replica's draws per step
+        self.block = None
+        self._drawn = 0  # steps of the block already handed out
+
+    def __call__(self) -> np.ndarray:
+        block = self.block
+        if block is None:
+            per_step = 8 * len(self.rngs) * math.prod(self.shape)
+            k = max(1, NOISE_BLOCK_BYTES // per_step)
+            block = self.block = np.empty((len(self.rngs), k) + self.shape)
+            self._drawn = k
+        if self._drawn == block.shape[1]:
+            for g, rows in zip(self.rngs, block):
+                g.standard_normal(out=rows)
+            self._drawn = 0
+        k = self._drawn
+        self._drawn += 1
+        return block[:, k]
+
+
 class BondPass(NamedTuple):
     """One pass over the tilted bonds of a height array.
 
-    Per-axis quantities are stacked, axis i in row i, ahead of the leading
-    chain or replica axes of the heights; the energy is per chain (a
-    scalar without leading axes).
+    Per-axis quantities are stacked, axis i in row i, ahead of the chain
+    axis of the heights; the energy is per chain.
     """
 
-    energy: np.ndarray | float | None  # sum of v_sums in axis order; None without V
-    grad: np.ndarray                   # dH/dphi
-    diffs: np.ndarray                  # untilted differences eta_tilde, (d,) + phi.shape
-    vp: np.ndarray                     # V' on the tilted bonds, (d,) + phi.shape
-    v_sums: np.ndarray | None          # V summed per axis, (d,) + chains; None without V
+    energy: np.ndarray | None  # sum of v_sums in axis order; None without V
+    grad: np.ndarray           # dH/dphi
+    diffs: np.ndarray          # untilted differences eta_tilde, (d,) + phi.shape
+    vp: np.ndarray             # V' on the tilted bonds, (d,) + phi.shape
+    v_sums: np.ndarray | None  # V summed per axis, (d, B); None without V
 
 
 class TiltedPeriodicSystem:
-    """Representative heights on a torus with a frozen mean tilt.
+    """B chains of representative heights on a torus, each with a frozen
+    mean tilt.
 
-    ``phi`` stores the zero-winding part; the physical bond variable
-    along axis i is phi(x + e_i) - phi(x) + tilt_i.  With a tilt of
-    shape (d,), leading axes of ``phi`` beyond the lattice shape are
-    independent replicas that share it and one stream, ``seed``.  With a
-    tilt of shape (B, d), ``phi`` holds B chains, chain j carries tilt
-    row j and draws from its own stream ``seed[j]``; ``rngs`` lists the
-    streams and ``rng`` is the first.  The tilt is fixed at construction.
+    ``phi`` has shape (B,) + lattice shape and stores the zero-winding
+    part; the physical bond variable of chain j along axis i is
+    phi(x + e_i) - phi(x) + tilt[j, i].  The tilt has shape (B, d), one
+    row per chain, and is fixed at construction; a lone chain is a batch
+    of one.  Chain j draws from its own stream ``seed[j]``; ``rngs`` lists
+    the streams.
     """
 
-    def __init__(self, lattice: TorusLattice, pot, tilt, phi=None, seed=0):
-        tilt = np.atleast_1d(np.asarray(tilt, dtype=float))
-        if tilt.ndim > 2 or tilt.shape[-1] != lattice.d:
-            raise ValueError(f"tilt must have {lattice.d} components")
-        chains = tilt.shape[:-1]
+    def __init__(self, lattice: TorusLattice, pot, tilt, phi=None, *, seed):
+        tilt = np.array(tilt, dtype=float)
+        d = lattice.d
+        if tilt.ndim != 2 or tilt.shape[1] != d:
+            raise ValueError(f"needs a tilt of shape (B, d), one row per chain, d = {d}")
+        n_chains = len(tilt)
+        seeds = list(seed) if np.iterable(seed) else []
+        if len(seeds) != n_chains:
+            raise ValueError("a batch of chains needs one seed per chain")
         tilt.flags.writeable = False
         self.lattice = lattice
+        self.d = d
         self.pot = pot
         self._tilt = tilt
+        shape = (n_chains,) + lattice.shape
         if phi is None:
-            phi = np.zeros(chains + lattice.shape)
+            phi = np.zeros(shape)
         phi = np.asarray(phi, dtype=float)
-        if phi.shape[-lattice.d :] != lattice.shape:
+        if phi.shape[-d:] != lattice.shape:
             raise ValueError("phi trailing axes must match the lattice shape")
-        if chains:
-            phi = np.broadcast_to(phi, chains + lattice.shape)
-        self.phi = phi.copy()
+        self.phi = np.broadcast_to(phi, shape).copy()
         self.t = 0.0
-        self.seed = seed
-        seeds = (list(seed) if np.iterable(seed) else []) if chains else [seed]
-        if len(seeds) != (chains[0] if chains else 1):
-            raise ValueError("a batch of chains needs one seed per chain")
         self.rngs = [stream(*seed_key(s), 0) for s in seeds]
-        self.rng = self.rngs[0]
-        # tilts stacked like the differences, keyed by the number of height
-        # axes: per chain one full array, which numpy adds faster than
-        # broadcast columns; else columns, made on first use
-        self._tilt_stacks = {}
-        self._gathers = {}  # height shape -> (fwd, back), see _gather
-        if chains:
-            column = (lattice.d, -1) + (1,) * lattice.d
-            self._tilt_stacks[self.phi.ndim] = np.broadcast_to(
-                tilt.T.reshape(column), (lattice.d,) + self.phi.shape
-            ).copy()
+        self._noise = NoiseBlock(self.rngs, lattice.shape)
+        # tilts stacked like the differences: per chain one full array,
+        # which numpy adds faster than broadcast columns
+        column = (d, -1) + (1,) * d
+        self._tilts = np.broadcast_to(tilt.T.reshape(column), (d,) + shape).copy()
+        # flat neighbour indices: phi.take(fwd)[i] is phi(x + e_i) and, on a
+        # stacked (d,) + shape array, a.take(back)[i] is a[i](x - e_i).  fwd
+        # holds the canonical bond heads, offset per chain; back their
+        # inverse permutation, offset per chain and per axis row
+        n = lattice.n_sites
+        heads = lattice.bond_heads().reshape(d, 1, n)
+        rows = n * np.arange(n_chains).reshape(1, -1, 1)
+        back = np.argsort(heads, axis=-1) + rows + n * n_chains * np.arange(d).reshape(d, 1, 1)
+        self._fwd = (heads + rows).reshape((d,) + shape)
+        self._back = back.reshape((d,) + shape)
 
     @property
     def tilt(self) -> np.ndarray:
-        """Mean tilt, (d,) or one row per chain (B, d); read-only."""
+        """Mean tilt, one row per chain (B, d); read-only."""
         return self._tilt
 
-    def _gather(self, shape: tuple) -> tuple:
-        """Flat neighbour indices (fwd, back), (d,) + ``shape`` each, made
-        once per height shape: ``phi.take(fwd)[i]`` is phi(x + e_i) and, on
-        a stacked (d,) + ``shape`` array, ``a.take(back)[i]`` is a[i](x - e_i).
-        """
-        idx = self._gathers.get(shape)
-        if idx is None:
-            n, d, size = self.lattice.n_sites, self.lattice.d, math.prod(shape)
-            # fwd: canonical bond heads, offset per leading row; back: their
-            # inverse permutation, offset per leading row and per axis row
-            heads = self.lattice.bond_heads().reshape(d, 1, n)
-            rows = n * np.arange(size // n).reshape(1, -1, 1)
-            back = np.argsort(heads, axis=-1) + rows + size * np.arange(d).reshape(d, 1, 1)
-            fwd = (heads + rows).reshape((d,) + shape)
-            idx = self._gathers[shape] = (fwd, back.reshape((d,) + shape))
-        return idx
+    @property
+    def moving(self) -> np.ndarray:
+        """The heights that a step moves: all of them."""
+        return self.phi
 
     def eta_tilde(self) -> np.ndarray:
         """Untilted bond differences, row i on bonds (x + e_i, x)."""
-        return self.phi.take(self._gather(self.phi.shape)[0]) - self.phi
+        return self.phi.take(self._fwd) - self.phi
 
     def bond_pass(self, phi: np.ndarray, with_energy: bool = True) -> BondPass:
         """Energy, dH/dphi, eta_tilde and V' of the heights ``phi`` in one pass.
 
-        ``phi`` has this system's lattice axes last, after its replica or
-        chain axes; differences and gradient gather through ``_gather``.
-        The stacked tilted bonds of all axes go through V' in one call, and
-        through V in one more unless ``with_energy`` is false, in which
-        case the energy and the V sums are None.
+        ``phi`` is shaped like this system's heights.  The stacked tilted
+        bonds of all axes go through V' in one call, and through V in one
+        more unless ``with_energy`` is false, in which case the energy and
+        the V sums are None.
         """
-        d = self.lattice.d
-        lead = phi.ndim - d  # replica or chain axes
-        fwd, back = self._gather(phi.shape)
-        diffs = phi.take(fwd) - phi
-        tilts = self._tilt_stacks.get(phi.ndim)
-        if tilts is None:
-            tilts = self._tilt_stacks[phi.ndim] = self._tilt.reshape((d,) + (1,) * phi.ndim)
-        bonds = diffs + tilts
+        d = self.d
+        diffs = phi.take(self._fwd) - phi
+        bonds = diffs + self._tilts
         v_sums = energy = None
         if with_energy:
-            v_sums = self.pot.v(bonds).sum(axis=tuple(range(lead + 1, phi.ndim + 1)))
+            v_sums = self.pot.v(bonds).sum(axis=tuple(range(2, d + 2)))
             energy = 0.0
             for s in v_sums:
                 energy = energy + s
         vp = self.pot.vp(bonds)
         # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x),
         # added to 0 one axis after the other
-        grad = np.add.reduce(vp.take(back) - vp, axis=0, initial=0.0)
+        grad = np.add.reduce(vp.take(self._back) - vp, axis=0, initial=0.0)
         return BondPass(energy, grad, diffs, vp, v_sums)
 
-    def drift(self) -> np.ndarray:
-        """-dH/dphi, vectorized over sites and replicas."""
+    def drift_interior(self) -> np.ndarray:
+        """-dH/dphi on every site (all are interior on a torus), per chain."""
         return -self.bond_pass(self.phi, with_energy=False).grad
 
 
 class DirichletSystem:
-    """Heights on a discretized domain, clamped to boundary data outside.
+    """Replicas of heights on a discretized domain, clamped to boundary
+    data outside.
 
     ``boundary`` holds one value per domain site; only the non-interior
     entries act as the constraint, are copied into ``phi`` once and must
-    be finite (else ``NonFinite``).  ``phi`` has shape (n_sites,) or
-    (replicas, n_sites); replica r draws from its own stream (seed, r).
-
-    Noise is drawn K steps at a time into one (replicas, K, n_interior)
-    block, one ``standard_normal(out=...)`` call per replica, and handed
-    out a step at a time; the stream, and hence every trajectory, is the
-    same as with one draw per replica and step.  K is the number of steps
-    that fit in ``NOISE_BLOCK_BYTES``, at least 1.  Noise-free steps
-    draw nothing.
+    be finite (else ``NonFinite``).  ``phi`` has shape (replicas,
+    n_sites), one replica by default; replica r draws from its own stream
+    (seed, r), through a ``NoiseBlock`` of (n_interior,) normals per step.
     """
 
     def __init__(
@@ -209,7 +229,7 @@ class DirichletSystem:
         boundary: np.ndarray,
         phi0: np.ndarray | None = None,
         seed: int = 0,
-        replicas: int | None = None,
+        replicas: int = 1,
     ):
         boundary = np.asarray(boundary, dtype=float)
         if boundary.shape != (domain.n_sites,):
@@ -218,25 +238,24 @@ class DirichletSystem:
         if not np.isfinite(boundary[domain.n_interior :]).all():
             raise NonFinite("boundary data must be finite outside the interior")
         self.domain = domain
+        self.d = domain.d
         self.pot = pot
         if phi0 is None:
             phi0 = boundary
         phi0 = np.asarray(phi0, dtype=float)
-        if replicas is not None:
-            phi0 = np.broadcast_to(phi0, (replicas, domain.n_sites))
-        self.phi = phi0.copy()
-        if self.phi.shape[-1] != domain.n_sites:
+        if phi0.shape[-1] != domain.n_sites:
             raise ValueError("phi must cover every domain site")
-        self.phi[..., domain.n_interior :] = boundary[domain.n_interior :]
+        self.phi = np.broadcast_to(phi0, (replicas, domain.n_sites)).copy()
+        self.phi[:, domain.n_interior :] = boundary[domain.n_interior :]
         self.t = 0.0
-        self.seed = seed
-        n_rep = 1 if self.phi.ndim == 1 else self.phi.shape[0]
-        self.rngs = [stream(*seed_key(seed), r) for r in range(n_rep)]
-        n_int = domain.n_interior
-        k = max(1, NOISE_BLOCK_BYTES // (8 * n_rep * n_int))
-        self._block = np.empty((n_rep, k, n_int))
-        self._drawn = k  # steps of the block already handed out
+        self.rngs = [stream(*seed_key(seed), r) for r in range(replicas)]
+        self._noise = NoiseBlock(self.rngs, (domain.n_interior,))
         self._nbrs_t = np.ascontiguousarray(domain.neighbors.T)  # (2d, n_int)
+
+    @property
+    def moving(self) -> np.ndarray:
+        """The heights that a step moves: the interior sites, a view."""
+        return self.phi[:, : self.domain.n_interior]
 
     def drift_interior(self, phi=None) -> np.ndarray:
         """-sum_{y ~ x} V'(phi(x) - phi(y)) on interior sites, of this
@@ -254,35 +273,22 @@ class DirichletSystem:
         center = phi[..., :n_int, None]
         return -self.pot.vp(center - phi[..., self.domain.neighbors]).sum(axis=-1)
 
-    def energy(self, phi) -> np.ndarray | float:
+    def energy(self, phi) -> np.ndarray:
         """H(phi): V summed over the closure bonds, per replica."""
         heads, tails = self.domain.bonds_closure.T
         return self.pot.v(phi[..., heads] - phi[..., tails]).sum(axis=-1)
 
-    def dirichlet_sum(self) -> np.ndarray | float:
-        """Sum of squared gradients over directed closure bonds."""
+    def dirichlet_sum(self) -> np.ndarray:
+        """Sum of squared gradients over directed closure bonds, per replica."""
         heads = self.domain.bonds_closure[:, 0]
         tails = self.domain.bonds_closure[:, 1]
-        diff = self.phi[..., heads] - self.phi[..., tails]
+        diff = self.phi[:, heads] - self.phi[:, tails]
         return 2.0 * np.square(diff).sum(axis=-1)
-
-    def _noise(self) -> np.ndarray:
-        """Next step's standard normals, (n_interior,) or (replicas, n_interior).
-
-        The result is a view into the block, valid until the block is refilled.
-        """
-        block = self._block
-        if self._drawn == block.shape[1]:
-            for g, rows in zip(self.rngs, block):
-                g.standard_normal(out=rows)
-            self._drawn = 0
-        k = self._drawn
-        self._drawn += 1
-        return block[0, k] if self.phi.ndim == 1 else block[:, k]
 
 
 def em_step(system, dt: float, noise_scale: float = 1.0) -> None:
-    """One Euler-Maruyama step phi += drift dt + sqrt(2 dt) xi, in place.
+    """One Euler-Maruyama step phi += drift dt + sqrt(2 dt) xi, in place,
+    on the moving sites of a ``DirichletSystem`` or ``TiltedPeriodicSystem``.
 
     ``noise_scale=0`` gives the deterministic gradient flow (test hook).
     Raises ``StepTooLarge`` above the stability cap and ``NonFinite`` if
@@ -290,32 +296,20 @@ def em_step(system, dt: float, noise_scale: float = 1.0) -> None:
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    d = (
-        system.lattice.d
-        if isinstance(system, TiltedPeriodicSystem)
-        else system.domain.d
-    )
-    cap = step_cap(system.pot, d)
+    cap = step_cap(system.pot, system.d)
     if dt > cap:
         raise StepTooLarge(f"dt={dt:g} exceeds cap {cap:g}")
     amp = noise_scale * np.sqrt(2.0 * dt)
-    if isinstance(system, TiltedPeriodicSystem):
-        moved = system.phi
-        moved += dt * system.drift()
-        if amp:
-            moved += amp * system.rng.standard_normal(system.phi.shape)
-    else:
-        # only interior sites move; the clamped ones were checked finite
-        # when the system was made.  The drift and the noise are fresh or
-        # used once, so they are scaled in place.
-        incr = system.drift_interior()
-        incr *= dt
-        if amp:
-            noise = system._noise()
-            noise *= amp
-            incr += noise
-        moved = system.phi[..., : system.domain.n_interior]
-        moved += incr
+    # clamped sites were checked finite when the system was made.  The
+    # drift and the noise are fresh or used once, so they are scaled in place
+    incr = system.drift_interior()
+    incr *= dt
+    if amp:
+        noise = system._noise()
+        noise *= amp
+        incr += noise
+    moved = system.moving
+    moved += incr
     if not np.isfinite(moved).all():
         raise NonFinite("height field left float range")
     system.t += dt
@@ -384,8 +378,7 @@ class MacroscopicField:
     def l2_norm_sq(self) -> float | np.ndarray:
         """Squared L2(D) norm, cells weighted by their overlap with D; a
         float, or (R,) for replicas."""
-        norm = (self.values**2) @ domain_cell_weights(self.spec, self.N, self.sites)
-        return norm if np.ndim(norm) else float(norm)
+        return (self.values**2) @ domain_cell_weights(self.spec, self.N, self.sites)
 
 
 def domain_cell_weights(spec, N: int, sites: np.ndarray) -> np.ndarray:
@@ -412,8 +405,7 @@ def domain_cell_weights(spec, N: int, sites: np.ndarray) -> np.ndarray:
 
 def macro_height(system: DirichletSystem, t_macro: float) -> MacroscopicField:
     """Diffusively rescaled profile at macroscopic time t, one field whose
-    values are laid out like the system's heights: (n_sites,) or
-    (replicas, n_sites).
+    values are laid out like the system's heights, (replicas, n_sites).
 
     Requires the system clock to sit at N^2 t within 1e-9 relative, else
     ``TimeMismatch``.
@@ -505,21 +497,19 @@ def run_dirichlet(
     ``collect(t, system)`` is called at every checkpoint if given.
     """
     dom = system.domain
-    n_rep = 1 if system.phi.ndim == 1 else system.phi.shape[0]
     scale = dom.N ** (-dom.d)
 
     def norm_sq():
-        h = MacroscopicField(dom.N, dom.sites, system.phi / dom.N, dom.spec)
-        return np.atleast_1d(h.l2_norm_sq())
+        return MacroscopicField(dom.N, dom.sites, system.phi / dom.N, dom.spec).l2_norm_sq()
 
     times = np.asarray(sorted(float(t) for t in times))
     initial = norm_sq()
-    integral = np.zeros(n_rep)
+    integral = np.zeros(len(system.phi))
     h_rows, i_rows = [], []
 
     def accumulate(dt_eff):
         nonlocal integral
-        integral += np.atleast_1d(system.dirichlet_sum()) * scale * dt_eff / dom.N**2
+        integral += system.dirichlet_sum() * scale * dt_eff / dom.N**2
 
     def record(t, sys):
         h_rows.append(norm_sq())
@@ -528,7 +518,7 @@ def run_dirichlet(
             collect(t, sys)
 
     advance(system, dt, times, noise_scale, collect=record, before_step=accumulate)
-    shape = (len(times), n_rep)
+    shape = (len(times), len(system.phi))
     return EnergyTrace(times, np.reshape(h_rows, shape), np.reshape(i_rows, shape), initial)
 
 

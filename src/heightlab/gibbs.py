@@ -105,9 +105,9 @@ class EstimatorReport:
 class GibbsSampler:
     """MALA chains on gauge-fixed torus heights, advanced as one batch.
 
-    The system has a tilt of shape (B, d) and holds B chains in one
-    (B,) + lattice array; a single chain is a batch of one.  Each chain
-    has its own Philox stream, one ``standard_normal`` fill and one
+    The system holds B chains in one (B,) + lattice array, one tilt row
+    each; a single chain is a batch of one.  Each chain draws from the
+    system's stream for it, one ``standard_normal`` fill and one
     ``random()`` per sweep, and its own step, tuning rounds and
     adaptive burn-in, so it reproduces the same chain run alone bit for
     bit.  Phases run in lockstep: a chain that finishes its tuning or
@@ -133,8 +133,6 @@ class GibbsSampler:
         if step is not None and not (np.isfinite(step) and step > 0):
             raise ValueError(f"step must be finite and > 0, got {step}")
         lat = system.lattice
-        if system.tilt.ndim != 2:
-            raise ValueError("sampler needs a tilt of shape (B, d), one row per chain")
         self.system = system
         self.thin = int(thin)
         self.burn_in = burn_in
@@ -450,22 +448,6 @@ class VarianceSweep:
     def edge_mask(self) -> np.ndarray:
         hull = np.abs(self.tilts).max()
         return (np.abs(self.tilts).max(axis=1) >= hull - 1e-12)
-
-    def max_on_edge_within(self, n_se: float = 3.0) -> bool:
-        """Whether the largest variance sits on the tilt-grid hull, up to
-        ``n_se`` combined standard errors."""
-        edge = self.edge_mask()
-        flat_edge = self.values[edge]
-        if flat_edge.size == 0:
-            return False
-        best_edge = float(flat_edge.max())
-        se_edge = float(self.stderr[edge].ravel()[np.argmax(flat_edge)])
-        inner = ~edge
-        if not inner.any():
-            return True
-        best_inner = float(self.values[inner].max())
-        se_inner = float(self.stderr[inner].ravel()[np.argmax(self.values[inner])])
-        return best_inner <= best_edge + n_se * (se_edge + se_inner)
 
 
 def variance_sweep(

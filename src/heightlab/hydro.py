@@ -120,10 +120,10 @@ def resolve_flux(flux, pot):
     return flux
 
 
-def clamped_system(spec, N, pot, boundary, initial, seed, replicas=None):
-    """The ``DirichletSystem`` of ``spec`` at scale N: N times the cell
-    averages of ``boundary`` on the clamped sites and of ``initial``
-    inside, replicated if ``replicas`` is given."""
+def clamped_system(spec, N, pot, boundary, initial, seed, replicas=1):
+    """The ``DirichletSystem`` of ``spec`` at scale N with ``replicas``
+    replicas: N times the cell averages of ``boundary`` on the clamped
+    sites and of ``initial`` inside."""
     dom = discretize_domain(spec, N)
     psi = boundary_height(boundary, N, dom.sites)
     phi0 = psi.copy()

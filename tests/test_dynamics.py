@@ -61,7 +61,7 @@ class TestStepCap:
 
     def test_step_too_large(self):
         lat = TorusLattice(4, 1)
-        sys = TiltedPeriodicSystem(lat, make_gaussian(), (0.0,), seed=0)
+        sys = TiltedPeriodicSystem(lat, make_gaussian(), [(0.0,)], seed=[0])
         with pytest.raises(StepTooLarge):
             em_step(sys, 1.0)
 
@@ -72,10 +72,10 @@ class TestDriftAgainstEnergy:
         lat = TorusLattice(5, 2)
         rng = np.random.default_rng(11)
         phi = rng.normal(size=lat.shape)
-        sys = TiltedPeriodicSystem(lat, pot, (0.4, -0.2), phi=phi)
+        sys = TiltedPeriodicSystem(lat, pot, [(0.4, -0.2)], phi=phi, seed=[0])
         fn = lambda p: hamiltonian_torus(pot.v, p, (0.4, -0.2))
         want = -fd_gradient(fn, phi, h=1e-6)
-        assert np.max(np.abs(sys.drift() - want)) < 1e-7
+        assert np.max(np.abs(sys.drift_interior()[0] - want)) < 1e-7
 
     def test_domain_drift_is_minus_energy_gradient(self):
         pot = make_split_bump()
@@ -87,44 +87,39 @@ class TestDriftAgainstEnergy:
         tails = dom.bonds_closure[:, 1]
 
         def fn(interior):
-            full = sys.phi.copy()
+            full = sys.phi[0].copy()
             full[: dom.n_interior] = interior
             return hamiltonian_domain(pot.v, full, heads, tails)
 
-        want = -fd_gradient(fn, sys.phi[: dom.n_interior].copy(), h=1e-6)
-        assert np.max(np.abs(sys.drift_interior() - want)) < 1e-7
+        want = -fd_gradient(fn, sys.phi[0, : dom.n_interior].copy(), h=1e-6)
+        assert np.max(np.abs(sys.drift_interior()[0] - want)) < 1e-7
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("pot", [make_cosine_perturbed(0.8, 1.3), make_split_bump()])
     def test_bond_pass_matches_roll_form(self, d, pot):
-        # per height array: energy, gradient, differences, V' and V sums of
-        # the np.roll passes, bit for bit and in the sign of zero, for
-        # heights without leading axes, replicas sharing a (d,) tilt and
-        # chains with a (B, d) tilt, on N = 2 (where a site's forward and
-        # backward neighbours coincide) and larger N
+        # per chain: energy, gradient, differences, V' and V sums of the
+        # np.roll passes, bit for bit and in the sign of zero, for a lone
+        # chain, chains sharing one tilt row and chains with their own, on
+        # N = 2 (where a site's forward and backward neighbours coincide)
+        # and larger N
         def same(x, y):
             return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
         def check(pot, tilts, phi):
-            seed = list(range(len(tilts))) if tilts.ndim == 2 else 0
-            sys = TiltedPeriodicSystem(lat, pot, tilts, phi=phi, seed=seed)
+            sys = TiltedPeriodicSystem(lat, pot, tilts, phi=phi, seed=range(len(tilts)))
             b = sys.bond_pass(phi)
-            flat = (-1,) + lat.shape
-            diffs, vp = (a.reshape((d,) + flat) for a in (b.diffs, b.vp))
-            grad, energy, v_sums = b.grad.reshape(flat), np.reshape(b.energy, -1), b.v_sums
-            tilt_rows = np.broadcast_to(tilts, phi.shape[:-d] + (d,)).reshape(-1, d)
-            for r, (p, tilt) in enumerate(zip(phi.reshape(flat), tilt_rows)):
+            for r, (p, tilt) in enumerate(zip(phi, tilts)):
                 want_grad = np.zeros(lat.shape)
                 for i in range(d):
                     bond = np.roll(p, -1, axis=i) - p + tilt[i]
                     a = pot.vp(bond)
                     want_grad += np.roll(a, 1, axis=i) - a
-                    assert same(diffs[i][r], np.roll(p, -1, axis=i) - p)
-                    assert same(vp[i][r], a)
-                    assert np.reshape(v_sums[i], -1)[r] == pot.v(bond).sum()
-                assert energy[r] == hamiltonian_torus(pot.v, p, tilt)
-                assert same(grad[r], want_grad)
-            assert same(sys.drift(), -b.grad)
+                    assert same(b.diffs[i][r], np.roll(p, -1, axis=i) - p)
+                    assert same(b.vp[i][r], a)
+                    assert b.v_sums[i][r] == pot.v(bond).sum()
+                assert b.energy[r] == hamiltonian_torus(pot.v, p, tilt)
+                assert same(b.grad[r], want_grad)
+            assert same(sys.drift_interior(), -b.grad)
             assert all(same(x, y) for x, y in zip(sys.eta_tilde(), b.diffs))
             skipped = sys.bond_pass(phi, with_energy=False)
             assert skipped.energy is None and skipped.v_sums is None
@@ -134,13 +129,13 @@ class TestDriftAgainstEnergy:
         tilt = np.linspace(-0.4, 0.7, d)
         for N in (2, 5 if d < 3 else 3):
             lat = TorusLattice(N, d)
-            for lead, tilts in (((), tilt), ((4,), tilt), ((3,), rng.normal(size=(3, d)))):
-                check(pot, tilts, rng.normal(size=lead + lat.shape))
+            for tilts in (tilt[None], np.tile(tilt, (4, 1)), rng.normal(size=(3, d))):
+                check(pot, tilts, rng.normal(size=(len(tilts),) + lat.shape))
             # bonds at exactly +-0.0: the Gaussian V' keeps their sign, so
             # some V' differences are -0.0, which the gradient adds to +0.0
             zeros = np.where(rng.random((3,) + lat.shape) < 0.5, -0.0, 0.0)
             for p in (pot, make_gaussian()):
-                check(p, np.full(d, -0.0), zeros)
+                check(p, np.full((3, d), -0.0), zeros)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bond_pass_per_chain_tilts(self, d):
@@ -152,25 +147,32 @@ class TestDriftAgainstEnergy:
         batch = TiltedPeriodicSystem(lat, pot, tilts, phi=phi, seed=[0, 1, 2])
         b = batch.bond_pass(phi)
         for j in range(3):
-            single = TiltedPeriodicSystem(lat, pot, tilts[j], phi=phi[j])
-            one = single.bond_pass(phi[j])
-            assert b.energy[j] == one.energy
-            assert np.array_equal(b.grad[j], one.grad)
+            single = TiltedPeriodicSystem(lat, pot, tilts[j : j + 1], phi=phi[j], seed=[j])
+            one = single.bond_pass(phi[j : j + 1])
+            assert b.energy[j] == one.energy[0]
+            assert np.array_equal(b.grad[j], one.grad[0])
             for name in ("diffs", "vp", "v_sums"):
                 assert all(
-                    np.array_equal(x[j], y) for x, y in zip(getattr(b, name), getattr(one, name))
+                    np.array_equal(x[j], y[0])
+                    for x, y in zip(getattr(b, name), getattr(one, name))
                 )
         for seed in ([0, 1], 0):
             with pytest.raises(ValueError):
                 TiltedPeriodicSystem(lat, pot, tilts, seed=seed)
+
+    @pytest.mark.parametrize("tilt", [(0.5, 0.0), [[[0.5, 0.0]]], [(0.5,)]])
+    def test_tilt_needs_one_row_per_chain(self, tilt):
+        # a (d,) tilt, extra axes or the wrong d are refused
+        with pytest.raises(ValueError, match=r"tilt of shape \(B, d\)"):
+            TiltedPeriodicSystem(TorusLattice(4, 2), make_gaussian(), tilt, seed=[0])
 
     def test_pointwise_reference_matches_vectorized(self):
         pot = make_cosine_perturbed(0.4, 2.0)
         lat = TorusLattice(6, 2)
         rng = np.random.default_rng(13)
         phi = rng.normal(size=lat.shape)
-        sys = TiltedPeriodicSystem(lat, pot, (0.0, 0.0), phi=phi)
-        vec = sys.drift()
+        sys = TiltedPeriodicSystem(lat, pot, [(0.0, 0.0)], phi=phi, seed=[0])
+        vec = sys.drift_interior()[0]
         for site in [(0, 0), (3, 4), (5, 5)]:
             want = pytest.approx(vec[site], abs=1e-12)
             assert pointwise_drift(pot.vp, phi, site) == want
@@ -195,12 +197,12 @@ class TestEulerStep:
         sys = DirichletSystem(dom, make_gaussian(), psi, seed=9)
         for _ in range(60):
             em_step(sys, 0.01)
-        assert np.array_equal(sys.phi[dom.n_interior:], psi[dom.n_interior:])
+        assert np.array_equal(sys.phi[0, dom.n_interior:], psi[dom.n_interior:])
 
     def test_nonfinite_detected(self):
         lat = TorusLattice(4, 1)
-        sys = TiltedPeriodicSystem(lat, make_gaussian(), (0.0,))
-        sys.phi[0] = 1e308
+        sys = TiltedPeriodicSystem(lat, make_gaussian(), [(0.0,)], seed=[0])
+        sys.phi[0, 0] = 1e308
         with np.errstate(over="ignore"), pytest.raises(NonFinite):
             em_step(sys, 0.01)
 
@@ -237,8 +239,34 @@ class TestEulerStep:
         for _ in range(20):
             em_step(serial, 0.02)
             em_step(batch, 0.02)
-        assert np.array_equal(batch.phi[0], serial.phi)
+        assert serial.phi.shape == (1, dom.n_sites)
+        assert np.array_equal(batch.phi[0], serial.phi[0])
         assert not np.array_equal(batch.phi[1], batch.phi[2])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_torus_chain_matches_lone_run(self, d, monkeypatch):
+        # chain j of a batch, with its own tilt and seed, follows the
+        # trajectory of the same chain run alone, bit for bit; a small
+        # block budget puts block edges at different steps in the two runs
+        pot = make_cosine_perturbed(0.8, 1.3)
+        lat = TorusLattice(5, d)
+        monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES", 8 * 3 * lat.n_sites * 2 + 7)
+        rng = np.random.default_rng(d)
+        tilts = rng.normal(size=(3, d))
+        phi = rng.normal(size=(3,) + lat.shape)
+        seeds = [(4, j) for j in range(3)]
+        batch = TiltedPeriodicSystem(lat, pot, tilts, phi=phi, seed=seeds)
+        lone = [
+            TiltedPeriodicSystem(lat, pot, tilts[j : j + 1], phi=phi[j], seed=[seeds[j]])
+            for j in range(3)
+        ]
+        dt = 0.9 * step_cap(pot, d)
+        for scale in (1.0, 1.0, 0.0, 1.0, 0.5, 1.0, 1.0):
+            em_step(batch, dt, noise_scale=scale)
+            for j, one in enumerate(lone):
+                em_step(one, dt, noise_scale=scale)
+                assert np.array_equal(batch.phi[j], one.phi[0])
+        assert not np.array_equal(batch.phi[0], batch.phi[1])
 
     def test_free_field_spreads_like_brownian_motion(self):
         # with V = 0 each interior height is a pure Brownian motion,
@@ -259,7 +287,7 @@ class TestEulerStep:
         N, dt, reps, steps = 8, 0.05, 3000, 1500
         lat = TorusLattice(N, 1)
         sys = TiltedPeriodicSystem(
-            lat, make_gaussian(), (0.0,), phi=np.zeros((reps, N)), seed=3
+            lat, make_gaussian(), np.zeros((reps, 1)), seed=[(3, r) for r in range(reps)]
         )
         for _ in range(steps):
             em_step(sys, dt)
@@ -275,10 +303,10 @@ class TestMacroscopic:
         lat = TorusLattice(6, 2)
         rng = np.random.default_rng(8)
         sys = TiltedPeriodicSystem(
-            lat, make_gaussian(), (0.9, -0.3), phi=rng.normal(size=lat.shape)
+            lat, make_gaussian(), [(0.9, -0.3)], phi=rng.normal(size=lat.shape), seed=[0]
         )
         # zero winding: the untilted differences average to 0 on every axis
-        got = [e.mean() + u for e, u in zip(sys.eta_tilde(), sys.tilt)]
+        got = [e.mean() + u for e, u in zip(sys.eta_tilde(), sys.tilt[0])]
         assert np.allclose(got, [0.9, -0.3], atol=1e-12, rtol=0)
 
     def test_macro_height_requires_matching_clock(self):
@@ -370,15 +398,14 @@ class TestEnergyTrace:
         assert (diag.lhs <= diag.rhs).all()
 
 
-def _system_and_plain(spec, N, pot, seed, replicas=None):
+def _system_and_plain(spec, N, pot, seed, replicas):
     """A DirichletSystem with random data and its plain-loop twin."""
     dom = discretize_domain(spec, N)
     rng = np.random.default_rng(0)
     psi = rng.normal(size=dom.n_sites)
     phi0 = psi + rng.normal(size=dom.n_sites)
     system = DirichletSystem(dom, pot, psi, phi0=phi0, seed=seed, replicas=replicas)
-    n_rep = 1 if system.phi.ndim == 1 else system.phi.shape[0]
-    rngs = [stream(*seed_key(seed), r) for r in range(n_rep)]
+    rngs = [stream(*seed_key(seed), r) for r in range(replicas)]
     plain = PlainDirichlet(
         system.phi, psi, dom.n_interior, dom.neighbors, dom.bonds_closure, pot.vp, rngs
     )
@@ -390,7 +417,7 @@ PLAIN_LOOP_CASES = {
     "box1d": (UNIT_BOX_1D, 12, make_gaussian(), 5),
     "box2d-cosine": (DomainSpec.box((1.0, 1.0)), 8, make_cosine_perturbed(0.6, 1.5), 3),
     "ball-split-bump": (DomainSpec.ball(0.4, center=(0.0, 0.0)), 10, make_split_bump(), 7),
-    "single-replica": (UNIT_BOX_1D, 9, make_cosine_perturbed(0.8, 1.0), None),
+    "single-replica": (UNIT_BOX_1D, 9, make_cosine_perturbed(0.8, 1.0), 1),
     "box3d": (DomainSpec.box((1.0,) * 3), 8, make_cosine_perturbed(0.3, 1.0), 2),
     "box4d": (DomainSpec.box((1.0,) * 4), 7, make_cosine_perturbed(0.3, 1.0), 2),
 }
@@ -406,7 +433,7 @@ class TestMatchesPlainLoop:
         dom = discretize_domain(spec, N)
         if block_steps is not None:
             # K steps per block plus a little slack, so 11 steps end mid-block
-            budget = 8 * (replicas or 1) * dom.n_interior * block_steps + 7
+            budget = 8 * replicas * dom.n_interior * block_steps + 7
             monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES", budget, raising=False)
         system, plain = _system_and_plain(spec, N, pot, seed=(4, N), replicas=replicas)
         cap = step_cap(pot, spec.d)
@@ -422,7 +449,7 @@ class TestMatchesPlainLoop:
     def test_energy_trace_and_checkpoints(self, case, monkeypatch):
         spec, N, pot, replicas = PLAIN_LOOP_CASES[case]
         dom = discretize_domain(spec, N)
-        budget = 8 * (replicas or 1) * dom.n_interior * 4 + 1
+        budget = 8 * replicas * dom.n_interior * 4 + 1
         monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES", budget, raising=False)
         system, plain = _system_and_plain(spec, N, pot, seed=9, replicas=replicas)
         dt = 0.9 * step_cap(pot, spec.d)
@@ -448,14 +475,26 @@ class TestNoiseBlock:
         system = DirichletSystem(dom, FREE, np.zeros(dom.n_sites), seed=1, replicas=10000)
         em_step(system, 0.01)
         one_step = 8 * 10000 * dom.n_interior
-        assert system._block.nbytes <= max(one_step, dynamics.NOISE_BLOCK_BYTES)
+        assert system._noise.block.nbytes <= max(one_step, dynamics.NOISE_BLOCK_BYTES)
 
     def test_small_system_stays_within_the_budget(self):
         dom = discretize_domain(UNIT_BOX_1D, 10)
         system = DirichletSystem(dom, FREE, np.zeros(dom.n_sites), seed=1, replicas=4)
-        assert system._block.nbytes <= dynamics.NOISE_BLOCK_BYTES
+        em_step(system, 0.01)
+        assert system._noise.block.nbytes <= dynamics.NOISE_BLOCK_BYTES
         k = dynamics.NOISE_BLOCK_BYTES // (8 * 4 * dom.n_interior)
-        assert system._block.shape == (4, k, dom.n_interior)
+        assert system._noise.block.shape == (4, k, dom.n_interior)
+
+    def test_block_made_on_the_first_noisy_step(self):
+        dom = discretize_domain(UNIT_BOX_1D, 10)
+        dirichlet = DirichletSystem(dom, FREE, np.zeros(dom.n_sites), replicas=2)
+        torus = TiltedPeriodicSystem(TorusLattice(4, 2), FREE, np.zeros((3, 2)), seed=[0, 1, 2])
+        for system in (dirichlet, torus):
+            em_step(system, 0.01, noise_scale=0.0)
+            assert system._noise.block is None
+            em_step(system, 0.01)
+            # one step of the block is shaped like the sites a step moves
+            assert system._noise.block[:, 0].shape == system.moving.shape
 
     @pytest.mark.parametrize("noisy_before", [0, 1, 2])
     def test_noise_free_steps_draw_nothing(self, noisy_before, monkeypatch):

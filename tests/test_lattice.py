@@ -29,7 +29,8 @@ UNIT_BOX_1D = DomainSpec.box((1.0,), center=(0.0,))
 
 def eta_tilde(lat, phi):
     """Untilted bond differences of ``phi`` as every run forms them."""
-    return TiltedPeriodicSystem(lat, make_gaussian(), np.zeros(lat.d), phi=phi).eta_tilde()
+    sys = TiltedPeriodicSystem(lat, make_gaussian(), np.zeros((1, lat.d)), phi=phi, seed=[0])
+    return sys.eta_tilde()[:, 0]
 
 
 class TestDomainSpec:
@@ -144,9 +145,9 @@ class TestTorus:
     def test_gradient_roundtrip_exact(self):
         lat = TorusLattice(8, 2)
         phi = np.random.default_rng(0).normal(size=lat.shape)
-        sys = TiltedPeriodicSystem(lat, make_gaussian(), (0.0, 0.0), phi=phi)
-        eta = sys.eta_tilde()
-        assert np.array_equal(eta, sys.bond_pass(phi).diffs)
+        sys = TiltedPeriodicSystem(lat, make_gaussian(), [(0.0, 0.0)], phi=phi, seed=[0])
+        assert np.array_equal(sys.eta_tilde(), sys.bond_pass(phi[None]).diffs)
+        eta = sys.eta_tilde()[:, 0]
         assert plaquette_circulation(eta) <= 1e-12
         assert winding(eta) <= 1e-12
         assert np.allclose(integrate_bonds(eta), phi - phi.flat[0], atol=1e-12, rtol=0)
