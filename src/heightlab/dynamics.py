@@ -282,8 +282,9 @@ class DirichletSystem:
         """Sum of squared gradients over directed closure bonds, per replica."""
         heads = self.domain.bonds_closure[:, 0]
         tails = self.domain.bonds_closure[:, 1]
-        diff = self.phi[:, heads] - self.phi[:, tails]
-        return 2.0 * np.square(diff).sum(axis=-1)
+        # one sum per row: over (R, bonds) numpy rounds a row differently
+        # from the row alone, and a replica's trace must not depend on R
+        return 2.0 * np.array([np.square(row[heads] - row[tails]).sum() for row in self.phi])
 
 
 def em_step(system, dt: float, noise_scale: float = 1.0) -> None:
@@ -377,8 +378,11 @@ class MacroscopicField:
 
     def l2_norm_sq(self) -> float | np.ndarray:
         """Squared L2(D) norm, cells weighted by their overlap with D; a
-        float, or (R,) for replicas."""
-        return (self.values**2) @ domain_cell_weights(self.spec, self.N, self.sites)
+        float, or (R,) for replicas, each row's the same as the row alone's."""
+        weights = domain_cell_weights(self.spec, self.N, self.sites)
+        # one product per row: an (R, n) matmul rounds a row differently
+        rows = [row @ weights for row in np.atleast_2d(self.values**2)]
+        return np.reshape(rows, self.values.shape[:-1])[()]
 
 
 def domain_cell_weights(spec, N: int, sites: np.ndarray) -> np.ndarray:

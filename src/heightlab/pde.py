@@ -1,16 +1,23 @@
-"""Explicit solver for the limiting nonlinear diffusion.
+"""Explicit super-time-stepping solver for the limiting nonlinear diffusion.
 
 The macroscopic height profile follows
 
     dh/dt = div( grad sigma( grad h ) )    in D,
     h = f                                   on the boundary,
 
-solved here with a flux-form forward Euler scheme on a node grid aligned
-with the domain walls: face gradients are central differences, the flux
+solved on a node grid aligned with the domain walls.  The right side
+L(h) is in flux form: face gradients are central differences, the flux
 is evaluated on faces, and interior nodes gain the divergence of the
-face fluxes.  The time step obeys dt <= spacing^2 / (2 d C2) where C2
-bounds the flux Lipschitz constant, which keeps the update a convex
-combination and the solution inside its initial bounds.
+face fluxes.  Forward Euler on L is stable for steps up to
+spacing^2 / (2 d C2), the CFL cap, where C2 bounds the flux Lipschitz
+constant.  Time is integrated with the second-order Runge-Kutta-Legendre
+super-step (RKL2; Meyer, Balsara and Aslam, J. Comput. Phys. 257 (2014)
+594-626): one super-step of s stages evaluates L s times and is stable
+up to (s^2 + s - 2) / 4 forward-Euler steps, so a span of n Euler
+steps takes about 1.5 sqrt(n) super-steps.  From t = 0 to 0.05 on a
+65 x 65 grid that is 414 flux evaluations instead of Euler's 911.  The
+stages are affine combinations, not convex ones, so the scheme does not
+guarantee the maximum principle that forward Euler below the cap has.
 
 A flux exposes ``lipschitz_upper`` and one per-direction query,
 ``grad_component(cols, i, out)``: component i of grad sigma at the tilts
@@ -18,11 +25,12 @@ A flux exposes ``lipschitz_upper`` and one per-direction query,
 Face direction i asks for component i only.  ``grad_many`` (m, d) is the
 full-vector lookup for callers outside the loop.  ``solve`` builds one
 ``_Stencil`` per call, holding the slices and the buffers for face
-tilts, node gradients, flux columns, divergence and increment, and every
-step fills it with ``out=`` ufuncs.  A table flux keeps its clamped tilts,
-cells, weights, corner indices and corner terms in buffers of its own, so
-a step allocates only for the few tilts whose arithmetic cell guess fails
-its check and is searched for instead.
+tilts, node gradients, flux columns, divergence, the stage values and
+their combination, and every stage fills it with ``out=`` ufuncs.  A
+table flux keeps its clamped tilts, cells, weights, corner indices and
+corner terms in buffers of its own, so a stage allocates only for the
+few tilts whose arithmetic cell guess fails its check and is searched
+for instead.
 """
 
 from __future__ import annotations
@@ -179,17 +187,21 @@ def _along(axis: int, d: int, sl) -> tuple:
 
 
 class _Stencil:
-    """Slices and buffers of one solve, made once and reused every step.
+    """Slices and buffers of one solve, made once and reused every stage.
 
     Per face direction i: the slices of the lower and upper node of each
     face (which are also the lower and upper face of each inner node), the
     inner nodes, the face tilts (d,) + face shape, the flux column i there,
     and the flux difference across each inner node.  Node-wide: the
-    central-difference gradients (d > 1 only), the divergence and the
-    increment.
+    central-difference gradients (d > 1 only), the divergence, L at the
+    start of a super-step, three rotating stage values that start as
+    copies of ``h`` (so their boundary nodes hold the boundary data and
+    stages write interior nodes only), and two scratch arrays for the
+    stage combination.
     """
 
-    def __init__(self, shape, spacing: float):
+    def __init__(self, h: np.ndarray, spacing: float):
+        shape = h.shape
         d = len(shape)
         self.d = d
         self.spacing = spacing
@@ -217,7 +229,10 @@ class _Stencil:
         ]
         self.node_grads = np.empty((d,) + tuple(shape)) if d > 1 else None
         self.div = np.empty(shape)
-        self.inc = np.empty(shape)
+        self.div0 = np.empty(shape)
+        self.stages = [h.copy() for _ in range(3)]
+        self.acc = np.empty(shape)
+        self.term = np.empty(shape)
 
 
 def _node_gradients(h: np.ndarray, st: _Stencil) -> np.ndarray:
@@ -261,6 +276,72 @@ def _divergence(h: np.ndarray, flux, st: _Stencil) -> np.ndarray:
     return div
 
 
+# super-steps per square root of the forward-Euler step count: 1.0
+# made the coarsest grids (1-d, spacing 1/16) less accurate than Euler
+SUPER_STEPS_PER_ROOT = 1.5
+
+
+def super_steps(span: float, dt_base: float) -> tuple[int, int]:
+    """(n_super, s): the RKL2 super-steps and stages per super-step for a span.
+
+    The span takes n = ceil(span / dt_base) forward-Euler steps, so
+    ceil(1.5 sqrt(n)) super-steps, each with the fewest stages s >= 2
+    whose stability bound dt_base (s^2 + s - 2) / 4 covers it.
+    """
+    n_euler = max(1, int(np.ceil(span / dt_base - 1e-12)))
+    n_super = int(np.ceil(SUPER_STEPS_PER_ROOT * np.sqrt(n_euler)))
+    tau = span / n_super
+    s = 2
+    while dt_base * (s * s + s - 2) / 4 < tau * (1 - 1e-12):
+        s += 1
+    return n_super, s
+
+
+def _rkl2_coefficients(s: int, tau: float) -> tuple[float, list]:
+    """The weight of L(Y_0) in Y_1 = Y_0 + (w1 / 3) tau L(Y_0), and per
+    stage j = 2..s the five weights, in order, of
+
+        Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0
+              + mu w1 tau L(Y_{j-1}) - (1 - b_{j-1}) mu w1 tau L(Y_0).
+    """
+    b = [1 / 3, 1 / 3, 1 / 3] + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(3, s + 1)]
+    w1 = 4 / (s * s + s - 2)
+    stages = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        stages.append((mu, nu, 1 - mu - nu, mu * w1 * tau, -(1 - b[j - 1]) * mu * w1 * tau))
+    return w1 / 3 * tau, stages
+
+
+def _super_step(h, flux, st: _Stencil, interior, coefficients) -> None:
+    """One RKL2 super-step from ``h``, in place.
+
+    ``h`` is Y_0 throughout and takes Y_s at the end; Y_j for j >= 1
+    lives in ``st.stages[j % 3]``.  Each stage sums its terms into
+    ``acc`` in the order of the formula and writes interior nodes only.
+    """
+    first, stages = coefficients
+    acc, term, div0 = st.acc, st.term, st.div0
+
+    def y(j):
+        return h if j == 0 else st.stages[j % 3]
+
+    def combine(j, terms):
+        (array, weight), *rest = terms
+        np.multiply(array, weight, out=acc)
+        for array, weight in rest:
+            np.add(acc, np.multiply(array, weight, out=term), out=acc)
+        np.copyto(y(j), acc, where=interior)
+
+    np.copyto(div0, _divergence(h, flux, st))
+    combine(1, [(h, 1.0), (div0, first)])
+    for j, (mu, nu, keep, mu_w, gamma_w) in enumerate(stages, start=2):
+        div = _divergence(y(j - 1), flux, st)
+        combine(j, [(y(j - 1), mu), (y(j - 2), nu), (h, keep), (div, mu_w), (div0, gamma_w)])
+    np.copyto(h, y(len(stages) + 1), where=interior)
+
+
 def solve(
     grid: PdeGrid,
     h0,
@@ -271,20 +352,29 @@ def solve(
     record=(),
     clamp_tol: float = 1e-3,
 ) -> PdeSolution:
-    """Integrate to ``t_end``, recording snapshots at the given times.
+    """Integrate to ``t_end`` with RKL2 super-steps, recording snapshots.
 
     ``h0`` is a callable on points or a nodal array; ``boundary`` is the
     callable supplying values at non-interior nodes (defaults to freezing
-    the initial values there).  A user ``dt`` above the CFL cap raises
-    ``CflViolation``; the automatic step is 0.9 times the cap and
-    each recording segment lands exactly.
+    the initial values there).  ``dt`` is the forward-Euler base step
+    dt_base of the super-step rule (``super_steps``); a user ``dt``
+    above the CFL cap raises ``CflViolation``, and the automatic one is
+    0.9 times the cap.  Each recording segment lands exactly.
+
+    On the returned solution ``dt`` is dt_base, ``steps`` counts flux
+    evaluations (s per super-step), and ``linf_ok`` records whether
+    max|h| stayed within its initial value after every super-step.  It
+    is a check of the run, not a property of the scheme.  ``NonFinite``
+    is raised after the first super-step that leaves float range, and
+    ``FluxRangeExceeded`` at the end if more than ``clamp_tol`` of the
+    flux queries (d times the node count per evaluation) were clamped.
     """
     h = grid.evaluate(h0) if callable(h0) else np.array(h0, dtype=float)
     if h.shape != grid.shape:
         raise ValueError("initial data does not match the grid")
     interior = grid.interior
     if boundary is not None:
-        # steps only add at interior nodes, so the boundary is set once
+        # stages write interior nodes only, so the boundary is set once
         np.copyto(h, grid.evaluate(boundary), where=~interior)
 
     cap = grid.spacing**2 / (2.0 * grid.d * flux.lipschitz_upper)
@@ -302,22 +392,20 @@ def solve(
     sol = PdeSolution(
         grid=grid, final=h, dt=dt_base, flux_label=getattr(flux, "label", "?")
     )
-    st = _Stencil(grid.shape, grid.spacing)
-    inc = st.inc
+    st = _Stencil(h, grid.spacing)
     t = 0.0
     steps = 0
     for t_next in record:
         span = t_next - t
         if span > 1e-15:
-            n = max(1, int(np.ceil(span / dt_base - 1e-12)))
-            dt_eff = span / n
-            for _ in range(n):
-                np.multiply(_divergence(h, flux, st), dt_eff, out=inc)
-                np.add(h, inc, out=h, where=interior)
-                steps += 1
-                queries += grid.d * h.size  # upper bound on flux queries
+            n_super, s = super_steps(span, dt_base)
+            coefficients = _rkl2_coefficients(s, span / n_super)
+            for _ in range(n_super):
+                _super_step(h, flux, st, interior, coefficients)
+                steps += s
+                queries += s * grid.d * h.size  # upper bound on flux queries
                 # one pass for both checks: the max is NaN or inf if any is
-                peak = np.abs(h, out=inc).max()
+                peak = np.abs(h, out=st.acc).max()
                 if not np.isfinite(peak):
                     raise NonFinite(f"PDE state left float range at step {steps}")
                 if peak > bound0 + 1e-9:

@@ -249,43 +249,91 @@ def reference_integrate_paths(axes, anchor, dsigma, dsigma_err):
     return sigma_vals, sigma_var
 
 
-def reference_pde_solve(h, interior, spacing, flux, t_end, dt=None, record=(),
-                        safety=0.9, clamp_tol=1e-3):
-    """The explicit flux-form PDE step loop in its plain form.
-
-    Boolean-mask gather/scatter updates, ``np.gradient`` node gradients,
-    and per face direction i one full-vector ``flux.grad_many`` call of
-    which column i is kept.  ``h`` holds the initial values with the
-    boundary already in place; ``interior`` is the mask of nodes that
-    move.  Returns a dict with ``final``, ``snapshots``, ``steps``,
-    ``linf_ok``, ``clamped`` and ``queries``, plus ``nonfinite_step``
-    (the step at which the state left float range, else None) and
-    ``range_exceeded`` (clamped / queries above ``clamp_tol``).
-    """
-    h = np.array(h, dtype=float)
+def plain_divergence(h, spacing, flux):
+    """div grad sigma(grad h) at the inner nodes in its plain form:
+    ``np.gradient`` node gradients and, per face direction i, one
+    full-vector ``flux.grad_many`` call of which column i is kept."""
     d = h.ndim
-    exterior = ~interior
-    bvals = h.copy()
 
     def along(i, sl):
         return tuple(sl if k == i else slice(None) for k in range(d))
 
-    def divergence(h):
-        div = np.zeros_like(h)
-        node_grads = np.gradient(h, spacing) if d > 1 else None
-        for i in range(d):
-            lower, upper = along(i, slice(None, -1)), along(i, slice(1, None))
-            face_grad = (h[upper] - h[lower]) / spacing
-            comps = [
-                face_grad if j == i
-                else 0.5 * (node_grads[j][lower] + node_grads[j][upper])
-                for j in range(d)
-            ]
-            face_vec = np.stack([c.ravel() for c in comps], axis=-1)
-            flux_i = flux.grad_many(face_vec)[:, i].reshape(face_grad.shape)
-            div[along(i, slice(1, -1))] += (flux_i[upper] - flux_i[lower]) / spacing
-        return div
+    div = np.zeros_like(h)
+    node_grads = np.gradient(h, spacing) if d > 1 else None
+    for i in range(d):
+        lower, upper = along(i, slice(None, -1)), along(i, slice(1, None))
+        face_grad = (h[upper] - h[lower]) / spacing
+        comps = [
+            face_grad if j == i
+            else 0.5 * (node_grads[j][lower] + node_grads[j][upper])
+            for j in range(d)
+        ]
+        face_vec = np.stack([c.ravel() for c in comps], axis=-1)
+        flux_i = flux.grad_many(face_vec)[:, i].reshape(face_grad.shape)
+        div[along(i, slice(1, -1))] += (flux_i[upper] - flux_i[lower]) / spacing
+    return div
 
+
+def euler_plan(span, dt_base):
+    """Forward Euler: the fewest steps of at most dt_base, one evaluation each."""
+    n = max(1, int(np.ceil(span / dt_base - 1e-12)))
+    return n, 1
+
+
+def euler_step(h, interior, spacing, flux, dt, evals):
+    """One forward-Euler step at interior nodes; ``evals`` is always 1."""
+    out = h.copy()
+    out[interior] += dt * plain_divergence(h, spacing, flux)[interior]
+    return out
+
+
+def rkl2_plan(span, dt_base):
+    """RKL2: ceil(1.5 sqrt(n)) super-steps for the n Euler steps of the
+    span, each with the fewest stages s >= 2 that the stability bound
+    dt_base (s^2 + s - 2) / 4 allows."""
+    n_euler, _ = euler_plan(span, dt_base)
+    n_super = int(np.ceil(1.5 * np.sqrt(n_euler)))
+    s = 2
+    while dt_base * (s**2 + s - 2) / 4 < span / n_super * (1 - 1e-12):
+        s += 1
+    return n_super, s
+
+
+def rkl2_step(h, interior, spacing, flux, tau, s):
+    """One Runge-Kutta-Legendre super-step of s stages (Meyer, Balsara
+    and Aslam 2014), every stage formed whole and kept at interior nodes."""
+    b = [1 / 3, 1 / 3, 1 / 3] + [(j**2 + j - 2) / (2 * j * (j + 1)) for j in range(3, s + 1)]
+    w1 = 4 / (s**2 + s - 2)
+    L0 = plain_divergence(h, spacing, flux)
+    ys = [h, np.where(interior, h + w1 / 3 * tau * L0, h)]
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        y = (mu * ys[j - 1] + nu * ys[j - 2] + (1 - mu - nu) * h
+             + mu * w1 * tau * plain_divergence(ys[j - 1], spacing, flux)
+             + -(1 - b[j - 1]) * mu * w1 * tau * L0)
+        ys.append(np.where(interior, y, h))
+    return ys[-1]
+
+
+def reference_pde_solve(h, interior, spacing, flux, t_end, dt=None, record=(),
+                        safety=0.9, clamp_tol=1e-3, plan=rkl2_plan, step=rkl2_step):
+    """The explicit flux-form PDE solve in its plain form, RKL2 by default.
+
+    ``plan(span, dt_base)`` gives the steps of a record segment and the
+    flux evaluations per step, and ``step(h, interior, spacing, flux,
+    dt, evals)`` returns the next state.  ``plan=euler_plan,
+    step=euler_step`` is the forward-Euler loop, the time-converged
+    accuracy reference at a small ``dt``.  ``h`` holds the initial
+    values with the boundary already in place; ``interior`` is the mask
+    of nodes that move.  Returns a dict with ``final``, ``snapshots``,
+    ``steps`` (flux evaluations), ``linf_ok``, ``clamped`` and
+    ``queries``, plus ``nonfinite_step`` (the evaluation count after the
+    step at which the state left float range, else None) and
+    ``range_exceeded`` (clamped / queries above ``clamp_tol``).
+    """
+    h = np.array(h, dtype=float)
+    d = h.ndim
     cap = spacing**2 / (2.0 * d * flux.lipschitz_upper)
     dt_base = dt if dt is not None else safety * cap
     times = sorted(set(float(t) for t in record) | {float(t_end)})
@@ -298,14 +346,11 @@ def reference_pde_solve(h, interior, spacing, flux, t_end, dt=None, record=(),
     for t_next in times:
         span = t_next - t
         if span > 1e-15:
-            n = max(1, int(np.ceil(span / dt_base - 1e-12)))
-            dt_eff = span / n
+            n, evals = plan(span, dt_base)
             for _ in range(n):
-                div = divergence(h)
-                h[interior] += dt_eff * div[interior]
-                h[exterior] = bvals[exterior]
-                steps += 1
-                queries += d * h.size
+                h = step(h, interior, spacing, flux, span / n, evals)
+                steps += evals
+                queries += evals * d * h.size
                 if not np.isfinite(h).all():
                     out["nonfinite_step"] = steps
                     break
@@ -351,8 +396,9 @@ class PlainDirichlet:
         return np.stack([g.standard_normal(self.n_int) for g in self.rngs])
 
     def dirichlet_sum(self):
-        diff = self.phi[..., self.heads] - self.phi[..., self.tails]
-        return 2.0 * np.square(diff).sum(axis=-1)
+        """Per replica, each row summed alone."""
+        rows = np.atleast_2d(self.phi)
+        return 2.0 * np.array([np.square(r[self.heads] - r[self.tails]).sum() for r in rows])
 
     def step(self, dt, noise_scale=1.0):
         amp = noise_scale * np.sqrt(2.0 * dt)
@@ -379,7 +425,7 @@ def reference_dirichlet_run(plain, N, weights, dt, times, noise_scale=1.0, colle
     scale = N ** (-d)
 
     def norm_sq():
-        return np.atleast_1d(((plain.phi / N) ** 2) @ weights)
+        return np.array([row @ weights for row in np.atleast_2d((plain.phi / N) ** 2)])
 
     out = {
         "times": times,
@@ -395,7 +441,7 @@ def reference_dirichlet_run(plain, N, weights, dt, times, noise_scale=1.0, colle
             n_steps = max(1, int(np.ceil(span / dt)))
             dt_eff = span / n_steps
             for _ in range(n_steps):
-                integral += np.atleast_1d(plain.dirichlet_sum()) * scale * dt_eff / N**2
+                integral += plain.dirichlet_sum() * scale * dt_eff / N**2
                 plain.step(dt_eff, noise_scale)
         t_macro = t_next
         out["h_norm_sq"][k] = norm_sq()

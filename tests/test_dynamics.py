@@ -23,6 +23,7 @@ from heightlab import (
     step_cap,
 )
 from heightlab.dynamics import MacroscopicField, domain_cell_weights
+from heightlab.hydro import clamped_system, make_bump, profile_zero
 from heightlab.rng import seed_key, stream
 
 from oracles import (
@@ -242,6 +243,24 @@ class TestEulerStep:
         assert serial.phi.shape == (1, dom.n_sites)
         assert np.array_equal(batch.phi[0], serial.phi[0])
         assert not np.array_equal(batch.phi[1], batch.phi[2])
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    def test_replica_zero_energy_trace_matches_lone_run(self, N):
+        # the norms and the Dirichlet integral reduce each row alone, so a
+        # replica's trace keeps every bit whatever the number of replicas
+        spec = DomainSpec(shape="box", center=(0.5,), sides=(1.0,))
+        pot = make_gaussian()
+        bump = make_bump(amp=0.8, radius=0.3, center=(0.5,))
+        traces = [
+            run_dirichlet(
+                clamped_system(spec, N, pot, profile_zero, bump, seed=0, replicas=r),
+                0.9 * step_cap(pot, 1), (0.02, 0.05),
+            )
+            for r in (1, 3)
+        ]
+        lone, batch = traces
+        for key in ("h_norm_sq", "dirichlet_integral", "initial_norm_sq"):
+            assert np.array_equal(getattr(batch, key)[..., :1], getattr(lone, key)), key
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_torus_chain_matches_lone_run(self, d, monkeypatch):

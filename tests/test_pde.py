@@ -26,7 +26,7 @@ import heightlab
 from heightlab import DomainSpec, make_gaussian
 from heightlab._interp import Multilinear, multilinear
 from heightlab.errors import CflViolation, FluxRangeExceeded, NonFinite
-from heightlab.hydro import HydroExperiment, profile_zero, run
+from heightlab.hydro import HydroExperiment, make_bump, profile_zero, run
 from heightlab.pde import (
     GaussianFlux,
     GridField,
@@ -34,10 +34,11 @@ from heightlab.pde import (
     TableFlux,
     l2_compare,
     solve,
+    super_steps,
 )
 from heightlab.surface import SurfaceTensionTable
 
-from oracles import heat_solution, reference_pde_solve
+from oracles import euler_plan, euler_step, heat_solution, reference_pde_solve
 
 
 def unit_box(d: int = 1) -> DomainSpec:
@@ -510,6 +511,84 @@ class TestSolveMatchesPlainStepLoop:
         assert str(err.value).startswith(f"{ref['clamped']} of ~{ref['queries']} ")
 
 
+# ---------------------------------------------------------------------------
+# RKL2 against forward Euler
+
+
+def gaussian_table_2d() -> SurfaceTensionTable:
+    """The exact Gaussian table on [-8, 8]^2 with 33 x 33 nodes: dsigma = u."""
+    ax = np.linspace(-8.0, 8.0, 33)
+    u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    zeros = np.zeros_like(u)
+    return SurfaceTensionTable([ax, ax], u, zeros, 0.5 * (u**2).sum(axis=-1), zeros[..., 0])
+
+
+def euler_solve(grid, h0, flux, t_end, dt=None):
+    """The plain forward-Euler loop from h0 with the boundary held at zero."""
+    h = start_values(grid, h0, profile_zero)
+    return reference_pde_solve(h, grid.interior, grid.spacing, flux, t_end, dt=dt,
+                               plan=euler_plan, step=euler_step)
+
+
+ACCURACY_CASES = {
+    # (d, spacing, flux, flux of the fine reference, t_end), from the bump
+    # of the hydro benchmarks; the exact Gaussian table is the closed form
+    # to rounding, which the fine reference uses as the faster of the two
+    "d1-h16": (1, 1 / 16, GaussianFlux, GaussianFlux, 0.05),
+    "d1-h32": (1, 1 / 32, GaussianFlux, GaussianFlux, 0.05),
+    "d1-h64": (1, 1 / 64, GaussianFlux, GaussianFlux, 0.05),
+    "d1-h128": (1, 1 / 128, GaussianFlux, GaussianFlux, 0.05),
+    "d2-gaussian-table-h64": (
+        2, 1 / 64, lambda: TableFlux(gaussian_table_2d()), GaussianFlux, 0.05,
+    ),
+    "d2-h32": (2, 1 / 32, GaussianFlux, GaussianFlux, 0.05),
+    "d2-nonlinear-table-h32": (2, 1 / 32, table_flux(), table_flux(), 0.02),
+}
+
+
+class TestRkl2:
+    @pytest.mark.parametrize("case", list(ACCURACY_CASES))
+    def test_as_accurate_as_forward_euler(self, case):
+        # error = max|h - h_fine|, h_fine forward Euler at a sixteenth of
+        # the cap; RKL2 must not be worse than Euler at 0.9 times the cap
+        d, spacing, make_flux, make_fine_flux, t_end = ACCURACY_CASES[case]
+        grid = PdeGrid(unit_box(d), spacing)
+        bump = make_bump(amp=0.8, radius=0.3, center=(0.5,) * d)
+        flux = make_flux()
+        cap = spacing**2 / (2 * d * flux.lipschitz_upper)
+        fine = euler_solve(grid, bump, make_fine_flux(), t_end, dt=cap / 16)["final"]
+        euler = euler_solve(grid, bump, make_flux(), t_end)
+        sol = solve(grid, bump, flux, t_end, boundary=profile_zero)
+        assert np.abs(sol.final - fine).max() <= np.abs(euler["final"] - fine).max()
+
+    def test_hydro_table_plan(self):
+        # 911 Euler steps on the hydro_table grid become 46 super-steps of 9
+        grid = PdeGrid(unit_box(2), 1 / 64)
+        dt = 0.9 * grid.spacing**2 / 4
+        assert int(np.ceil(0.05 / dt)) == 911
+        assert super_steps(0.05, dt) == (46, 9)
+        bump = make_bump(amp=0.8, radius=0.3, center=(0.5, 0.5))
+        assert solve(grid, bump, GaussianFlux(), 0.05, boundary=profile_zero).steps == 414
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("at_cap", [False, True])
+    def test_checkerboard_does_not_grow(self, d, at_cap):
+        # 16405 Euler steps make 193 super-steps of 18 stages, each exactly
+        # at the stability bound 85 dt; two such segments
+        grid = PdeGrid(unit_box(d), 1 / 16)
+        cap = grid.spacing**2 / (2 * d)
+        dt = cap if at_cap else 0.9 * cap
+        assert super_steps(16405 * dt, dt) == (193, 18)
+        assert 16405 / 193 == (18**2 + 18 - 2) / 4
+        sign = (-1.0) ** np.indices(grid.shape).sum(axis=0)
+        h0 = np.where(grid.interior, sign, 0.0)
+        record = [16405 * dt, 2 * 16405 * dt]
+        sol = solve(grid, h0, GaussianFlux(), record[-1], dt=dt, record=record)
+        assert sol.linf_ok
+        first, last = (np.abs(v).max() for v in sol.snapshots.values())
+        assert last <= first < 1.0
+
+
 def digest(*arrays) -> str:
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
 
@@ -520,9 +599,9 @@ class TestTableFluxPins:
 
     @pytest.mark.parametrize("case, want", [
         ("d2-table-clamping",
-         "c85b37eba9ed8c58e595795320301be752480f39fefe89cac95eae8df40e50ce"),
+         "c60c99691e3ecae20f821a53ab54f5069565f937a855e67e17ec2e81eb3dd922"),
         ("non-square-box-table",
-         "88dd6c4eff25b61e67890b4f2c2430ea76a3ea5c5d3246d0f9c4d5255990747c"),
+         "239039635e019275cf265f122d0f7e3b6f6c1b423dae035fd72fb776f4cf4789"),
     ])
     def test_solve(self, case, want):
         spec, spacing, make_flux, boundary, kw = MATCH_CASES[case]
@@ -546,7 +625,7 @@ class TestTableFluxPins:
         )
         per_seed = run(exp).meta["per_seed"]
         assert digest(*(per_seed[key] for key in sorted(per_seed))) == (
-            "860e54f3e9ea86518da05bbb855ee73fff1530566debc012dd3b62cd0c891ac4"
+            "b77c3367b08da93b86f4ce4fa0102b003e5763d69e88f3bd468c4b5dd65d00f6"
         )
 
 
