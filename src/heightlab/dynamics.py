@@ -183,27 +183,44 @@ class TiltedPeriodicSystem:
         """Untilted bond differences, row i on bonds (x + e_i, x)."""
         return self.phi.take(self._fwd) - self.phi
 
-    def bond_pass(self, phi: np.ndarray, with_energy: bool = True) -> BondPass:
+    def bond_pass(self, phi: np.ndarray, with_energy: bool = True, out=None) -> BondPass:
         """Energy, dH/dphi, eta_tilde and V' of the heights ``phi`` in one pass.
 
         ``phi`` is shaped like this system's heights.  The stacked tilted
         bonds of all axes go through V' in one call, and through V in one
         more unless ``with_energy`` is false, in which case the energy and
         the V sums are None.
+
+        ``out``, a BondPass of arrays shaped like the result's, receives
+        the differences, the gradient, the V sums and the energy; its
+        ``vp`` holds the gather of V' behind each site.  V' itself comes
+        fresh from the potential (for the Gaussian it is the tilted bonds),
+        so the returned pass carries it in place of ``out.vp``.  Without
+        ``out`` the arrays are new.
         """
-        d = self.d
-        diffs = phi.take(self._fwd) - phi
+        d, n_chains = self.d, len(phi)
+        if out is None:  # each numpy call below then makes its own array
+            out = BondPass(None, None, None, None, None)
+        # indices are in range by construction; "clip" writes to ``out``
+        # directly where the checked mode would write a copy back
+        diffs = phi.take(self._fwd, out=out.diffs, mode="clip")
+        np.subtract(diffs, phi, out=diffs)
         bonds = diffs + self._tilts
         v_sums = energy = None
         if with_energy:
-            v_sums = self.pot.v(bonds).sum(axis=tuple(range(2, d + 2)))
-            energy = 0.0
-            for s in v_sums:
-                energy = energy + s
+            # V per chain and axis over one flat lattice axis, which adds in
+            # the same order as the sum over the lattice axes; the energy
+            # adds the axes to 0 in order
+            v = self.pot.v(bonds).reshape(d, n_chains, -1)
+            v_sums = np.add.reduce(v, axis=-1, out=out.v_sums)
+            del v  # freed before V' runs
+            energy = np.add.reduce(v_sums, axis=0, initial=0.0, out=out.energy)
         vp = self.pot.vp(bonds)
         # site x gets V' of bond (x, x - e_i) minus V' of bond (x + e_i, x),
         # added to 0 one axis after the other
-        grad = np.add.reduce(vp.take(self._back) - vp, axis=0, initial=0.0)
+        back = vp.take(self._back, out=out.vp, mode="clip")
+        np.subtract(back, vp, out=back)
+        grad = np.add.reduce(back, axis=0, initial=0.0, out=out.grad)
         return BondPass(energy, grad, diffs, vp, v_sums)
 
     def drift_interior(self) -> np.ndarray:

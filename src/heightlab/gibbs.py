@@ -18,7 +18,13 @@ before any estimate.
 A sampler advances B chains as one batch; one chain is a batch of one.
 A sweep makes one bond pass, on the proposal, through cached neighbour
 gathers; the tilted bonds of all axes are stacked, so V and V' are each
-called once per proposal.  The pass of the current state is kept.
+called once per proposal.  The pass of the current state is kept.  The
+sampler makes its lattice-sized arrays once, two of each that a state
+owns: a proposal is written into the side the current state does not
+use, and adopting it swaps the sides.  So a steady sweep allocates no
+lattice-sized array but the tilted bonds and what V and V' make.  Sums
+over the lattice run over one flat axis, which adds in the same order
+as the lattice axes.
 Observables do not see single sweeps: ``collect`` copies the kept
 untilted differences and V' of consecutive recorded sweeps into a block
 of about ``RECORD_BLOCK_BYTES`` and hands each observable the whole
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DirichletSystem, TiltedPeriodicSystem
+from .dynamics import BondPass, DirichletSystem, TiltedPeriodicSystem
 from .errors import UnmixedChains
 from .lattice import DomainSpec, TorusLattice, discretize_domain
 from .rng import seed_key, stream
@@ -45,9 +51,12 @@ N_BATCHES = 32  # batches behind every error bar
 
 # Bytes of recorded differences and V' that ``collect`` hands to the
 # observables at once; one record's worth is kept even if that is more.
-# Observables make temporaries several times this size (decompose_flux's
-# curvature nodes), so it stays small: on the N = 16, d = 2 chain, 64 KiB
-# ran no faster and raised peak RSS by 0.4 MiB more.
+# Observables make temporaries several times this size: decompose_flux
+# evaluates V0'' at all nodes of all axes at once, nodes / 2 = 4 times
+# the block per temporary.  So it stays small: on the N = 16, d = 2
+# chain (decompose_flux and grad_sigma, 3000 sweeps each), three sets
+# of 6-10 interleaved runs put the median of 16 KiB 4-9 % and of 64 KiB
+# 3-21 % above 32 KiB, and 64 KiB raised peak RSS by 0.3 MiB.
 RECORD_BLOCK_BYTES = 32 * 1024
 
 
@@ -114,11 +123,19 @@ class GibbsSampler:
     burn-in early waits, drawing nothing, until all have.  Acceptance is
     counted over all chains together.
 
-    The bond pass of the current state (energy, masked gradient,
-    differences, V' and V sums) is kept, so a sweep makes one pass, on
-    the proposal, and observables and burn-in probes read the kept one.
-    Per-axis arrays of the pass are stacked: axis i in row i, then the
-    chain axis.
+    The bond pass of the current state (energy, gradient, differences,
+    V' and V sums) is kept, so a sweep makes one pass, on the proposal,
+    and observables and burn-in probes read the kept one.  Per-axis
+    arrays of the pass are stacked: axis i in row i, then the chain axis.
+
+    The lattice-sized arrays a sweep writes are made once, here: the pass
+    buffers of the current state and of the proposal, the spare heights,
+    the noise xi and the residual, and with them the (B,) uniform draws.  A sweep writes its
+    proposal and the proposal's pass into the side the current state
+    does not use; adopting it swaps the sides, and a rejected proposal
+    leaves its side to the next sweep.  So no buffer of the current pass
+    is written while that pass is current.  For the Gaussian, V' returns
+    its argument, so the kept V' is that pass's own tilted bonds.
     """
 
     def __init__(
@@ -136,40 +153,57 @@ class GibbsSampler:
         self.system = system
         self.thin = int(thin)
         self.burn_in = burn_in
-        self._n = len(system.tilt)
+        self._n = n = len(system.tilt)
         self._axes = tuple(range(1, lat.d + 1))  # lattice axes after the chain axis
         mask = np.ones(lat.shape)
         mask[(0,) * lat.d] = 0.0  # gauge: phi(0) pinned at 0
         self._mask = mask
         self._step = None
         if step is not None:
-            self._set_step(np.full(self._n, step, dtype=float))
+            self._set_step(np.full(n, step, dtype=float))
         self._prepared = False
-        self._cur = None  # BondPass of the current state, masked gradient
+        self._cur = None  # BondPass of the current state
         self._accepts = 0  # pooled over the chains
         self._proposals = 0
+        # the workspace; _passes[0] is the current state's side
+        shape = (n,) + lat.shape
+        stacked = (lat.d,) + shape
+        self._passes = [
+            BondPass(np.empty(n), np.empty(shape), np.empty(stacked), np.empty(stacked),
+                     np.empty((lat.d, n)))
+            for _ in range(2)
+        ]
+        self._spare = np.empty(shape)
+        self._xi = np.empty(shape)
+        self._res = np.empty(shape)
+        self._uniform = np.empty(n)
+        # (B, n_sites) view: a chain's sum over one flat lattice axis adds
+        # in the same order as its sum over the lattice axes
+        self._res_flat = self._res.reshape(n, -1)
+        self._res_origin = self._res[(slice(None),) + (0,) * lat.d]  # gauge site, per chain
 
     # -- kernels ------------------------------------------------------------
 
     def _set_step(self, step: np.ndarray) -> None:
         """Set the per-chain steps h and the factors a sweep uses: h and
         sqrt(2 h) as full arrays, which numpy multiplies faster than
-        broadcast columns, then 2 h and 4 h per chain."""
+        broadcast columns, then 2 h and 4 h per chain.
+
+        The full arrays carry the gauge mask: (h mask) g and (sqrt(2 h)
+        mask) xi are h (g mask) and sqrt(2 h) (xi mask) to the bit, the
+        sign of a zero included, so neither the gradient nor the noise is
+        masked on its own.
+        """
         self._step = step
         shape = (self._n,) + self._mask.shape
         h = np.broadcast_to(step.reshape((-1,) + (1,) * len(self._axes)), shape).copy()
-        self._factors = (h, np.sqrt(2.0 * h), 2.0 * step, 4.0 * step)
-
-    def _bonds(self, phi: np.ndarray):
-        """BondPass of ``phi`` with the gauge-masked gradient."""
-        b = self.system.bond_pass(phi)
-        np.multiply(b.grad, self._mask, out=b.grad)
-        return b
+        self._factors = (h * self._mask, np.sqrt(2.0 * h) * self._mask, 2.0 * step, 4.0 * step)
 
     def _adopt(self, prop: np.ndarray, new, moved: np.ndarray, n_moved: int) -> None:
         """Make ``prop`` and its pass ``new`` current for the ``n_moved``
-        chains flagged in ``moved``; the other chains' rows of the fresh
-        arrays are overwritten with the kept state.
+        chains flagged in ``moved``; the other chains' rows of the
+        proposal are overwritten with the kept state.  The old state's
+        heights and pass buffers then take the next proposal.
         """
         if n_moved < self._n:
             if n_moved == 0:
@@ -183,7 +217,8 @@ class GibbsSampler:
                 np.copyto(dst, src, where=column)
             np.copyto(new.energy, cur.energy, where=stay)
             np.copyto(new.v_sums, cur.v_sums, where=stay)
-        self.system.phi = prop
+        self._spare, self.system.phi = self.system.phi, prop
+        self._passes.reverse()
         self._cur = new
 
     def _sweep(self, active: np.ndarray | None = None) -> np.ndarray:
@@ -196,28 +231,33 @@ class GibbsSampler:
             active = None
         phi = self.system.phi
         if self._cur is None:
-            self._cur = self._bonds(phi)
+            self._cur = self.system.bond_pass(phi, out=self._passes[0])
         cur = self._cur
         rngs = self.system.rngs
-        rows = range(self._n) if active is None else np.flatnonzero(active)
-        xi = np.empty_like(phi) if active is None else np.zeros_like(phi)
+        xi, res, log_u = self._xi, self._res, self._uniform
+        if active is None:
+            rows = range(self._n)
+        else:
+            rows = np.flatnonzero(active)
+            xi.fill(0.0)
+            log_u.fill(np.inf)  # a waiting chain never moves
         for j in rows:
             rngs[j].standard_normal(out=xi[j])
-        xi *= self._mask
         h, noise, two_h, four_h = self._factors
         # the proposal phi - h grad + noise xi, in place, in that order
-        prop = np.multiply(h, cur.grad)
+        prop = np.multiply(h, cur.grad, out=self._spare)
         np.subtract(phi, prop, out=prop)
-        tmp = np.multiply(noise, xi)
-        prop += tmp
-        new = self._bonds(prop)
-        fwd = two_h * np.square(xi, out=tmp).sum(axis=self._axes)
+        prop += np.multiply(noise, xi, out=res)
+        new = self.system.bond_pass(prop, out=self._passes[1])
+        np.square(xi, out=res)
+        self._res_origin.fill(0.0)  # the gauge site draws no noise: (xi mask)^2 is +0 there
+        fwd = two_h * np.add.reduce(self._res_flat, axis=1)
         # the reverse-move residual phi - prop + h grad(prop), in place
-        np.subtract(phi, prop, out=tmp)
-        tmp += np.multiply(h, new.grad, out=xi)
-        rev = np.square(tmp, out=tmp).sum(axis=self._axes)
+        np.subtract(phi, prop, out=res)
+        res += np.multiply(h, new.grad, out=xi)
+        np.square(res, out=res)
+        rev = np.add.reduce(self._res_flat, axis=1)
         log_alpha = cur.energy - new.energy + (fwd - rev) / four_h
-        log_u = np.full(self._n, np.inf)  # a waiting chain never moves
         for j in rows:
             log_u[j] = rngs[j].random()  # uniform() is 0 + 1 * random()
         moved = np.log(log_u, out=log_u) < log_alpha
@@ -251,17 +291,18 @@ class GibbsSampler:
         of V' over axis 0, read from the kept pass: each sum divided by the
         bond count is what ``.mean()`` computes.
         """
-        n_bonds = self.system.lattice.n_sites
+        d, n_bonds = self.system.lattice.d, self.system.lattice.n_sites
         base = 1000
-        probes = np.empty((2, self._n, base))
+        # per sweep the V sum of each axis and the flat V' sum of axis 0;
+        # dividing after the loop gives each sweep's means elementwise
+        sums = np.empty((d + 1, self._n, base))
         for k in range(base):
             self._sweep()
             cur = self._cur
-            energy = cur.v_sums[0] / n_bonds
-            for v_sum in cur.v_sums[1:]:
-                energy = energy + v_sum / n_bonds
-            probes[0, :, k] = energy
-            probes[1, :, k] = cur.vp[0].sum(axis=self._axes) / n_bonds
+            sums[:d, :, k] = cur.v_sums
+            np.add.reduce(cur.vp[0].reshape(self._n, -1), axis=1, out=sums[d, :, k])
+        means = sums / n_bonds
+        probes = (np.add.reduce(means[:d], axis=0), means[d])  # axis means added in order
         tau = [max(integrated_autocorr_time(p[j]) for p in probes)
                for j in range(self._n)]
         extra = np.array([max(0, int(np.ceil(10 * t)) - base) for t in tau])
@@ -320,13 +361,15 @@ class GibbsSampler:
         record = self._n * self._mask.size * 8  # bytes of one axis row
         k = min(n_rec, max(1, RECORD_BLOCK_BYTES // (2 * d * record)))
         block = np.empty((2, d, k, self._n) + self._mask.shape)
+        places = [(block[0, :, j], block[1, :, j]) for j in range(k)]  # record j's rows
         held = done = 0  # records in the block, records handed out
         for s in range(sweeps):
             self._sweep()
             if (s + 1) % self.thin:
                 continue
-            block[0, :, held] = self._cur.diffs
-            block[1, :, held] = self._cur.vp
+            diffs, vp = places[held]
+            diffs[...] = self._cur.diffs
+            vp[...] = self._cur.vp
             held += 1
             if held < k and done + held < n_rec:
                 continue
@@ -422,7 +465,7 @@ def chain_means(sampler: GibbsSampler, sweeps: int, obs):
     n_rec = sweeps // sampler.thin
     if n_rec < N_BATCHES:
         raise ValueError(f"need at least {N_BATCHES} samples, got {n_rec}")
-    rows = sampler.collect(sweeps, {"o": lambda et, vp: np.moveaxis(obs(et, vp), 0, -1)})
+    rows = sampler.collect(sweeps, {"o": lambda et, vp: obs(et, vp).transpose(1, 2, 0)})
     series = np.ascontiguousarray(np.moveaxis(rows["o"], 0, -1))  # (B, m, n_rec)
     values, errors, ess = np.zeros((3,) + series.shape[:2])
     for j, i in np.ndindex(series.shape[:2]):

@@ -54,8 +54,16 @@ def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, step, burn_in, thin):
     sampler = make_sampler(
         pot, N, tilts, step=step, burn_in=burn_in, thin=thin, seed=seeds
     )
-    lat = tuple(range(-sampler.system.lattice.d, 0))
-    return chain_means(sampler, sweeps, lambda et, vp: vp.mean(axis=lat))[:2]
+    d = sampler.system.lattice.d
+    return chain_means(sampler, sweeps, lambda et, vp: _lattice_mean(vp, d))[:2]
+
+
+def _lattice_mean(x: np.ndarray, d: int) -> np.ndarray:
+    """Mean over the last ``d`` (lattice) axes of ``x``: one flat sum per
+    row, which adds in the order of the sum over those axes, divided by
+    the site count, as ``.mean`` divides."""
+    flat = x.reshape(x.shape[:-d] + (-1,))
+    return np.add.reduce(flat, axis=-1) / flat.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -244,10 +252,10 @@ def decompose_flux(
     sampler = make_sampler(pot, N, u, step=step, burn_in=burn_in, thin=thin, seed=seed)
     x, w = np.polynomial.legendre.leggauss(nodes)
     lam = (x + 1.0) / 2.0
-    lat = tuple(range(-d, 0))
     ahead = (1,) * (d + 2)  # block, chain and lattice axes
     u_col = u.reshape((d,) + ahead)
-    wl_col = (w / 2.0).reshape((-1,) + ahead)
+    lam_u = np.outer(lam, u).reshape((nodes, d) + ahead)  # node m, axis i: lam_m u_i
+    wl_col = (w / 2.0).reshape((-1, 1) + ahead)
 
     mins = np.full(d, np.inf)
     maxs = np.full(d, -np.inf)
@@ -255,17 +263,16 @@ def decompose_flux(
     def obs(et, vp):
         """Rows A_0 .. A_{d-1}, a_0 .. a_{d-1} of a block, each (k, 1)."""
         eta = et + u_col
-        rows = []
-        for i in range(d):
-            curv = pot.v0pp(eta[i] - (lam * u[i]).reshape((-1,) + ahead))
-            # one V0'' call for all nodes; reducing the outer node axis adds
-            # the rows to 0 in node order, as a loop over the nodes would
-            per_bond = np.add.reduce(wl_col * curv, axis=0, initial=0.0)
-            mins[i] = min(mins[i], float(per_bond.min()))
-            maxs[i] = max(maxs[i], float(per_bond.max()))
-            rows.append(per_bond.mean(axis=lat))
-        small = pot.v0p(eta - u_col).mean(axis=lat) + pot.gp(eta).mean(axis=lat)
-        return np.concatenate([np.stack(rows), small])
+        # one V0'' call for all nodes and axes; reducing the outer node axis
+        # adds the rows to 0 in node order, as a loop over the nodes would
+        per_bond = np.add.reduce(wl_col * pot.v0pp(eta - lam_u), axis=0, initial=0.0)
+        # np.minimum and np.maximum keep a NaN sample, which min() and max()
+        # of Python would drop
+        flat = per_bond.reshape(d, -1)
+        np.minimum(mins, np.minimum.reduce(flat, axis=1), out=mins)
+        np.maximum(maxs, np.maximum.reduce(flat, axis=1), out=maxs)
+        small = _lattice_mean(pot.v0p(eta - u_col), d) + _lattice_mean(pot.gp(eta), d)
+        return np.concatenate([_lattice_mean(per_bond, d), small])
 
     values, errors, _ = chain_means(sampler, sweeps, obs)
     A, avec = values[0, :d], values[0, d:]

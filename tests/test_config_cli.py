@@ -368,6 +368,7 @@ class TestCliCommands:
             ("hydro", "--set", "hydro.scales=[8,16]", "--set", "hydro.realizations=8"),
             ("simulate", "--N", "16", "--d", "1", "--set", "initial.kind=bump",
              "--set", "dynamics.t_end=0.02"),
+            ("decompose-flux", "--u", "0.5", "--N", "16"),
         ]
         for argv in runs:
             assert run_cli(*argv, "--out", "readme") == 0
@@ -384,6 +385,8 @@ class TestCliCommands:
                 "9802bf5d1f05246326b065c7b8bf5e38fea9354a851545efa08dfc78905f9e79",
             "simulate-00c9d47fab04/energy.csv":
                 "cd756fdf861e51a322bd2d03552a9e18662143eea52e5e0c16c463f530fd98fd",
+            "decompose-flux-487d21c40e56/flux.csv":
+                "42189f9167ff07c8a556f557be0831516662a354f2e0f3feb94c0c976da89b73",
         }
         root = cli_env / "readme"
         got = {

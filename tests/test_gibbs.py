@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,8 +495,8 @@ class TestMatchesPlainLoop:
         def big_a(et, i):
             eta = et[i] + u[i]
             per_bond = sum(wl[m] * pot.v0pp(eta - lam[m] * u[i]) for m in range(nodes))
-            mins[i] = min(mins[i], float(per_bond.min()))
-            maxs[i] = max(maxs[i], float(per_bond.max()))
+            mins[i] = np.minimum(mins[i], per_bond.min())  # a NaN sample stays
+            maxs[i] = np.maximum(maxs[i], per_bond.max())
             return float(per_bond.mean())
 
         def small_a(et, i):
@@ -614,6 +615,56 @@ class TestBatchMatchesPlainLoop:
         assert len({len(p) for p in phis}) > 1
 
 
+class TestSweepWorkspace:
+    """A sweep writes into the sampler's own arrays; a pass stays intact
+    while it is current."""
+
+    def test_steady_sweeps_allocate_only_the_bonds_and_v(self):
+        # the Gaussian's V' returns the tilted bonds themselves, so beyond
+        # the workspace a sweep holds the bonds, V's own temporaries and a
+        # few (B,) arrays; the sampler's per-sweep heights, noise, residual
+        # and pass arrays (about 10 lattice fields before) allocate nothing
+        B, N = 16, 32
+        pot = make_gaussian()
+        s = make_sampler(pot, N, [(0.5, 0.0)] * B, step=0.05, burn_in=0,
+                         seed=[(4, j) for j in range(B)])
+        for _ in range(5):
+            s._sweep()
+        bonds = s._cur.diffs + s.system._tilts
+        tracemalloc.start()
+        try:
+            pot.v(bonds)
+            v_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                s._sweep()
+            sweep_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sweep_peak <= bonds.nbytes + v_peak + 4096
+
+    @pytest.mark.parametrize("tilts", [[(0.5, 0.0)], [(0.5, 0.0), (1.5, -1.0), (0.0, 0.3)]])
+    def test_kept_pass_survives_rejected_proposals(self, tilts):
+        # for the Gaussian V'(eta) = eta, and V' aliases the bonds.  At this
+        # step every chain both accepts and rejects, and batches adopt some
+        # rows only; a proposal, written in the other buffers, must leave
+        # the kept pass as it was
+        s = make_sampler(make_gaussian(), 4, tilts, step=0.15, burn_in=0,
+                         seed=[(6, j) for j in range(len(tilts))])
+        u_col = np.asarray(tilts).T.reshape(2, -1, 1, 1)
+        moves = []
+        for _ in range(200):
+            moves.append(s._sweep())
+            cur = s._cur
+            assert np.array_equal(cur.vp, cur.diffs + u_col)
+            fresh = s.system.bond_pass(s.system.phi)
+            assert np.array_equal(cur.diffs, fresh.diffs)
+            assert np.array_equal(cur.energy, fresh.energy)
+        moves = np.array(moves)
+        assert moves.any(axis=0).all() and not moves.all(axis=0).any()
+
+
 def _counting(pot, calls, elements):
     """Copy of ``pot`` whose callables named in ``calls`` count their calls
     there and the elements they evaluate in ``elements``."""
@@ -679,7 +730,7 @@ class TestOnePassPerProposal:
         calls, elements = {"v0pp": 0}, {"v0pp": 0}
         decompose_flux(_counting(BUMP, calls, elements), 4, (0.5, 0.0), sweeps=64,
                        step=0.05, burn_in=0)
-        assert calls["v0pp"] == 13 * 2  # one V0'' call per axis and block
+        assert calls["v0pp"] == 13  # one V0'' call per block, all axes stacked
         assert elements["v0pp"] == 64 * 2 * 8 * 16  # every node, bond and sample
 
     def test_collect_reads_cached_differences(self, monkeypatch):

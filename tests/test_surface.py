@@ -6,6 +6,7 @@ machine precision.  The cosine and bump potentials exercise the
 statistical paths with fixed seeds so every assertion is reproducible.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,18 @@ class TestFluxDecomposition:
         assert np.allclose(fd.A, 1.0, atol=1e-12)
         assert fd.c_minus == fd.c_plus == 1.0
         assert fd.samples_in_bounds
+
+    def test_nan_sample_is_out_of_bounds(self):
+        # V0'' is NaN on a band of bonds that the chain visits: the extremes
+        # must carry the NaN, and the samples must not read as in bounds
+        pot = make_cosine_perturbed(0.2, 1.0)
+        inner = pot.v0pp
+        pot = dataclasses.replace(
+            pot, v0pp=lambda x: np.where(np.abs(x - 0.5) < 0.05, np.nan, inner(x)))
+        fd = decompose_flux(pot, 4, (0.5,), sweeps=64, seed=0, step=0.05, burn_in=0)
+        assert np.isnan(fd.A_sample_min).all() and np.isnan(fd.A_sample_max).all()
+        assert np.isnan(fd.A).all()
+        assert not fd.samples_in_bounds
 
     def test_bump_samples_vary_within_certified_bounds(self):
         pot = make_split_bump()
