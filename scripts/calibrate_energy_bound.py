@@ -7,8 +7,9 @@ Flat initial data with zero boundary values makes both sides of
 start from zero signals, so the left side's late-time growth is pure
 fluctuation production and its least-squares slope is the natural scale
 for K.  The frozen default in heightlab.dynamics is that slope times a
-1.2 safety factor, rounded up to two decimals; rerun this script to
-reproduce the number.
+1.2 safety factor, rounded up to two decimals, from a run of the
+Euler-Maruyama step at half today's step cap (slope 1.443); today's
+step gives slope 1.410, and the default is kept.
 
 Usage: python3 scripts/calibrate_energy_bound.py [--N 16] [--seeds 32]
 """

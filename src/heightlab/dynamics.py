@@ -19,18 +19,26 @@ Replica or chain r draws from its own stream, so it follows the same
 trajectory whether it runs alone or in a batch.  Both systems expose
 ``d``, ``pot``, ``drift_interior()`` and ``moving``, the view of the
 sites that move (on a torus all of them), which is all ``em_step``
-needs.  The Euler-Maruyama step keeps dt below 0.1 / (2 d Lip(V')); the
-scheme is then a contraction in the convex part and stays finite.
+needs.  The step is Euler-Maruyama's drift with Leimkuhler-Matthews
+noise, sqrt(dt / 2) (xi_n + xi_{n+1}): it costs one drift call and one
+normal per site and step, as Euler-Maruyama does, and its invariant law
+is right to O(dt^2), exactly right for the Gaussian potential
+(Leimkuhler & Matthews, AMRX 2013).  It keeps dt below
+0.2 / (2 d Lip(V')), a fifth of the explicit drift's linear stability
+limit; the scheme is then a contraction in the convex part and stays
+finite.
 
 A ``NoiseBlock`` draws the step noise ahead, in per-replica blocks of
 several steps, from the per-replica streams: a Generator fills an array
 in draw order, so a block holds exactly the numbers that one
-``standard_normal`` call per replica and step would give.  The block is
-sized to ``NOISE_BLOCK_BYTES`` (never less than one step), so batched
-runs stay small in memory however many steps they take.  It is 1 MiB
-because a Philox fill has a fixed cost per call: with 256 replicas a
-256 KiB block gives each ``standard_normal`` call only 128 draws, at
-about 28 ns per normal, against about 17 ns from 1024 draws on.
+``standard_normal`` call per replica and step would give.  One row is
+carried from block to block, because a step reads its own draw and the
+next.  The block is sized to ``NOISE_BLOCK_BYTES`` (never less than two
+steps), so batched runs stay small in memory however many steps they
+take.  It is 1 MiB because a Philox fill has a fixed cost per call:
+with 256 replicas a 256 KiB block gives each ``standard_normal`` call
+only 128 draws, at about 28 ns per normal, against about 17 ns from
+1024 draws on.
 
 ``advance`` is the one loop that steps a ``DirichletSystem`` through
 macroscopic checkpoints; ``run_dirichlet`` adds the energy bookkeeping
@@ -53,55 +61,70 @@ from .rng import seed_key, stream
 # calibration run in scripts/calibrate_energy_bound.py (Gaussian
 # potential, unit box, zero boundary data, N = 16, d = 1, 32 replicas,
 # master seed 0; least-squares slope 1.443 of the mean left side
-# against t, times a 1.2 safety factor, rounded up).
+# against t, times a 1.2 safety factor, rounded up).  That run used
+# Euler-Maruyama noise at the old step cap, half of today's; with
+# today's step and noise the script prints slope 1.410 (K = 1.70 by the
+# same rule), and K is kept.
 K_ENERGY_DEFAULT = 1.74
 
 # Bytes of pre-drawn noise a NoiseBlock keeps, for all replicas
-# together; one step's worth is drawn even if that is more.
+# together, carried row included; two steps' worth are held even if
+# that is more.
 NOISE_BLOCK_BYTES = 1024 * 1024
 
 
 def step_cap(pot, d: int) -> float:
-    """Largest admissible Euler-Maruyama step for this potential."""
+    """Largest admissible Langevin step for this potential,
+    0.2 / (2 d Lip(V')): a fifth of 1 / (2 d Lip(V')), the linear
+    stability limit of the explicit drift."""
     lip = pot.drift_lipschitz
     if lip <= 0:
         return np.inf
-    return 0.1 / (2 * d * lip)
+    return 0.2 / (2 * d * lip)
 
 
 class NoiseBlock:
-    """Standard normals for the steps of a batch, one stream per replica.
+    """Leimkuhler-Matthews noise for the steps of a batch, one stream per
+    replica.
 
-    Calling it returns the next step's (replicas,) + ``shape`` normals, a
-    view into the block that is valid until the block is refilled.  The
-    (replicas, K) + ``shape`` block is made on the first call, so a
-    system that never takes a noisy step holds none, and refilled with
-    one ``standard_normal(out=...)`` call per replica; the stream, and
-    hence every trajectory, is the same as with one draw per replica and
-    step.  K is the number of steps that fit in ``NOISE_BLOCK_BYTES``, at
-    least 1.
+    Each replica's standard normals xi_0, xi_1, ... are read in stream
+    order, (replicas,) + ``shape`` per step; calling the block returns
+    the next step's xi_n + xi_{n+1}, a view into the block that is valid
+    until the next call.  The (replicas, K + 1) + ``shape`` block is
+    made on the first call, so a system that never takes a noisy step
+    holds none.  A call adds row k + 1 into row k and hands row k out;
+    row k + 1 stays as the next call's xi_n.  After row K the carried row
+    moves to row 0 and rows 1..K are refilled, with one
+    ``standard_normal(out=...)`` call per replica; the stream, and hence
+    every trajectory, is the same as with one draw per replica and step.
+    K + 1 is the number of steps that fit in ``NOISE_BLOCK_BYTES``, at
+    least 2.
     """
 
     def __init__(self, rngs: list, shape: tuple):
         self.rngs = rngs
         self.shape = shape  # one replica's draws per step
         self.block = None
-        self._drawn = 0  # steps of the block already handed out
+        self._carried = 0  # row of the next step's xi_n
 
     def __call__(self) -> np.ndarray:
         block = self.block
         if block is None:
             per_step = 8 * len(self.rngs) * math.prod(self.shape)
-            k = max(1, NOISE_BLOCK_BYTES // per_step)
-            block = self.block = np.empty((len(self.rngs), k) + self.shape)
-            self._drawn = k
-        if self._drawn == block.shape[1]:
-            for g, rows in zip(self.rngs, block):
-                g.standard_normal(out=rows)
-            self._drawn = 0
-        k = self._drawn
-        self._drawn += 1
-        return block[:, k]
+            rows = max(2, NOISE_BLOCK_BYTES // per_step)
+            block = self.block = np.empty((len(self.rngs), rows) + self.shape)
+            for g, draws in zip(self.rngs, block):
+                g.standard_normal(out=draws)
+        elif self._carried == block.shape[1] - 1:
+            block[:, 0] = block[:, -1]
+            for g, draws in zip(self.rngs, block):
+                g.standard_normal(out=draws[1:])
+            self._carried = 0
+        k = self._carried
+        self._carried += 1
+        pair = block[:, k]
+        pair += block[:, k + 1]
+        return pair
 
 
 class BondPass(NamedTuple):
@@ -305,21 +328,28 @@ class DirichletSystem:
 
 
 def em_step(system, dt: float, noise_scale: float = 1.0) -> None:
-    """One Euler-Maruyama step phi += drift dt + sqrt(2 dt) xi, in place,
+    """One Langevin step
+    phi += drift dt + noise_scale sqrt(dt / 2) (xi_n + xi_{n+1}), in place,
     on the moving sites of a ``DirichletSystem`` or ``TiltedPeriodicSystem``.
 
-    ``noise_scale=0`` gives the deterministic gradient flow (test hook).
-    Raises ``StepTooLarge`` above the stability cap and ``NonFinite`` if
-    the state leaves float range.
+    The drift is Euler-Maruyama's and the noise Leimkuhler-Matthews':
+    xi_n is the draw the previous noisy step read as its xi_{n+1}, so
+    each step draws one normal per site (``NoiseBlock``).
+    ``noise_scale=0`` gives the deterministic gradient flow (test hook);
+    such a step draws nothing, and the carried xi_n waits for the next
+    noisy step.  Raises ``ValueError`` for a negative or non-finite dt,
+    ``StepTooLarge`` above the step cap and ``NonFinite`` if the state
+    leaves float range.
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    if not (dt >= 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and nonnegative, got {dt!r}")
     cap = step_cap(system.pot, system.d)
     if dt > cap:
         raise StepTooLarge(f"dt={dt:g} exceeds cap {cap:g}")
-    amp = noise_scale * np.sqrt(2.0 * dt)
+    amp = noise_scale * np.sqrt(0.5 * dt)
     # clamped sites were checked finite when the system was made.  The
-    # drift and the noise are fresh or used once, so they are scaled in place
+    # drift and the noise pair are fresh or used once, so they are scaled
+    # in place
     incr = system.drift_interior()
     incr *= dt
     if amp:

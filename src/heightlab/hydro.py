@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DirichletSystem, advance, macro_height, step_cap
-from .errors import PlotSkipped, PotentialMismatch
+from .errors import PlotSkipped, PotentialMismatch, StepTooLarge
 from .io import write_csv
 from .lattice import DomainSpec, boundary_height, cell_average, discretize_domain
 from .pde import GaussianFlux, PdeGrid, TableFlux, l2_compare, solve
@@ -139,10 +139,17 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
         raise ValueError(
             f"need at least 2 realizations for a standard error, got {exp.realizations}"
         )
+    d = exp.spec.d
+    cap = step_cap(exp.pot, d)
+    if exp.dt is not None:
+        # checked here, ahead of the PDE solve, against the step as given
+        if not (exp.dt > 0 and np.isfinite(exp.dt)):
+            raise ValueError(f"dt must be positive and finite, got {exp.dt!r}")
+        if exp.dt > cap:
+            raise StepTooLarge(f"dt={exp.dt:g} exceeds cap {cap:g}")
     times = tuple(sorted(float(t) for t in exp.times))
     if not times or times[0] <= 0:
         raise ValueError("checkpoint times must be positive")
-    d = exp.spec.d
     max_n = max(exp.scales)
     spacing = exp.pde_spacing if exp.pde_spacing else 1.0 / (4 * max_n)
     flux = resolve_flux(exp.flux, exp.pot)
@@ -164,7 +171,7 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
             "times": times,
         }
     )
-    dt = exp.dt if exp.dt is not None else 0.9 * step_cap(exp.pot, d)
+    dt = exp.dt if exp.dt is not None else 0.9 * cap
     per_seed: dict = {}
     for N in exp.scales:
         system = clamped_system(

@@ -24,19 +24,27 @@ def laplacian_eigenvalues(N: int, d: int) -> np.ndarray:
     return lam
 
 
-def gaussian_bond_variance(N: int, d: int, axis: int) -> float:
-    """Var of one gradient component under the zero-tilt Gaussian ensemble.
-
-    Fourier diagonalization: Var = N^-d sum_{k != 0} 4 sin^2(pi k_axis/N)
-    / lambda_k with lambda_k the Laplacian eigenvalue.
-    """
+def _bond_modes(N: int, d: int, axis: int):
+    """Nonzero torus Laplacian eigenvalues lambda_k and the weights
+    4 sin^2(pi k_axis / N) with which the modes enter one bond's
+    variance, as flat arrays."""
     lam = laplacian_eigenvalues(N, d)
     k = np.arange(N)
     shape = [1] * d
     shape[axis] = N
     num = (4.0 * np.sin(np.pi * k / N) ** 2).reshape(shape) * np.ones((N,) * d)
     mask = lam > 0
-    return float(np.sum(num[mask] / lam[mask]) / N**d)
+    return lam[mask], num[mask]
+
+
+def gaussian_bond_variance(N: int, d: int, axis: int) -> float:
+    """Var of one gradient component under the zero-tilt Gaussian ensemble.
+
+    Fourier diagonalization: Var = N^-d sum_{k != 0} 4 sin^2(pi k_axis/N)
+    / lambda_k with lambda_k the Laplacian eigenvalue.
+    """
+    lam, num = _bond_modes(N, d, axis)
+    return float(np.sum(num / lam) / N**d)
 
 
 def em_gaussian_bond_variance(N: int, d: int, axis: int, dt: float) -> float:
@@ -46,14 +54,23 @@ def em_gaussian_bond_variance(N: int, d: int, axis: int, dt: float) -> float:
     Fourier mode is an AR(1) with stationary variance
     2 dt / (1 - (1 - dt lambda)^2) = 1 / (lambda (1 - dt lambda / 2)).
     """
-    lam = laplacian_eigenvalues(N, d)
-    k = np.arange(N)
-    shape = [1] * d
-    shape[axis] = N
-    num = (4.0 * np.sin(np.pi * k / N) ** 2).reshape(shape) * np.ones((N,) * d)
-    mask = lam > 0
-    denom = lam[mask] * (1.0 - dt * lam[mask] / 2.0)
-    return float(np.sum(num[mask] / denom) / N**d)
+    lam, num = _bond_modes(N, d, axis)
+    return float(np.sum(num / (lam * (1.0 - dt * lam / 2.0))) / N**d)
+
+
+def lm_gaussian_bond_variance(N: int, d: int, axis: int, dt: float) -> float:
+    """Stationary bond variance of the Leimkuhler-Matthews chain for the
+    quadratic model.
+
+    Per Fourier mode x' = r x + a (xi_n + xi_{n+1}) with r = 1 - dt lambda
+    and a = sqrt(dt / 2); x_n is independent of xi_{n+1} and
+    Cov(x_n, xi_n) = a, so the stationary variance solves
+    v = r^2 v + 2 a^2 + 2 r a^2, v = dt (1 + r) / (1 - r^2) = 1 / lambda:
+    the Gibbs value, whatever dt.
+    """
+    lam, num = _bond_modes(N, d, axis)
+    r = 1.0 - dt * lam
+    return float(np.sum(num * dt * (1.0 + r) / (1.0 - r**2)) / N**d)
 
 
 def heat_solution(h0, x, t, n_terms: int = 200, n_quad: int = 4001):
@@ -372,8 +389,10 @@ class PlainDirichlet:
     Interior sites come first in ``phi`` (shape (n_sites,) or (replicas,
     n_sites)) and ``neighbors`` is the (n_interior, 2d) id table.  Noise
     is one ``standard_normal(n_interior)`` call per replica and step,
-    stacked; the drift gathers neighbours as (..., n_interior, 2d) and
-    sums the last axis.
+    stacked, two on the first noisy step; a step adds
+    sqrt(dt / 2) (xi_n + xi_{n+1}) and keeps xi_{n+1} for the next noisy
+    step (Leimkuhler-Matthews).  The drift gathers neighbours as
+    (..., n_interior, 2d) and sums the last axis.
     """
 
     def __init__(self, phi, boundary, n_interior, neighbors, bonds_closure, vp, rngs):
@@ -384,6 +403,7 @@ class PlainDirichlet:
         self.heads, self.tails = bonds_closure[:, 0], bonds_closure[:, 1]
         self.vp = vp
         self.rngs = rngs
+        self.xi = None  # the carried draw, xi_n of the next noisy step
 
     def drift(self):
         center = self.phi[..., : self.n_int]
@@ -401,10 +421,14 @@ class PlainDirichlet:
         return 2.0 * np.array([np.square(r[self.heads] - r[self.tails]).sum() for r in rows])
 
     def step(self, dt, noise_scale=1.0):
-        amp = noise_scale * np.sqrt(2.0 * dt)
+        amp = noise_scale * np.sqrt(0.5 * dt)
         incr = dt * self.drift()
         if amp:
-            incr += amp * self.noise()
+            if self.xi is None:
+                self.xi = self.noise()
+            nxt = self.noise()
+            incr += amp * (self.xi + nxt)
+            self.xi = nxt
         self.phi[..., : self.n_int] += incr
         self.phi[..., self.n_int :] = self.boundary[self.n_int :]
 
@@ -449,6 +473,84 @@ def reference_dirichlet_run(plain, N, weights, dt, times, noise_scale=1.0, colle
         if collect is not None:
             collect(t_next, plain.phi)
     return out
+
+
+def gaussian_dirichlet_moments(neighbors, phi0, dt, times, N, scheme="lm", noise_var=1.0):
+    """Exact mean and variance per site of the Dirichlet Langevin dynamics
+    with V(x) = x^2 / 2, at each macroscopic checkpoint.
+
+    ``neighbors`` is the (n_interior, 2d) id table, interior sites first,
+    and ``phi0`` holds the initial heights of every site, the clamped
+    ones at their boundary values.  The drift on the interior is
+    -L phi + b, with L the interior graph Laplacian (2d on the diagonal,
+    -1 per pair of interior neighbours) and b the sum of the clamped
+    neighbours.  In the eigenbasis L = U diag(lam) U^T each mode
+    x = U^T phi_int is a scalar chain with r = 1 - dt lam, c = U^T b and
+    s = ``noise_var``:
+
+    * "em": x' = r x + dt c + sqrt(2 dt s) z;
+    * "lm": x' = r x + dt c + sqrt(dt s / 2) (xi_n + xi_{n+1}), whose
+      state carries k = Cov(x_n, xi_n): Var x' = r^2 v + 2 a^2 + 2 r a k
+      with a = sqrt(dt s / 2), and then k = a;
+    * "continuous": the Ornstein-Uhlenbeck law after the same time,
+      mean e^{-lam T} m + c (1 - e^{-lam T}) / lam and variance
+      e^{-2 lam T} v + s (1 - e^{-2 lam T}) / lam.
+
+    The span N^2 (t - t_prev) of each checkpoint takes
+    n = max(1, ceil(span / dt)) steps of span / n.  Returns
+    {t: (mean, var)}, each (n_sites,); clamped sites keep their value and
+    variance 0.
+    """
+    phi0 = np.asarray(phi0, dtype=float)
+    n_int = len(neighbors)
+    lap = np.zeros((n_int, n_int))
+    b = np.zeros(n_int)
+    for x, row in enumerate(neighbors):
+        lap[x, x] = len(row)
+        for y in row:
+            if y < n_int:
+                lap[x, y] -= 1.0
+            else:
+                b[x] += phi0[y]
+    lam, U = np.linalg.eigh(lap)
+    c = U.T @ b
+    m = U.T @ phi0[:n_int]
+    v = np.zeros(n_int)
+    k = np.zeros(n_int)
+    out = {}
+    t_prev = 0.0
+    for t in sorted(float(t) for t in times):
+        span = (t - t_prev) * N**2
+        t_prev = t
+        if span > 0 and scheme == "continuous":
+            decay = np.exp(-lam * span)
+            m = decay * m + c * (1.0 - decay) / lam
+            v = decay**2 * v + noise_var * (1.0 - decay**2) / lam
+        elif span > 0:
+            n_steps = max(1, int(np.ceil(span / dt)))
+            h = span / n_steps
+            r = 1.0 - h * lam
+            a = np.sqrt(0.5 * h * noise_var)
+            for _ in range(n_steps):
+                m = r * m + h * c
+                if scheme == "em":
+                    v = r**2 * v + 2.0 * h * noise_var
+                elif scheme == "lm":
+                    v, k = r**2 * v + 2.0 * a**2 + 2.0 * r * a * k, a
+                else:
+                    raise ValueError(f"unknown scheme {scheme!r}")
+        mean = phi0.copy()
+        mean[:n_int] = U @ m
+        var = np.zeros_like(phi0)
+        var[:n_int] = np.square(U) @ v
+        out[t] = (mean, var)
+    return out
+
+
+def expected_gap(mean_h, var_h, ref, weight):
+    """Expected squared L2 gap on a midpoint quadrature: weight times the
+    sum over the points of (E h - ref)^2 + Var h."""
+    return float(weight * (np.sum(np.square(mean_h - ref)) + np.sum(var_h)))
 
 
 def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None,

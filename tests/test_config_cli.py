@@ -378,13 +378,13 @@ class TestCliCommands:
             "surface-table-75708abaea2a/surface_table.csv":
                 "18c2075e0eb36325d7b6f370939e6cacca0b0bb8ed22a33a69fadcab7f739678",
             "hydro-6533410c8851/convergence.csv":
-                "270a3ad8b6a0a2e496f6843afd94ec53339ca154de5c1b6ee0fb964abedd51cc",
+                "3738a59478e50568337e71d5cd2b06aa98935e30c654c1b96b1d4048b47e73c4",
             "hydro-6533410c8851/gap_vs_N.dat":
-                "c290b4e8a7edb78e2531f6a934b9cd1465b711b2a6254077ec9b845f9d8d831e",
+                "3bc6629b518b1c8040cd05134ca629103e8c735f0668f567a6f2b79175d6d949",
             "simulate-00c9d47fab04/final_height.csv":
-                "9802bf5d1f05246326b065c7b8bf5e38fea9354a851545efa08dfc78905f9e79",
+                "3c52496a212a37b5622f57e14accc569e1b01589d7dd66acbff444f514c49f47",
             "simulate-00c9d47fab04/energy.csv":
-                "cd756fdf861e51a322bd2d03552a9e18662143eea52e5e0c16c463f530fd98fd",
+                "fd78d44ac29a0d687ddcd251f2b0a9629b4389c4ab7a18b4a0150023a74722a3",
             "decompose-flux-487d21c40e56/flux.csv":
                 "42189f9167ff07c8a556f557be0831516662a354f2e0f3feb94c0c976da89b73",
         }

@@ -32,6 +32,7 @@ from oracles import (
     fd_gradient,
     hamiltonian_domain,
     hamiltonian_torus,
+    lm_gaussian_bond_variance,
     pointwise_drift,
     reference_dirichlet_run,
 )
@@ -55,7 +56,7 @@ FREE = Potential(
 class TestStepCap:
     def test_formula(self):
         pot = make_cosine_perturbed(0.5, 1.0)   # lipschitz 1 + 1
-        assert step_cap(pot, 2) == pytest.approx(0.1 / (2 * 2 * 2.0))
+        assert step_cap(pot, 2) == pytest.approx(0.2 / (2 * 2 * 2.0))
 
     def test_free_potential_uncapped(self):
         assert step_cap(FREE, 1) == np.inf
@@ -65,6 +66,17 @@ class TestStepCap:
         sys = TiltedPeriodicSystem(lat, make_gaussian(), [(0.0,)], seed=[0])
         with pytest.raises(StepTooLarge):
             em_step(sys, 1.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -0.01])
+    @pytest.mark.parametrize("pot", [make_gaussian(), FREE], ids=["capped", "uncapped"])
+    def test_bad_dt_refused_before_the_step(self, dt, pot):
+        dom = discretize_domain(UNIT_BOX_1D, 8)
+        sys = DirichletSystem(dom, pot, np.zeros(dom.n_sites), seed=3, replicas=2)
+        before = sys.phi.copy()
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            em_step(sys, dt)
+        assert np.array_equal(sys.phi, before)
+        assert sys.t == 0.0
 
 
 class TestDriftAgainstEnergy:
@@ -288,8 +300,9 @@ class TestEulerStep:
         assert not np.array_equal(batch.phi[0], batch.phi[1])
 
     def test_free_field_spreads_like_brownian_motion(self):
-        # with V = 0 each interior height is a pure Brownian motion,
-        # so Var = 2 n dt after n steps
+        # with V = 0 each interior height is sqrt(dt / 2) times
+        # xi_0 + 2 xi_1 + ... + 2 xi_{n-1} + xi_n after n steps, so
+        # Var = (2 n - 1) dt; Brownian motion's 2 n dt lies 7.9 SE off
         dom = discretize_domain(UNIT_BOX_1D, 10)
         psi = np.zeros(dom.n_sites)
         sys = DirichletSystem(dom, FREE, psi, seed=7, replicas=10000)
@@ -297,12 +310,15 @@ class TestEulerStep:
         for _ in range(n):
             em_step(sys, dt)
         var = sys.phi[:, : dom.n_interior].var(axis=0, ddof=1)
-        want = 2 * n * dt
+        want = (2 * n - 1) * dt
         se = want * np.sqrt(2.0 / (10000 - 1))
         assert np.all(np.abs(var - want) < 4 * se)
+        assert np.all(np.abs(var - 2 * n * dt) > 4 * se)
 
-    def test_gaussian_chain_reaches_em_stationary_variance(self):
-        # exact discrete-time oracle: AR(1) variance per Fourier mode
+    def test_gaussian_chain_reaches_lm_stationary_variance(self):
+        # exact discrete-time oracle: the stationary variance per Fourier
+        # mode of the LM recursion, which is the Gibbs value; Euler-
+        # Maruyama's (0.9291 here) lies 5.8 SE above the 0.8784 read
         N, dt, reps, steps = 8, 0.05, 3000, 1500
         lat = TorusLattice(N, 1)
         sys = TiltedPeriodicSystem(
@@ -313,8 +329,8 @@ class TestEulerStep:
         per_rep = np.square(sys.eta_tilde()[0]).mean(axis=1)
         got = per_rep.mean()
         se = per_rep.std(ddof=1) / np.sqrt(reps)
-        want = em_gaussian_bond_variance(N, 1, 0, dt)
-        assert abs(got - want) < 4 * se
+        assert abs(got - lm_gaussian_bond_variance(N, 1, 0, dt)) < 4 * se
+        assert abs(got - em_gaussian_bond_variance(N, 1, 0, dt)) > 4 * se
 
 
 class TestMacroscopic:
@@ -451,7 +467,8 @@ class TestMatchesPlainLoop:
         spec, N, pot, replicas = PLAIN_LOOP_CASES[case]
         dom = discretize_domain(spec, N)
         if block_steps is not None:
-            # K steps per block plus a little slack, so 11 steps end mid-block
+            # block_steps rows per block, the carried one included (at
+            # least 2), plus a little slack, so 11 steps end mid-block
             budget = 8 * replicas * dom.n_interior * block_steps + 7
             monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES", budget, raising=False)
         system, plain = _system_and_plain(spec, N, pot, seed=(4, N), replicas=replicas)
@@ -489,20 +506,24 @@ class TestMatchesPlainLoop:
 
 
 class TestNoiseBlock:
-    def test_many_replicas_hold_at_most_one_step_or_the_budget(self):
-        dom = discretize_domain(UNIT_BOX_1D, 10)
-        system = DirichletSystem(dom, FREE, np.zeros(dom.n_sites), seed=1, replicas=10000)
+    def test_many_replicas_hold_at_most_two_steps_or_the_budget(self):
+        # a step reads its own draws and the next ones, so two steps'
+        # worth is the least a block holds
+        dom = discretize_domain(UNIT_BOX_1D, 40)
+        system = DirichletSystem(dom, FREE, np.zeros(dom.n_sites), seed=1, replicas=4000)
         em_step(system, 0.01)
-        one_step = 8 * 10000 * dom.n_interior
-        assert system._noise.block.nbytes <= max(one_step, dynamics.NOISE_BLOCK_BYTES)
+        one_step = 8 * 4000 * dom.n_interior
+        assert one_step > dynamics.NOISE_BLOCK_BYTES
+        assert system._noise.block.nbytes == 2 * one_step
 
     def test_small_system_stays_within_the_budget(self):
         dom = discretize_domain(UNIT_BOX_1D, 10)
         system = DirichletSystem(dom, FREE, np.zeros(dom.n_sites), seed=1, replicas=4)
         em_step(system, 0.01)
         assert system._noise.block.nbytes <= dynamics.NOISE_BLOCK_BYTES
-        k = dynamics.NOISE_BLOCK_BYTES // (8 * 4 * dom.n_interior)
-        assert system._noise.block.shape == (4, k, dom.n_interior)
+        # K steps' fresh draws and the carried row: K + 1 rows in the budget
+        rows = dynamics.NOISE_BLOCK_BYTES // (8 * 4 * dom.n_interior)
+        assert system._noise.block.shape == (4, rows, dom.n_interior)
 
     def test_block_made_on_the_first_noisy_step(self):
         dom = discretize_domain(UNIT_BOX_1D, 10)

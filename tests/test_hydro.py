@@ -17,8 +17,8 @@ import pytest
 
 import heightlab
 from heightlab import (
-    DomainSpec, PlotSkipped, PotentialMismatch, make_cosine_perturbed, make_gaussian,
-    make_split_bump,
+    DomainSpec, PlotSkipped, PotentialMismatch, StepTooLarge, make_cosine_perturbed,
+    make_gaussian, make_split_bump,
 )
 from heightlab.hydro import (
     ConvergenceTable,
@@ -45,7 +45,12 @@ from heightlab.pde import (
 from heightlab.rng import seed_key, stream
 from heightlab.surface import SurfaceTensionTable, build_table
 
-from oracles import PlainDirichlet, reference_dirichlet_run
+from oracles import (
+    PlainDirichlet,
+    expected_gap,
+    gaussian_dirichlet_moments,
+    reference_dirichlet_run,
+)
 
 HAVE_MATPLOTLIB = importlib.util.find_spec("matplotlib") is not None
 
@@ -209,6 +214,20 @@ class TestRun:
         with pytest.raises(ValueError, match="at least 2 realizations"):
             run(small_experiment(realizations=realizations))
 
+    @pytest.mark.parametrize("dt, error, match", [
+        (1.0, StepTooLarge, r"dt=1 exceeds cap 0\.1\b"),
+        (np.nan, ValueError, "positive and finite"),
+        (0.0, ValueError, "positive and finite"),
+    ])
+    def test_bad_step_fails_before_the_pde_solve(self, dt, error, match, monkeypatch):
+        # the step as given is named, not a segment's shortened dt_eff
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(hydro, "solve", no_solve)
+        with pytest.raises(error, match=match):
+            run(small_experiment(dt=dt))
+
 
 def plain_hydro_gaps(exp: HydroExperiment) -> dict:
     """Per-seed gaps of ``exp`` from the plain step loop and per-field l2_compare."""
@@ -304,6 +323,77 @@ class TestRunSkipsEnergyBookkeeping:
             n for N in exp.scales for _, n, _ in dynamics.checkpoint_steps(exp.times, N, dt)
         )
         assert calls == {"dirichlet_sum": 0, "em_step": want}
+
+
+def gaussian_study(d: int, scales, **kw) -> HydroExperiment:
+    """test_07's run in d = 1 and hydro_table's box in d = 2: unit box,
+    bump of amp 0.8, zero boundary, t = 0.05, PDE spacing 1/128 and 1/64."""
+    center = (0.5,) * d
+    return small_experiment(
+        spec=DomainSpec(shape="box", center=center, sides=(1.0,) * d),
+        initial=make_bump(amp=0.8, radius=0.3, center=center),
+        scales=scales, times=(0.05,), pde_spacing=1 / 128 if d == 1 else 1 / 64, **kw,
+    )
+
+
+def exact_gaps(exp: HydroExperiment, dt: float, scheme: str, noise_var: float = 1.0) -> dict:
+    """The oracle's expected squared L2 gap per (N, t) of a Gaussian
+    ``exp`` at step ``dt``, on hydro's own quadrature."""
+    times = tuple(sorted(exp.times))
+    reference = solve(
+        PdeGrid(exp.spec, exp.pde_spacing), exp.initial, GaussianFlux(),
+        t_end=times[-1], boundary=exp.boundary, record=times,
+    )
+    gaps = {}
+    for N in exp.scales:
+        dom = discretize_domain(exp.spec, N)
+        phi0 = boundary_height(exp.boundary, N, dom.sites)
+        phi0[: dom.n_interior] = N * cell_average(exp.initial, N, dom.sites[: dom.n_interior])
+        moments = gaussian_dirichlet_moments(dom.neighbors, phi0, dt, times, N, scheme, noise_var)
+        for t, (mean, var) in moments.items():
+            ref = reference.field_at(t)
+            h = MacroscopicField(N, dom.sites, mean / N, exp.spec)
+            pts, weight = quadrature(h, ref, exp.spec)
+            var_h = MacroscopicField(N, dom.sites, var / N**2, exp.spec).sample(pts)
+            gaps[(N, t)] = expected_gap(h.sample(pts), var_h, ref.sample(pts), weight)
+    return gaps
+
+
+class TestExactGaussianGap:
+    """For Gaussian V the Langevin dynamics is linear, so the expected
+    hydro gap is known exactly (``gaussian_dirichlet_moments``)."""
+
+    @pytest.mark.parametrize("d, scales, seed", [(1, (8, 16, 32), 0), (2, (8, 16), 1)])
+    def test_monte_carlo_gaps_match_the_exact_lm_gaps(self, d, scales, seed):
+        exp = gaussian_study(d, scales, realizations=256, seed=seed)
+        ns, gaps, ses = run(exp).gaps(0.05)
+        dt = 0.9 * step_cap(exp.pot, d)
+        exact = exact_gaps(exp, dt, "lm")
+        z = [(g - exact[(N, 0.05)]) / se for N, g, se in zip(ns, gaps, ses)]
+        assert max(map(abs, z)) < 3, z
+        # negative control: doubled noise variance is seen at the largest N
+        doubled = exact_gaps(exp, dt, "lm", noise_var=2.0)[(ns[-1], 0.05)]
+        assert abs(gaps[-1] - doubled) > 3 * ses[-1]
+
+    @pytest.mark.parametrize("d, scales", [(1, (8, 16, 32, 64)), (2, (8, 16))])
+    def test_default_step_stays_near_continuous_time(self, d, scales):
+        exp = gaussian_study(d, scales)
+        dt = 0.9 * step_cap(exp.pot, d)
+        cont = exact_gaps(exp, dt, "continuous")
+        rel = {scheme: [g / cont[key] - 1 for key, g in exact_gaps(exp, dt, scheme).items()]
+               for scheme in ("lm", "em")}
+        assert max(map(abs, rel["lm"])) < 0.025, rel
+        # control: Euler-Maruyama noise at the same step misses somewhere
+        assert max(rel["em"]) > 0.025, rel
+
+    def test_em_branch_reproduces_the_old_default_step(self):
+        # the exact Euler-Maruyama gaps at 0.9 * 0.1 / 2, the default step
+        # before LM noise, as a dense covariance loop gave them (ROADMAP
+        # item 2)
+        exp = gaussian_study(1, (8, 16, 32, 64))
+        got = exact_gaps(exp, 0.45 * step_cap(exp.pot, 1), "em")
+        want = [0.03929, 0.01180, 0.00470, 0.00215]
+        assert [got[(N, 0.05)] for N in exp.scales] == pytest.approx(want, abs=5e-6)
 
 
 TABLE_RUN = """

@@ -625,7 +625,7 @@ class TestTableFluxPins:
         )
         per_seed = run(exp).meta["per_seed"]
         assert digest(*(per_seed[key] for key in sorted(per_seed))) == (
-            "b77c3367b08da93b86f4ce4fa0102b003e5763d69e88f3bd468c4b5dd65d00f6"
+            "1b3d75ba8e36175ea3d730a6d054cf5e8060746476c3b6d3a9a72361adf8be5f"
         )
 
 
