@@ -19,7 +19,7 @@ import argparse
 import numpy as np
 
 from heightlab import DomainSpec, make_gaussian
-from heightlab.dynamics import DirichletSystem, run_dirichlet, step_cap
+from heightlab.dynamics import DirichletSystem, langevin_step, run_dirichlet
 from heightlab.lattice import discretize_domain
 
 
@@ -39,7 +39,7 @@ def main() -> None:
         dom, pot, psi, phi0=psi.copy(), seed=args.seed, replicas=args.seeds
     )
     times = np.linspace(0.0, args.t_end, 21)[1:]
-    dt = 0.9 * step_cap(pot, spec.d)
+    dt = langevin_step(pot, spec.d)
     trace = run_dirichlet(system, dt, times)
 
     lhs = trace.h_norm_sq.mean(axis=1) + pot.c_minus * trace.dirichlet_integral.mean(

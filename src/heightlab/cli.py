@@ -23,18 +23,15 @@ import warnings
 
 import numpy as np
 
-from . import config as cfgmod
 from .config import (
     RunConfig,
     apply_overrides,
     build_domain,
-    build_potential,
     build_profile,
     config_hash,
-    from_dict,
     tilt_vector,
 )
-from .dynamics import energy_diagnostic, macro_height, run_dirichlet, step_cap
+from .dynamics import energy_diagnostic, langevin_step, macro_height, run_dirichlet
 from .errors import ConfigError, HeightLabError, PlotSkipped
 from .gibbs import (
     dlr_check,
@@ -51,7 +48,7 @@ from .hydro import (
 )
 from .io import save_field, write_csv
 from .pde import PdeGrid, solve
-from .potential import certify
+from .potential import STOCK_KINDS, certify, potential_from_spec
 from .surface import build_table, convexity_probe, decompose_flux, grad_sigma, sigma
 
 
@@ -114,10 +111,10 @@ def _load(args) -> tuple[RunConfig, dict, str]:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-    cfg = apply_overrides(from_dict(data), _flag_overrides(args))
+    cfg = apply_overrides(data, _flag_overrides(args))
     keys = [item.partition("=")[0] for item in args.overrides or ()]
     for key, value in data.items():
-        keys += [f"{key}.{k}" for k in value] if key in cfgmod._SECTIONS else [key]
+        keys += [f"{key}.{k}" for k in value] if isinstance(value, dict) else [key]
     unread = sorted({k for k in keys if not _reads(args.command, k)})
     if unread:
         raise ConfigError(f"{args.command} never reads config keys {unread}")
@@ -140,7 +137,7 @@ def _print_report(rep) -> None:
 
 
 def cmd_certify_potential(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     rep = certify(pot)
     print(f"potential {pot.name}: c_minus={pot.c_minus!r} c_plus={pot.c_plus!r} c_g={pot.c_g!r}")
     for label, flag in (
@@ -177,7 +174,7 @@ def _chain_options(s) -> dict:
 
 
 def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     u = tilt_vector(cfg.lattice)
     s = cfg.sampler
     sampler = make_sampler(pot, cfg.lattice.N, u, seed=cfg.seed, **_chain_options(s))
@@ -208,7 +205,7 @@ def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
 
 
 def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     u = tilt_vector(cfg.lattice)
     s, sf = cfg.sampler, cfg.surface
     est = sigma(
@@ -245,7 +242,7 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
 
 
 def cmd_surface_table(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     sf = cfg.surface
     lo, hi, count = sf.grid
     axes = [np.linspace(lo, hi, int(count)) for _ in range(cfg.lattice.d)]
@@ -261,7 +258,7 @@ def cmd_surface_table(cfg: RunConfig, meta, outdir, args) -> int:
 
 
 def cmd_convexity_probe(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     u = tilt_vector(cfg.lattice)
     if args.v:
         v = np.array(_floats(args.v))
@@ -298,7 +295,7 @@ def cmd_convexity_probe(cfg: RunConfig, meta, outdir, args) -> int:
 
 
 def cmd_decompose_flux(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     u = tilt_vector(cfg.lattice)
     s, sf = cfg.sampler, cfg.surface
     dec = decompose_flux(
@@ -342,15 +339,15 @@ def cmd_decompose_flux(cfg: RunConfig, meta, outdir, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     d = cfg.lattice.d
     N = cfg.lattice.N
+    dyn = cfg.dynamics
+    dt = langevin_step(pot, d, dyn.dt or None)
     system = clamped_system(
         build_domain(cfg.domain, d), N, pot, build_profile(cfg.boundary, d),
         build_profile(cfg.initial, d), seed=cfg.seed,
     )
-    dyn = cfg.dynamics
-    dt = dyn.dt or 0.9 * step_cap(pot, d)
     times = (dyn.t_end,)
     trace = run_dirichlet(system, dt, times, noise_scale=dyn.noise_scale)
     field = macro_height(system, dyn.t_end)
@@ -383,7 +380,7 @@ def cmd_pde_solve(cfg: RunConfig, meta, outdir, args) -> int:
     grid = PdeGrid(spec, cfg.pde.spacing)
     h0 = build_profile(cfg.initial, d)
     f = build_profile(cfg.boundary, d)
-    flux = resolve_flux(cfg.pde.flux, build_potential(cfg.potential))
+    flux = resolve_flux(cfg.pde.flux, potential_from_spec(cfg.potential))
     sol = solve(
         grid, h0, flux, t_end=cfg.pde.t_end, boundary=f,
         record=cfg.pde.record or (),
@@ -405,7 +402,7 @@ def cmd_pde_solve(cfg: RunConfig, meta, outdir, args) -> int:
 
 
 def cmd_hydro(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     d = cfg.lattice.d
     spec = build_domain(cfg.domain, d)
     f = build_profile(cfg.boundary, d)
@@ -435,7 +432,7 @@ def cmd_hydro(cfg: RunConfig, meta, outdir, args) -> int:
 
 
 def cmd_dlr_check(cfg: RunConfig, meta, outdir, args) -> int:
-    pot = build_potential(cfg.potential)
+    pot = potential_from_spec(cfg.potential)
     u = tilt_vector(cfg.lattice)
     dl = cfg.dlr
     rep = dlr_check(
@@ -507,7 +504,7 @@ COMMANDS = {  # name -> (help, handler, config entries the handler reads)
 # short flag -> (config key, argparse options); a command takes the flag
 # only if it reads the key.  --u also sets lattice.d by its length.
 FLAGS = {
-    "--pot": ("potential.kind", {"help": "potential kind: gaussian | cosine | split_bump"}),
+    "--pot": ("potential.kind", {"help": "potential kind: " + " | ".join(STOCK_KINDS)}),
     "--u": ("lattice.tilt", {"help": "tilt, comma separated, e.g. 1,0"}),
     "--N": ("lattice.N", {"type": int, "help": "lattice scale"}),
     "--d": ("lattice.d", {"type": int, "help": "dimension"}),

@@ -1,9 +1,12 @@
-"""Run configuration: a strict dataclass tree with stable hashing.
+"""Run configuration: a strict tree with stable hashing.
 
 Unknown keys anywhere in the tree raise ConfigError instead of being
 silently dropped; a typo in a config file should never turn into a
-default value.  The short sha256 hash of the canonical dict form is
-stamped into every output artifact next to the master seed.
+default value.  The kind sections (``KIND_SECTIONS``) are mappings of
+their kind and exactly that kind's keys, the defaults filled from one
+table per section; the other sections are dataclasses.  The short
+sha256 hash of the canonical dict form is stamped into every output
+artifact next to the master seed.
 """
 
 import dataclasses
@@ -15,16 +18,44 @@ import numpy as np
 from .errors import ConfigError
 from .hydro import make_bump, make_linear, profile_zero
 from .lattice import DomainSpec
-from .potential import STOCK_KINDS, potential_from_spec
+from .potential import STOCK_KINDS
+
+# shape -> its keys and defaults; empty center: origin, empty sides: unit cube
+DOMAIN_SHAPES = {
+    "box": {"center": (), "sides": ()},
+    "ball": {"center": (), "radius": 0.45},
+    "polytope": {"center": (), "normals": (), "offsets": (), "bbox": ()},
+}
+
+# kind -> its keys and defaults; empty slope: flat, empty center: origin
+PROFILE_KINDS = {
+    "zero": {},
+    "linear": {"slope": ()},
+    "bump": {"amp": 0.4, "radius": 0.3, "center": ()},
+}
+
+# kind section -> (its kind key, default kind, kind -> its keys and defaults)
+KIND_SECTIONS = {
+    "potential": ("kind", "gaussian", {k: keys for k, (_, keys) in STOCK_KINDS.items()}),
+    "domain": ("shape", "box", DOMAIN_SHAPES),
+    "boundary": ("kind", "zero", PROFILE_KINDS),
+    "initial": ("kind", "zero", PROFILE_KINDS),
+}
 
 
-@dataclass
-class PotentialConfig:
-    kind: str = "gaussian"      # gaussian | cosine | split_bump
-    a: float = 0.2
-    kappa: float = 1.0
-    w: float = 0.5
-    M: float = 2.0
+def _kind_section(name: str, data: dict) -> dict:
+    """Kind section ``name`` from ``data``: its kind, the section's default
+    kind when none is given, and that kind's keys with defaults filled."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{name}' must be a mapping")
+    key, default, table = KIND_SECTIONS[name]
+    kind = data.get(key, default)
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {name} {key} {kind!r}, expected one of {list(table)}")
+    unknown = sorted(set(data) - {key, *table[kind]})
+    if unknown:
+        raise ConfigError(f"{name} {key} '{kind}' takes no keys {unknown}")
+    return {key: kind} | table[kind] | {k: _freeze(v) for k, v in data.items() if k != key}
 
 
 @dataclass
@@ -32,26 +63,6 @@ class LatticeConfig:
     N: int = 16
     d: int = 2
     tilt: tuple = ()            # empty -> zero tilt
-
-
-@dataclass
-class DomainConfig:
-    shape: str = "box"          # box | ball | polytope
-    center: tuple = ()
-    sides: tuple = ()           # box; empty -> unit cube about center
-    radius: float = 0.45        # ball
-    normals: tuple = ()         # polytope rows
-    offsets: tuple = ()
-    bbox: tuple = ()
-
-
-@dataclass
-class ProfileConfig:
-    kind: str = "zero"          # zero | linear | bump
-    slope: tuple = ()
-    amp: float = 0.4
-    radius: float = 0.3
-    center: tuple = ()
 
 
 @dataclass
@@ -106,11 +117,11 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "out"
     workers: int = 0
-    potential: PotentialConfig = field(default_factory=PotentialConfig)
+    potential: dict = field(default_factory=lambda: _kind_section("potential", {}))
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
-    domain: DomainConfig = field(default_factory=DomainConfig)
-    boundary: ProfileConfig = field(default_factory=ProfileConfig)
-    initial: ProfileConfig = field(default_factory=ProfileConfig)
+    domain: dict = field(default_factory=lambda: _kind_section("domain", {}))
+    boundary: dict = field(default_factory=lambda: _kind_section("boundary", {}))
+    initial: dict = field(default_factory=lambda: _kind_section("initial", {}))
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     surface: SurfaceConfig = field(default_factory=SurfaceConfig)
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
@@ -119,10 +130,10 @@ class RunConfig:
     dlr: DlrConfig = field(default_factory=DlrConfig)
 
 
-_SECTIONS = {  # section name -> its dataclass
+_SECTIONS = {  # fixed section name -> its dataclass
     f.name: f.default_factory
     for f in dataclasses.fields(RunConfig)
-    if f.default_factory is not dataclasses.MISSING
+    if dataclasses.is_dataclass(f.default_factory)
 }
 
 
@@ -132,27 +143,32 @@ def _freeze(value):
     return value
 
 
+def _check_keys(cls, data, prefix=""):
+    """Refuse keys of ``data`` that are no field of the dataclass ``cls``."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError("no config key " + ", ".join(f"'{prefix}{k}'" for k in unknown))
+
+
 def _build_section(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{path}' must be a mapping")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigError(f"unknown keys in '{path}': {unknown}")
+    _check_keys(cls, data, path + ".")
     return cls(**{k: _freeze(v) for k, v in data.items()})
 
 
 def from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    top = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(data) - top)
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {unknown}")
+    _check_keys(RunConfig, data)
     kwargs = {}
     for key, value in data.items():
-        if key in _SECTIONS:
+        if key in KIND_SECTIONS:
+            kwargs[key] = _kind_section(key, value)
+        elif key in _SECTIONS:
             kwargs[key] = _build_section(_SECTIONS[key], value, key)
+        elif isinstance(value, dict):
+            raise ConfigError(f"'{key}' is a config value, not a section")
         else:
             kwargs[key] = _freeze(value)
     return RunConfig(**kwargs)
@@ -161,7 +177,9 @@ def from_dict(data: dict) -> RunConfig:
 def to_dict(cfg: RunConfig) -> dict:
     def plain(value):
         if dataclasses.is_dataclass(value):
-            return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+            value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
         if isinstance(value, tuple):
             return [plain(v) for v in value]
         if isinstance(value, (np.floating, np.integer)):
@@ -179,9 +197,14 @@ def config_hash(cfg: RunConfig, **extra) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
-    """Apply 'dotted.path=value' strings; values parse as JSON or str."""
-    data = to_dict(cfg)
+def apply_overrides(data: dict, overrides) -> RunConfig:
+    """The config of the raw config data ``data`` with 'dotted.path=value'
+    strings applied; values parse as JSON or str.  ``data`` is unchanged,
+    and the result is validated once, so the order of overrides within a
+    section does not matter."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a mapping")
+    data = {k: dict(v) if isinstance(v, dict) else v for k, v in data.items()}
     for item in overrides or ():
         key, sep, raw = item.partition("=")
         if not sep:
@@ -190,62 +213,39 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"no config section '{part}' in '{key}'")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"no config key '{key}'")
-        node[parts[-1]] = value
+        section, _, leaf = key.rpartition(".")
+        node = data.setdefault(section, {}) if section else data
+        if not isinstance(node, dict):
+            raise ConfigError(f"'{section}' is a config value, not a section")
+        node[leaf] = value
     return from_dict(data)
 
 
 # -- builders -------------------------------------------------------------
 
-def build_potential(cfg: PotentialConfig):
-    if cfg.kind not in STOCK_KINDS:
-        raise ConfigError(f"unknown potential kind '{cfg.kind}'")
-    params = STOCK_KINDS[cfg.kind][1]
-    spec = {"kind": cfg.kind} | {k: getattr(cfg, k) for k in params}
-    return potential_from_spec(spec)
-
-
-def build_domain(cfg: DomainConfig, d: int) -> DomainSpec:
-    center = tuple(cfg.center) if cfg.center else (0.0,) * d
+def build_domain(cfg: dict, d: int) -> DomainSpec:
+    center = tuple(cfg["center"]) or (0.0,) * d
     if len(center) != d:
         raise ConfigError(f"domain center has {len(center)} coords, expected {d}")
-    if cfg.shape == "box":
-        sides = tuple(cfg.sides) if cfg.sides else (1.0,) * d
-        return DomainSpec.box(center=center, sides=sides)
-    if cfg.shape == "ball":
-        return DomainSpec.ball(center=center, radius=cfg.radius)
-    if cfg.shape == "polytope":
-        if not cfg.normals or not cfg.bbox:
-            raise ConfigError("polytope domain needs normals, offsets, bbox")
-        return DomainSpec(
-            shape="polytope",
-            center=center,
-            normals=tuple(tuple(row) for row in cfg.normals),
-            offsets=tuple(cfg.offsets),
-            bbox=tuple(tuple(b) for b in cfg.bbox),
-        )
-    raise ConfigError(f"unknown domain shape '{cfg.shape}'")
+    if cfg["shape"] == "box":
+        return DomainSpec.box(center=center, sides=tuple(cfg["sides"]) or (1.0,) * d)
+    if cfg["shape"] == "ball":
+        return DomainSpec.ball(center=center, radius=cfg["radius"])
+    missing = [k for k in ("normals", "offsets", "bbox") if not cfg[k]]
+    if missing:
+        raise ConfigError(f"polytope domain needs {missing}")
+    return DomainSpec(**cfg | {"center": center})
 
 
-def build_profile(cfg: ProfileConfig, d: int):
-    if cfg.kind == "zero":
+def build_profile(cfg: dict, d: int):
+    if cfg["kind"] == "zero":
         return profile_zero
-    if cfg.kind == "linear":
-        slope = tuple(cfg.slope) if cfg.slope else (0.0,) * d
+    if cfg["kind"] == "linear":
+        slope = tuple(cfg["slope"]) or (0.0,) * d
         if len(slope) != d:
             raise ConfigError(f"profile slope has {len(slope)} coords, expected {d}")
         return make_linear(slope)
-    if cfg.kind == "bump":
-        center = tuple(cfg.center) if cfg.center else None
-        return make_bump(amp=cfg.amp, radius=cfg.radius, center=center)
-    raise ConfigError(f"unknown profile kind '{cfg.kind}'")
+    return make_bump(amp=cfg["amp"], radius=cfg["radius"], center=tuple(cfg["center"]) or None)
 
 
 def tilt_vector(cfg: LatticeConfig) -> np.ndarray:

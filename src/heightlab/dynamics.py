@@ -83,6 +83,21 @@ def step_cap(pot, d: int) -> float:
     return 0.2 / (2 * d * lip)
 
 
+def check_step(dt: float, cap: float = math.inf) -> float:
+    """``dt``; ``ValueError`` unless positive and finite, ``StepTooLarge`` above cap."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if dt > cap:
+        raise StepTooLarge(f"dt={dt:g} exceeds cap {cap:g}")
+    return dt
+
+
+def langevin_step(pot, d: int, dt: float | None = None) -> float:
+    """A run's Langevin step: ``dt``, or 0.9 * ``step_cap`` if None, checked."""
+    cap = step_cap(pot, d)
+    return check_step(0.9 * cap if dt is None else dt, cap)
+
+
 class NoiseBlock:
     """Leimkuhler-Matthews noise for the steps of a batch, one stream per
     replica.
@@ -202,10 +217,6 @@ class TiltedPeriodicSystem:
         """The heights that a step moves: all of them."""
         return self.phi
 
-    def eta_tilde(self) -> np.ndarray:
-        """Untilted bond differences, row i on bonds (x + e_i, x)."""
-        return self.phi.take(self._fwd) - self.phi
-
     def bond_pass(self, phi: np.ndarray, with_energy: bool = True, out=None) -> BondPass:
         """Energy, dH/dphi, eta_tilde and V' of the heights ``phi`` in one pass.
 
@@ -301,17 +312,8 @@ class DirichletSystem:
         """-sum_{y ~ x} V'(phi(x) - phi(y)) on interior sites, of this
         system's heights or of ``phi``, heights laid out like them."""
         phi = self.phi if phi is None else phi
-        n_int = self.domain.n_interior
-        if self.domain.d < 4:
-            # numpy adds fewer than 8 terms left to right along any axis, so
-            # reducing the (..., 2d, n_int) gather over axis -2 gives the
-            # same bits as the slow short-axis sum of (..., n_int, 2d)
-            center = phi[..., None, :n_int]
-            return -self.pot.vp(center - phi[..., self._nbrs_t]).sum(axis=-2)
-        # from 8 terms on (d >= 4) numpy's order depends on the memory
-        # layout of the terms, so these keep the (..., n_int, 2d) gather
-        center = phi[..., :n_int, None]
-        return -self.pot.vp(center - phi[..., self.domain.neighbors]).sum(axis=-1)
+        center = phi[..., None, : self.domain.n_interior]
+        return -self.pot.vp(center - phi[..., self._nbrs_t]).sum(axis=-2)
 
     def energy(self, phi) -> np.ndarray:
         """H(phi): V summed over the closure bonds, per replica."""
@@ -337,15 +339,10 @@ def em_step(system, dt: float, noise_scale: float = 1.0) -> None:
     each step draws one normal per site (``NoiseBlock``).
     ``noise_scale=0`` gives the deterministic gradient flow (test hook);
     such a step draws nothing, and the carried xi_n waits for the next
-    noisy step.  Raises ``ValueError`` for a negative or non-finite dt,
-    ``StepTooLarge`` above the step cap and ``NonFinite`` if the state
-    leaves float range.
+    noisy step.  Raises as ``check_step`` for a bad dt, before the step,
+    and ``NonFinite`` if the state leaves float range.
     """
-    if not (dt >= 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be finite and nonnegative, got {dt!r}")
-    cap = step_cap(system.pot, system.d)
-    if dt > cap:
-        raise StepTooLarge(f"dt={dt:g} exceeds cap {cap:g}")
+    check_step(dt, step_cap(system.pot, system.d))
     amp = noise_scale * np.sqrt(0.5 * dt)
     # clamped sites were checked finite when the system was made.  The
     # drift and the noise pair are fresh or used once, so they are scaled
@@ -496,8 +493,10 @@ def checkpoint_steps(times, N: int, dt: float) -> list[tuple[float, int, float]]
     The segment from the previous checkpoint (from 0 for the first) spans
     N^2 (t - t_prev) microscopic time and is integrated in
     n_steps = max(1, ceil(span / dt)) steps of dt_eff = span / n_steps,
-    which land on it exactly; an empty segment takes no step.
+    which land on it exactly; an empty segment takes no step.  ``dt``
+    must pass ``check_step``.
     """
+    check_step(dt)
     times = sorted(float(t) for t in times)
     if times and times[0] < 0:
         raise ValueError("checkpoint times must be nonnegative")

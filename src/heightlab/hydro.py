@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DirichletSystem, advance, macro_height, step_cap
-from .errors import PlotSkipped, PotentialMismatch, StepTooLarge
+from .dynamics import DirichletSystem, advance, langevin_step, macro_height
+from .errors import PlotSkipped, PotentialMismatch
 from .io import write_csv
 from .lattice import DomainSpec, boundary_height, cell_average, discretize_domain
 from .pde import GaussianFlux, PdeGrid, TableFlux, l2_compare, solve
@@ -140,13 +140,8 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
             f"need at least 2 realizations for a standard error, got {exp.realizations}"
         )
     d = exp.spec.d
-    cap = step_cap(exp.pot, d)
-    if exp.dt is not None:
-        # checked here, ahead of the PDE solve, against the step as given
-        if not (exp.dt > 0 and np.isfinite(exp.dt)):
-            raise ValueError(f"dt must be positive and finite, got {exp.dt!r}")
-        if exp.dt > cap:
-            raise StepTooLarge(f"dt={exp.dt:g} exceeds cap {cap:g}")
+    # the step as given, checked ahead of the PDE solve
+    dt = langevin_step(exp.pot, d, exp.dt)
     times = tuple(sorted(float(t) for t in exp.times))
     if not times or times[0] <= 0:
         raise ValueError("checkpoint times must be positive")
@@ -171,7 +166,6 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
             "times": times,
         }
     )
-    dt = exp.dt if exp.dt is not None else 0.9 * cap
     per_seed: dict = {}
     for N in exp.scales:
         system = clamped_system(

@@ -7,19 +7,22 @@ layout, and byte-level reproducibility rather than statistics.
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import json
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from heightlab import cli
 from heightlab.cli import COMMANDS, FLAGS, _chain_options, _load, _reads, build_parser, main
 from heightlab.config import (
+    KIND_SECTIONS,
     RunConfig,
     apply_overrides,
     build_domain,
-    build_potential,
     build_profile,
     config_hash,
     from_dict,
@@ -28,6 +31,7 @@ from heightlab.config import (
 )
 from heightlab.errors import ConfigError
 from heightlab.io import read_csv, write_csv
+from heightlab.potential import make_split_bump, potential_from_spec
 
 HAVE_MATPLOTLIB = importlib.util.find_spec("matplotlib") is not None
 
@@ -66,31 +70,69 @@ class TestConfigTree:
 
     def test_overrides(self):
         cfg = apply_overrides(
-            RunConfig(),
+            {},
             ["sampler.sweeps=4000", "potential.kind=cosine", "lattice.tilt=[1,0]"],
         )
         assert cfg.sampler.sweeps == 4000
-        assert cfg.potential.kind == "cosine"
+        assert cfg.potential["kind"] == "cosine"
         assert cfg.lattice.tilt == (1, 0)
 
     def test_override_errors(self):
         with pytest.raises(ConfigError):
-            apply_overrides(RunConfig(), ["sampler.sweeps"])
+            apply_overrides({}, ["sampler.sweeps"])
         with pytest.raises(ConfigError):
-            apply_overrides(RunConfig(), ["nope.x=1"])
+            apply_overrides({}, ["nope.x=1"])
         with pytest.raises(ConfigError):
-            apply_overrides(RunConfig(), ["sampler.nope=1"])
+            apply_overrides({}, ["sampler.nope=1"])
+        with pytest.raises(ConfigError, match="'seed' is a config value, not a section"):
+            apply_overrides({}, ["seed.x=1"])
+
+    def test_overrides_leave_the_raw_data_alone(self):
+        data = {"potential": {"kind": "cosine"}, "seed": 2}
+        cfg = apply_overrides(data, ["potential.a=2.0", "seed=3"])
+        assert (cfg.potential["a"], cfg.seed) == (2.0, 3)
+        assert data == {"potential": {"kind": "cosine"}, "seed": 2}
+
+
+class TestKindSections:
+    def test_each_kind_holds_exactly_its_table_keys(self):
+        for name, (key, default, table) in KIND_SECTIONS.items():
+            assert getattr(RunConfig(), name) == {key: default} | table[default]
+            for kind, keys in table.items():
+                got = getattr(from_dict({name: {key: kind}}), name)
+                assert got == {key: kind} | keys
+
+    @pytest.mark.parametrize("section, data, message", [
+        ("potential", {"a": 3}, "potential kind 'gaussian' takes no keys ['a']"),
+        ("potential", {"kind": "cosine", "w": 0.5, "M": 2}, "potential kind 'cosine' takes no keys ['M', 'w']"),
+        ("domain", {"radius": 0.3}, "domain shape 'box' takes no keys ['radius']"),
+        ("domain", {"shape": "ball", "sides": [1.0]}, "domain shape 'ball' takes no keys ['sides']"),
+        ("initial", {"kind": "bump", "slope": [1.0]}, "initial kind 'bump' takes no keys ['slope']"),
+        ("boundary", {"amp": 0.4}, "boundary kind 'zero' takes no keys ['amp']"),
+        ("potential", {"kind": "quartic"}, "unknown potential kind 'quartic'"),
+        ("domain", {"shape": ["box"]}, "unknown domain shape ['box']"),
+        ("initial", 5, "section 'initial' must be a mapping"),
+    ])
+    def test_a_key_the_kind_does_not_take_is_refused(self, section, data, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            from_dict({section: data})
+
+    def test_hash_of_a_kind_is_the_hash_of_its_defaults(self):
+        given = from_dict({"potential": {"kind": "cosine"}})
+        spelled = from_dict({"potential": {"kind": "cosine", "a": 0.2, "kappa": 1.0}})
+        assert config_hash(given) == config_hash(spelled)
+        assert config_hash(given) != config_hash(from_dict({"potential": {"kind": "cosine", "a": 2.0}}))
 
 
 class TestBuilders:
     def test_potentials(self):
-        assert build_potential(RunConfig().potential).name == "gaussian"
+        assert potential_from_spec(RunConfig().potential).name == "gaussian"
         cfg = from_dict({"potential": {"kind": "cosine", "a": 0.3}})
-        assert "cosine" in build_potential(cfg.potential).name
+        assert "cosine" in potential_from_spec(cfg.potential).name
         cfg = from_dict({"potential": {"kind": "split_bump"}})
-        assert "bump" in build_potential(cfg.potential).name
+        assert potential_from_spec(cfg.potential).name == "split_bump(a=1,w=0.5,M=2)"
         with pytest.raises(ConfigError):
-            build_potential(from_dict({"potential": {"kind": "quartic"}}).potential)
+            from_dict({"potential": {"kind": "quartic"}})
 
     def test_domains(self):
         box = build_domain(RunConfig().domain, 2)
@@ -111,6 +153,10 @@ class TestBuilders:
         assert poly.contains(np.zeros((1, 2)))[0]
         with pytest.raises(ConfigError):
             build_domain(from_dict({"domain": {"shape": "polytope"}}).domain, 2)
+        no_offsets = from_dict({"domain": {"shape": "polytope", "normals": [[1.0, 0.0]],
+                                           "bbox": [[-0.5, -0.5], [0.5, 0.5]]}}).domain
+        with pytest.raises(ConfigError, match=r"polytope domain needs \['offsets'\]"):
+            build_domain(no_offsets, 2)
         with pytest.raises(ConfigError):
             build_domain(from_dict({"domain": {"center": [0.0]}}).domain, 2)
 
@@ -124,7 +170,7 @@ class TestBuilders:
                 from_dict({"initial": {"kind": "linear", "slope": [1.0]}}).initial, 2
             )
         with pytest.raises(ConfigError):
-            build_profile(from_dict({"initial": {"kind": "steps"}}).initial, 2)
+            from_dict({"initial": {"kind": "steps"}})
 
     def test_tilt_vector(self):
         assert np.array_equal(tilt_vector(RunConfig().lattice), np.zeros(2))
@@ -164,6 +210,11 @@ def cli_env(tmp_path, monkeypatch):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# a small d = 1 simulation, domain and clock set
+SIMULATE_8 = ("--N", "8", "--d", "1", "--set", "domain.center=[0.5]",
+              "--set", "dynamics.t_end=0.002")
 
 
 class TestCliExitCodes:
@@ -206,6 +257,19 @@ class TestCliExitCodes:
                      id="dlr-fewer-samples-than-chains"),
         pytest.param("surface-table", ("--N", "4", "--workers", "-1"),
                      "workers must be >= 0", id="table-negative-workers"),
+        *(pytest.param("simulate", (*SIMULATE_8, "--set", f"dynamics.dt={dt}"),
+                       f"dt must be positive and finite, got {value}", id=f"simulate-dt-{dt}")
+          for dt, value in (("-0.01", "-0.01"), ("NaN", "nan"), ("Infinity", "inf"))),
+        pytest.param("certify-potential", ("--set", "potential.a=3"),
+                     "potential kind 'gaussian' takes no keys ['a']", id="gaussian-a"),
+        pytest.param("pde-solve", ("--set", "domain.radius=0.3"),
+                     "domain shape 'box' takes no keys ['radius']", id="box-radius"),
+        pytest.param("simulate", (*SIMULATE_8, "--set", "initial.amp=0.8"),
+                     "initial kind 'zero' takes no keys ['amp']", id="zero-profile-amp"),
+        pytest.param("pde-solve", ("--d", "2", "--set", "domain.shape=polytope",
+                                   "--set", "domain.normals=[[1,0],[-1,0],[0,1],[0,-1]]",
+                                   "--set", "domain.bbox=[[-0.5,-0.5],[0.5,0.5]]"),
+                     "polytope domain needs ['offsets']", id="polytope-no-offsets"),
     ])
     def test_degenerate_counts_exit_one(self, cli_env, capsys, command, flags, message):
         # refused before any sampling, with no artifact written
@@ -251,6 +315,23 @@ class TestCliExitCodes:
         assert code == 1
         assert "no closed-form flux" in capsys.readouterr().err
         assert not any((cli_env / "root").glob("*/*.csv"))
+
+
+class TestCliKindKeys:
+    def test_split_bump_is_the_stock_bump(self, cli_env, capsys):
+        run_cli("certify-potential", "--pot", "split_bump", "--out", "root")
+        assert "potential split_bump(a=1,w=0.5,M=2):" in capsys.readouterr().out
+        _, meta = read_csv(next((cli_env / "root").iterdir()) / "certify.csv")
+        assert meta["potential"] == make_split_bump().name
+
+    def test_kind_and_its_key_set_in_either_order(self, cli_env, capsys):
+        keys = ("--set", "potential.kind=cosine", "--set", "potential.a=2.0")
+        codes = [run_cli("certify-potential", *order, "--out", "root")
+                 for order in (keys, (*keys[2:], *keys[:2]))]
+        assert codes[0] == codes[1] != 1
+        assert "cosine" in capsys.readouterr().out
+        (run,) = (cli_env / "root").iterdir()  # one config, one run directory
+        assert read_csv(run / "certify.csv")[1]["potential"] == "cosine(a=2,kappa=1)"
 
 
 class TestCliCommands:
@@ -373,20 +454,20 @@ class TestCliCommands:
         for argv in runs:
             assert run_cli(*argv, "--out", "readme") == 0
         want = {
-            "sample-gibbs-c68995af4073/gibbs.csv":
-                "bd8124a1abf3c6490be892e22b5263e09681720eea164436e1c846c3db256e2f",
-            "surface-table-75708abaea2a/surface_table.csv":
-                "18c2075e0eb36325d7b6f370939e6cacca0b0bb8ed22a33a69fadcab7f739678",
-            "hydro-6533410c8851/convergence.csv":
-                "3738a59478e50568337e71d5cd2b06aa98935e30c654c1b96b1d4048b47e73c4",
-            "hydro-6533410c8851/gap_vs_N.dat":
+            "sample-gibbs-14f24e09adfd/gibbs.csv":
+                "839030c71c85c5a5df835f2c910849664e94077bab7b833748466fdb2c665fc2",
+            "surface-table-a6fb96925e8c/surface_table.csv":
+                "fac68ce60bfd279a9dbefd9722de72e7e4a1d4db24a19178a5284f83793aeacc",
+            "hydro-4ccc1f87e23f/convergence.csv":
+                "7d38fa5d5cb4920fa0ce2069ae40d97c0e2e158561b0fb13fd5a404e631278c3",
+            "hydro-4ccc1f87e23f/gap_vs_N.dat":
                 "3bc6629b518b1c8040cd05134ca629103e8c735f0668f567a6f2b79175d6d949",
-            "simulate-00c9d47fab04/final_height.csv":
-                "3c52496a212a37b5622f57e14accc569e1b01589d7dd66acbff444f514c49f47",
-            "simulate-00c9d47fab04/energy.csv":
-                "fd78d44ac29a0d687ddcd251f2b0a9629b4389c4ab7a18b4a0150023a74722a3",
-            "decompose-flux-487d21c40e56/flux.csv":
-                "42189f9167ff07c8a556f557be0831516662a354f2e0f3feb94c0c976da89b73",
+            "simulate-f2cd37df6301/final_height.csv":
+                "6c11368d42782cfb837dabf1bef7c75144650c85d01bf40a79f9a6bd36871a22",
+            "simulate-f2cd37df6301/energy.csv":
+                "22af40bce90189b2e5cd6269fb04ec4f5c95fe6de25b7fcd5c51c657bb4ba6ce",
+            "decompose-flux-14715c742b4c/flux.csv":
+                "7309a1ec171203f1b2bf966c3ba0136199805867c48a2bcb2497f21c17c89f59",
         }
         root = cli_env / "readme"
         got = {
@@ -396,7 +477,7 @@ class TestCliCommands:
         assert got == want
         # the table's data rows as `surface-tension --u 1 --table` wrote
         # them, before the table had a command of its own
-        rows = [line for line in (root / "surface-table-75708abaea2a/surface_table.csv")
+        rows = [line for line in (root / "surface-table-a6fb96925e8c/surface_table.csv")
                 .read_bytes().splitlines(keepends=True) if not line.startswith(b"#")]
         assert hashlib.sha256(b"".join(rows)).hexdigest() == (
             "f225a5b881141f8eb948e79821e43b4fd0ef0f0b644849abd7c2ef31e30e246a")
@@ -499,7 +580,8 @@ class TestCliCommands:
         capsys.readouterr()
 
 
-# every config leaf, dotted, with its default value
+# every config leaf, dotted, with its default value; a kind section has
+# its kind's leaves only
 LEAVES = {
     f"{key}.{leaf}" if isinstance(value, dict) else key: leaf_value
     for key, value in to_dict(RunConfig()).items()
@@ -535,7 +617,7 @@ READ_RUNS = {
 
 class _Reads:
     """A config, or one of its sections, that logs each leaf read as a
-    dotted key."""
+    dotted key.  A kind section is logged where its builder takes it."""
 
     def __init__(self, obj, log, prefix=""):
         self._obj, self._log, self._prefix = obj, log, prefix
@@ -545,8 +627,19 @@ class _Reads:
         key = self._prefix + name
         if dataclasses.is_dataclass(value):
             return _Reads(value, self._log, key + ".")
-        self._log.add(key)
+        if key not in KIND_SECTIONS:
+            self._log.add(key)
         return value
+
+
+def _declared_leaves(entries) -> set:
+    """The leaves of declared config entries: a kind section stands whole
+    for its leaves, a fixed section for each of its leaves."""
+    return {
+        entry if entry in KIND_SECTIONS else leaf
+        for entry in entries for leaf in LEAVES
+        if leaf == entry or leaf.startswith(entry + ".")
+    }
 
 
 class TestReadSets:
@@ -564,7 +657,7 @@ class TestReadSets:
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_set_accepted_exactly_where_the_leaf_is_read(self, command):
-        assert len(LEAVES) == 51
+        assert len(LEAVES) == 35
         for key, value in LEAVES.items():
             args = build_parser().parse_args([command, "--set", f"{key}={json.dumps(value)}"])
             if _reads(command, key):
@@ -574,15 +667,27 @@ class TestReadSets:
                     _load(args)
 
     @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_handler_reads_exactly_its_declared_entries(self, cli_env, capsys, command):
+    def test_handler_reads_exactly_its_declared_entries(
+        self, cli_env, capsys, monkeypatch, command
+    ):
         seen = set()
         args = build_parser().parse_args([command, *READ_RUNS[command], "--out", "root"])
         cfg, meta, outdir = _load(args)
+        sections = {id(getattr(cfg, name)): name for name in KIND_SECTIONS}
+
+        def taking(builder):
+            def build(section, *rest):
+                seen.add(sections[id(section)])
+                return builder(section, *rest)
+            return build
+
+        for name in ("potential_from_spec", "build_domain", "build_profile"):
+            monkeypatch.setattr(cli, name, taking(getattr(cli, name)))
         COMMANDS[command][1](_Reads(cfg, seen), meta, outdir, args)
         capsys.readouterr()
         assert sorted(k for k in seen if not _reads(command, k)) == []
-        entries = COMMANDS[command][2]
-        assert [e for e in entries if not any(k == e or k.startswith(e + ".") for k in seen)] == []
+        # every leaf of a declared fixed section is read, not just one
+        assert sorted(_declared_leaves(COMMANDS[command][2]) - seen) == []
 
     def test_config_file_key_must_be_read(self, cli_env, capsys):
         path = cli_env / "run.json"
@@ -635,10 +740,30 @@ class TestReadSets:
         for argv in argvs:
             _load(build_parser().parse_args(argv))
         # the table of the short flags and config keys each command takes
-        rows = [[cell.strip("` ") for cell in line.split("|")[1:4]]
-                for line in readme.splitlines() if line.startswith("| `")]
+        rows = _readme_table(readme, "| command | short flags | config keys read |")
         assert [name for name, _, _ in rows] == list(COMMANDS)
         for name, flags, keys in rows:
             taken = {flag for flag, (key, _) in FLAGS.items() if _reads(name, key)}
             assert set(flags.split()) - {"--v"} == taken
-            assert [k.strip("` ") for k in keys.split(",")] == list(COMMANDS[name][2])
+            assert keys.split(", ") == list(COMMANDS[name][2])
+        # the table of each kind's keys and defaults, default kind first
+        listed = {}
+        for names, kind, keys in _readme_table(readme, "| section | kind | keys and defaults |"):
+            params = dict(item.split("=", 1) for item in keys.split(", ") if item)
+            for name in names.split(", "):
+                listed.setdefault(name, []).append(
+                    (kind, {k: json.loads(v) for k, v in params.items()}))
+        want = {}
+        for name, (key, default, table) in KIND_SECTIONS.items():
+            kinds = [default, *(k for k in table if k != default)]
+            want[name] = [(kind, {k: v for k, v in to_dict(from_dict({name: {key: kind}}))[name]
+                                  .items() if k != key}) for kind in kinds]
+        assert listed == want
+
+
+def _readme_table(readme: str, header: str) -> list:
+    """The body rows of the README table under ``header``, as cells
+    without backticks."""
+    lines = readme.split("\n" + header + "\n", 1)[1].splitlines()[1:]
+    return [[cell.replace("`", "").strip() for cell in line.split("|")[1:-1]]
+            for line in itertools.takewhile(lambda line: line.startswith("|"), lines)]

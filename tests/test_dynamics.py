@@ -67,16 +67,27 @@ class TestStepCap:
         with pytest.raises(StepTooLarge):
             em_step(sys, 1.0)
 
-    @pytest.mark.parametrize("dt", [np.nan, np.inf, -0.01])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -0.01, 0.0])
     @pytest.mark.parametrize("pot", [make_gaussian(), FREE], ids=["capped", "uncapped"])
     def test_bad_dt_refused_before_the_step(self, dt, pot):
         dom = discretize_domain(UNIT_BOX_1D, 8)
         sys = DirichletSystem(dom, pot, np.zeros(dom.n_sites), seed=3, replicas=2)
         before = sys.phi.copy()
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match="positive and finite"):
             em_step(sys, dt)
         assert np.array_equal(sys.phi, before)
         assert sys.t == 0.0
+
+    def test_langevin_step_defaults_to_nine_tenths_of_the_cap(self):
+        pot = make_cosine_perturbed(0.5, 1.0)
+        cap = step_cap(pot, 2)
+        assert dynamics.langevin_step(pot, 2) == 0.9 * cap
+        assert dynamics.langevin_step(pot, 2, 0.01) == 0.01
+        with pytest.raises(StepTooLarge, match="dt=1 exceeds cap"):
+            dynamics.langevin_step(pot, 2, 1.0)
+        for bad in (0.0, -0.01, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"positive and finite, got {bad!r}"):
+                dynamics.langevin_step(pot, 2, bad)
 
 
 class TestDriftAgainstEnergy:
@@ -107,6 +118,24 @@ class TestDriftAgainstEnergy:
         want = -fd_gradient(fn, sys.phi[0, : dom.n_interior].copy(), h=1e-6)
         assert np.max(np.abs(sys.drift_interior()[0] - want)) < 1e-7
 
+    def test_domain_drift_in_four_dimensions_matches_a_site_loop(self):
+        # 8 neighbours per site: numpy may add them in another order than
+        # the loop does, so the two agree to rounding, not bit for bit
+        pot = make_cosine_perturbed(2.0, 1.0)
+        dom = discretize_domain(DomainSpec.box((1.0,) * 4, center=(0.0,) * 4), 7)
+        assert dom.d == 4 and dom.n_interior > 0
+        rng = np.random.default_rng(14)
+        sys = DirichletSystem(dom, pot, rng.normal(size=dom.n_sites), seed=0, replicas=2)
+        sys.phi[:, : dom.n_interior] = rng.normal(size=(2, dom.n_interior))
+        index = {tuple(site): k for k, site in enumerate(dom.sites)}
+        want = np.zeros((2, dom.n_interior))
+        for k, site in enumerate(dom.sites[: dom.n_interior]):
+            for i in range(4):
+                for s in (1, -1):
+                    y = index[tuple(site + s * np.eye(4, dtype=int)[i])]
+                    want[:, k] -= pot.vp(sys.phi[:, k] - sys.phi[:, y])
+        assert np.max(np.abs(sys.drift_interior() - want)) < 1e-12
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("pot", [make_cosine_perturbed(0.8, 1.3), make_split_bump()])
     def test_bond_pass_matches_roll_form(self, d, pot):
@@ -133,7 +162,6 @@ class TestDriftAgainstEnergy:
                 assert b.energy[r] == hamiltonian_torus(pot.v, p, tilt)
                 assert same(b.grad[r], want_grad)
             assert same(sys.drift_interior(), -b.grad)
-            assert all(same(x, y) for x, y in zip(sys.eta_tilde(), b.diffs))
             skipped = sys.bond_pass(phi, with_energy=False)
             assert skipped.energy is None and skipped.v_sums is None
             assert same(skipped.grad, b.grad)
@@ -326,7 +354,7 @@ class TestEulerStep:
         )
         for _ in range(steps):
             em_step(sys, dt)
-        per_rep = np.square(sys.eta_tilde()[0]).mean(axis=1)
+        per_rep = np.square(sys.bond_pass(sys.phi).diffs[0]).mean(axis=1)
         got = per_rep.mean()
         se = per_rep.std(ddof=1) / np.sqrt(reps)
         assert abs(got - lm_gaussian_bond_variance(N, 1, 0, dt)) < 4 * se
@@ -341,7 +369,7 @@ class TestMacroscopic:
             lat, make_gaussian(), [(0.9, -0.3)], phi=rng.normal(size=lat.shape), seed=[0]
         )
         # zero winding: the untilted differences average to 0 on every axis
-        got = [e.mean() + u for e, u in zip(sys.eta_tilde(), sys.tilt[0])]
+        got = [e.mean() + u for e, u in zip(sys.bond_pass(sys.phi).diffs, sys.tilt[0])]
         assert np.allclose(got, [0.9, -0.3], atol=1e-12, rtol=0)
 
     def test_macro_height_requires_matching_clock(self):
@@ -401,6 +429,13 @@ class TestCheckpointSteps:
         with pytest.raises(ValueError, match="nonnegative"):
             dynamics.checkpoint_steps((0.1, -0.1), 8, 0.01)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf, -np.inf])
+    def test_bad_step_refused(self, dt):
+        # 0 used to divide by zero, NaN to fail converting to int, and a
+        # negative or infinite step to become one step over the whole span
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            dynamics.checkpoint_steps((0.1,), 8, dt)
+
 
 class TestEnergyTrace:
     def test_checkpoints_land_exactly(self):
@@ -447,14 +482,14 @@ def _system_and_plain(spec, N, pot, seed, replicas):
     return system, plain
 
 
-# (spec, N, potential, replicas); the d = 4 box sums 8 neighbour terms
+# (spec, N, potential, replicas); d <= 3, where numpy adds the 2d
+# neighbour terms in the loop's order (d = 4: a site-loop test to 1e-12)
 PLAIN_LOOP_CASES = {
     "box1d": (UNIT_BOX_1D, 12, make_gaussian(), 5),
     "box2d-cosine": (DomainSpec.box((1.0, 1.0)), 8, make_cosine_perturbed(0.6, 1.5), 3),
     "ball-split-bump": (DomainSpec.ball(0.4, center=(0.0, 0.0)), 10, make_split_bump(), 7),
     "single-replica": (UNIT_BOX_1D, 9, make_cosine_perturbed(0.8, 1.0), 1),
     "box3d": (DomainSpec.box((1.0,) * 3), 8, make_cosine_perturbed(0.3, 1.0), 2),
-    "box4d": (DomainSpec.box((1.0,) * 4), 7, make_cosine_perturbed(0.3, 1.0), 2),
 }
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heightlab"
 
-# Exported ahead of their use: the coexistence study (ROADMAP item 7)
+# Exported ahead of their use: the coexistence study (ROADMAP item 10)
 # evaluates TemperatureRegime.beta0 per point.
 EXEMPT = {"TemperatureRegime", "beta0"}
 

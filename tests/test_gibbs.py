@@ -734,15 +734,18 @@ class TestOnePassPerProposal:
         assert elements["v0pp"] == 64 * 2 * 8 * 16  # every node, bond and sample
 
     def test_collect_reads_cached_differences(self, monkeypatch):
-        calls = []
-        inner = TiltedPeriodicSystem.eta_tilde
-        monkeypatch.setattr(
-            TiltedPeriodicSystem, "eta_tilde",
-            lambda self: (calls.append(1), inner(self))[1],
-        )
+        # a record is the kept pass of its sweep: one bond pass per sweep,
+        # for the proposal, and none to record the differences
         s = make_sampler(COSINE, 6, (0.5, 0.0), seed=0)
+        s.prepare()
+        calls = []
+        inner = TiltedPeriodicSystem.bond_pass
+        monkeypatch.setattr(
+            TiltedPeriodicSystem, "bond_pass",
+            lambda self, *a, **k: (calls.append(1), inner(self, *a, **k))[1],
+        )
         s.collect(40, {"m": lambda et, vp: et[0].mean(axis=(-2, -1))})
-        assert calls == []
+        assert len(calls) == 40
 
     def test_observables_cannot_write_the_cache(self):
         for which in (0, 1):  # et, then vp
