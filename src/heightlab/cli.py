@@ -167,10 +167,7 @@ def cmd_certify_potential(cfg: RunConfig, meta, outdir, args) -> int:
 def _chain_options(s) -> dict:
     """Sampler keyword arguments from the ``sampler`` config section:
     ``step`` 0 means auto-tuned and ``burn_in`` -1 adaptive."""
-    return {
-        "step": s.step or None,
-        "burn_in": None if s.burn_in < 0 else s.burn_in, "thin": s.thin,
-    }
+    return {"step": s.step or None, "burn_in": None if s.burn_in < 0 else s.burn_in}
 
 
 def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
@@ -349,7 +346,7 @@ def cmd_simulate(cfg: RunConfig, meta, outdir, args) -> int:
         build_profile(cfg.initial, d), seed=cfg.seed,
     )
     times = (dyn.t_end,)
-    trace = run_dirichlet(system, dt, times, noise_scale=dyn.noise_scale)
+    trace = run_dirichlet(system, dt, times)
     field = macro_height(system, dyn.t_end)
     diag = energy_diagnostic(trace, pot.c_minus)
     print(
@@ -381,10 +378,7 @@ def cmd_pde_solve(cfg: RunConfig, meta, outdir, args) -> int:
     h0 = build_profile(cfg.initial, d)
     f = build_profile(cfg.boundary, d)
     flux = resolve_flux(cfg.pde.flux, potential_from_spec(cfg.potential))
-    sol = solve(
-        grid, h0, flux, t_end=cfg.pde.t_end, boundary=f,
-        record=cfg.pde.record or (),
-    )
+    sol = solve(grid, h0, flux, t_end=cfg.pde.t_end, boundary=f)
     print(
         f"pde: t={cfg.pde.t_end} steps={sol.steps} dt={sol.dt:.3g} "
         f"max_ok={sol.linf_ok} flux={sol.flux_label}"
@@ -463,7 +457,7 @@ def cmd_dlr_check(cfg: RunConfig, meta, outdir, args) -> int:
 
 
 # the sampler keys _chain_options reads; these commands run surface.sweeps
-CHAIN_KEYS = ("sampler.step", "sampler.burn_in", "sampler.thin")
+CHAIN_KEYS = ("sampler.step", "sampler.burn_in")
 
 COMMANDS = {  # name -> (help, handler, config entries the handler reads)
     "certify-potential": (

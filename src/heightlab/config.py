@@ -2,9 +2,11 @@
 
 Unknown keys anywhere in the tree raise ConfigError instead of being
 silently dropped; a typo in a config file should never turn into a
-default value.  The kind sections (``KIND_SECTIONS``) are mappings of
-their kind and exactly that kind's keys, the defaults filled from one
-table per section; the other sections are dataclasses.  The short
+default value, and a leaf takes only values of its default's type (an
+int, a number, a list or a string).  The kind sections
+(``KIND_SECTIONS``) are mappings of their kind and exactly that kind's
+keys, the defaults filled from one table per section; the other
+sections are dataclasses.  The short
 sha256 hash of the canonical dict form is stamped into every output
 artifact next to the master seed.
 """
@@ -46,8 +48,6 @@ KIND_SECTIONS = {
 def _kind_section(name: str, data: dict) -> dict:
     """Kind section ``name`` from ``data``: its kind, the section's default
     kind when none is given, and that kind's keys with defaults filled."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
     key, default, table = KIND_SECTIONS[name]
     kind = data.get(key, default)
     if not isinstance(kind, str) or kind not in table:
@@ -55,7 +55,8 @@ def _kind_section(name: str, data: dict) -> dict:
     unknown = sorted(set(data) - {key, *table[kind]})
     if unknown:
         raise ConfigError(f"{name} {key} '{kind}' takes no keys {unknown}")
-    return {key: kind} | table[kind] | {k: _freeze(v) for k, v in data.items() if k != key}
+    given = {k: _leaf(f"{name}.{k}", v, table[kind][k]) for k, v in data.items() if k != key}
+    return {key: kind} | table[kind] | given
 
 
 @dataclass
@@ -70,7 +71,6 @@ class SamplerConfig:
     sweeps: int = 20000
     step: float = 0.0           # 0 -> auto-tuned
     burn_in: int = -1           # -1 -> adaptive
-    thin: int = 1
 
 
 @dataclass
@@ -84,7 +84,6 @@ class SurfaceConfig:
 class DynamicsConfig:
     dt: float = 0.0             # 0 -> 0.9 * stability cap
     t_end: float = 0.05         # macroscopic time
-    noise_scale: float = 1.0
 
 
 @dataclass
@@ -92,7 +91,6 @@ class PdeConfig:
     spacing: float = 0.015625
     t_end: float = 0.05
     flux: str = "gaussian"      # gaussian | path to a surface table csv
-    record: tuple = ()
 
 
 @dataclass
@@ -130,17 +128,23 @@ class RunConfig:
     dlr: DlrConfig = field(default_factory=DlrConfig)
 
 
-_SECTIONS = {  # fixed section name -> its dataclass
-    f.name: f.default_factory
-    for f in dataclasses.fields(RunConfig)
-    if dataclasses.is_dataclass(f.default_factory)
-}
+# the type of a default -> the types its key takes, named; a bool is no number
+TAKES = {int: ((int,), "an int"), float: ((int, float), "a number"),
+         tuple: ((list, tuple), "a list"), str: ((str,), "a string")}
 
 
 def _freeze(value):
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     return value
+
+
+def _leaf(key: str, value, default):
+    """``value`` of the dotted ``key`` frozen, if the type of ``default`` takes it."""
+    types, name = TAKES[type(default)]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config key '{key}' takes {name}, got {type(value).__name__}")
+    return _freeze(value)
 
 
 def _check_keys(cls, data, prefix=""):
@@ -150,27 +154,25 @@ def _check_keys(cls, data, prefix=""):
         raise ConfigError("no config key " + ", ".join(f"'{prefix}{k}'" for k in unknown))
 
 
-def _build_section(cls, data, path):
-    if not isinstance(data, dict):
-        raise ConfigError(f"section '{path}' must be a mapping")
-    _check_keys(cls, data, path + ".")
-    return cls(**{k: _freeze(v) for k, v in data.items()})
-
-
 def from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     _check_keys(RunConfig, data)
-    kwargs = {}
+    kwargs, defaults = {}, RunConfig()
     for key, value in data.items():
-        if key in KIND_SECTIONS:
+        default = getattr(defaults, key)
+        if type(default) in TAKES:
+            if isinstance(value, dict):
+                raise ConfigError(f"'{key}' is a config value, not a section")
+            kwargs[key] = _leaf(key, value, default)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"section '{key}' must be a mapping")
+        elif key in KIND_SECTIONS:
             kwargs[key] = _kind_section(key, value)
-        elif key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value, key)
-        elif isinstance(value, dict):
-            raise ConfigError(f"'{key}' is a config value, not a section")
         else:
-            kwargs[key] = _freeze(value)
+            _check_keys(type(default), value, key + ".")
+            kwargs[key] = dataclasses.replace(default, **{
+                k: _leaf(f"{key}.{k}", v, getattr(default, k)) for k, v in value.items()})
     return RunConfig(**kwargs)
 
 
@@ -249,9 +251,7 @@ def build_profile(cfg: dict, d: int):
 
 
 def tilt_vector(cfg: LatticeConfig) -> np.ndarray:
-    if not cfg.tilt:
-        return np.zeros(cfg.d)
-    u = np.asarray(cfg.tilt, dtype=float)
+    u = np.asarray(cfg.tilt or (0.0,) * cfg.d, dtype=float)
     if u.shape != (cfg.d,):
         raise ConfigError(f"tilt has shape {u.shape}, expected ({cfg.d},)")
     return u

@@ -337,10 +337,11 @@ def em_step(system, dt: float, noise_scale: float = 1.0) -> None:
     The drift is Euler-Maruyama's and the noise Leimkuhler-Matthews':
     xi_n is the draw the previous noisy step read as its xi_{n+1}, so
     each step draws one normal per site (``NoiseBlock``).
-    ``noise_scale=0`` gives the deterministic gradient flow (test hook);
-    such a step draws nothing, and the carried xi_n waits for the next
-    noisy step.  Raises as ``check_step`` for a bad dt, before the step,
-    and ``NonFinite`` if the state leaves float range.
+    ``noise_scale=0`` gives the deterministic gradient flow, a hook for
+    tests: ``advance`` and every run take the full noise.  Such a step
+    draws nothing, and the carried xi_n waits for the next noisy step.
+    Raises as ``check_step`` for a bad dt, before the step, and
+    ``NonFinite`` if the state leaves float range.
     """
     check_step(dt, step_cap(system.pot, system.d))
     amp = noise_scale * np.sqrt(0.5 * dt)
@@ -514,7 +515,6 @@ def advance(
     system: DirichletSystem,
     dt: float,
     times,
-    noise_scale: float = 1.0,
     collect=None,
     before_step=None,
 ) -> None:
@@ -528,7 +528,7 @@ def advance(
         for _ in range(n_steps):
             if before_step is not None:
                 before_step(dt_eff)
-            em_step(system, dt_eff, noise_scale=noise_scale)
+            em_step(system, dt_eff)
         if collect is not None:
             collect(t, system)
 
@@ -537,7 +537,6 @@ def run_dirichlet(
     system: DirichletSystem,
     dt: float,
     times,
-    noise_scale: float = 1.0,
     collect=None,
 ) -> EnergyTrace:
     """Evolve to each macroscopic checkpoint, recording the energy trace.
@@ -567,7 +566,7 @@ def run_dirichlet(
         if collect is not None:
             collect(t, sys)
 
-    advance(system, dt, times, noise_scale, collect=record, before_step=accumulate)
+    advance(system, dt, times, collect=record, before_step=accumulate)
     shape = (len(times), len(system.phi))
     return EnergyTrace(times, np.reshape(h_rows, shape), np.reshape(i_rows, shape), initial)
 

@@ -143,15 +143,13 @@ class GibbsSampler:
         system: TiltedPeriodicSystem,
         step: float | None = None,
         burn_in: int | None = None,
-        thin: int = 1,
     ):
-        if thin < 1:
-            raise ValueError(f"thin must be at least 1, got {thin}")
+        if burn_in is not None and burn_in < 0:
+            raise ValueError(f"burn_in must be at least 0, got {burn_in}")
         if step is not None and not (np.isfinite(step) and step > 0):
             raise ValueError(f"step must be finite and > 0, got {step}")
         lat = system.lattice
         self.system = system
-        self.thin = int(thin)
         self.burn_in = burn_in
         self._n = n = len(system.tilt)
         self._axes = tuple(range(1, lat.d + 1))  # lattice axes after the chain axis
@@ -341,7 +339,7 @@ class GibbsSampler:
     # -- collection -----------------------------------------------------------
 
     def collect(self, sweeps: int, observables: dict) -> dict:
-        """Run ``sweeps`` post-burn sweeps, recording every ``thin``-th.
+        """Run ``sweeps`` post-burn sweeps, recording every one.
 
         A record is the kept pass's untilted bond differences and V' on
         the tilted bonds.  Records are gathered k at a time, k as many as
@@ -351,27 +349,24 @@ class GibbsSampler:
         then the record, then the chain.  The last block may be shorter,
         and the arrays are refilled for the next block, so an observable
         must not keep them.  It returns one row per record: a scalar
-        observable returns (k, B).  The series of ``n_rec = sweeps // thin``
-        rows come back as (n_rec,) + row shape.
+        observable returns (k, B).  The series of ``sweeps`` rows come back
+        as (sweeps,) + row shape.
         """
         self.prepare()
-        n_rec = sweeps // self.thin
         out = {name: np.empty(0) for name in observables}
         d = self.system.lattice.d
         record = self._n * self._mask.size * 8  # bytes of one axis row
-        k = min(n_rec, max(1, RECORD_BLOCK_BYTES // (2 * d * record)))
+        k = min(sweeps, max(1, RECORD_BLOCK_BYTES // (2 * d * record)))
         block = np.empty((2, d, k, self._n) + self._mask.shape)
         places = [(block[0, :, j], block[1, :, j]) for j in range(k)]  # record j's rows
         held = done = 0  # records in the block, records handed out
-        for s in range(sweeps):
+        for _ in range(sweeps):
             self._sweep()
-            if (s + 1) % self.thin:
-                continue
             diffs, vp = places[held]
             diffs[...] = self._cur.diffs
             vp[...] = self._cur.vp
             held += 1
-            if held < k and done + held < n_rec:
+            if held < k and done + held < sweeps:
                 continue
             et, vp = block[:, :, :held]
             et.flags.writeable = vp.flags.writeable = False
@@ -383,7 +378,7 @@ class GibbsSampler:
                         f"for a block of {held} records"
                     )
                 if done == 0:  # one array per series, shaped by the first block
-                    out[name] = np.empty((n_rec,) + v.shape[1:], v.dtype)
+                    out[name] = np.empty((sweeps,) + v.shape[1:], v.dtype)
                 out[name][done : done + held] = v
             done += held
             held = 0
@@ -396,9 +391,7 @@ def make_sampler(
     tilt,
     step: float | None = None,
     burn_in: int | None = None,
-    thin: int = 1,
     seed=0,
-    phi0=None,
 ) -> GibbsSampler:
     """Sampler for the tilt-u ensemble on the (Z/NZ)^d torus, d = tilt.shape[-1].
 
@@ -410,8 +403,8 @@ def make_sampler(
     if tilt.ndim == 1:
         tilt, seed = tilt[None], [seed]
     lat = TorusLattice(N, tilt.shape[-1])
-    system = TiltedPeriodicSystem(lat, pot, tilt, phi=phi0, seed=seed)
-    return GibbsSampler(system, step=step, burn_in=burn_in, thin=thin)
+    system = TiltedPeriodicSystem(lat, pot, tilt, seed=seed)
+    return GibbsSampler(system, step=step, burn_in=burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +455,10 @@ def chain_means(sampler: GibbsSampler, sweeps: int, obs):
     """Batch means over ``sweeps`` of the sampler's ``obs(et, vp)``, which
     maps a block to an (m, k, B) array: m quantities per record and chain;
     returns (values, stderr, ess), each (B, m)."""
-    n_rec = sweeps // sampler.thin
-    if n_rec < N_BATCHES:
-        raise ValueError(f"need at least {N_BATCHES} samples, got {n_rec}")
+    if sweeps < N_BATCHES:
+        raise ValueError(f"need at least {N_BATCHES} samples, got {sweeps}")
     rows = sampler.collect(sweeps, {"o": lambda et, vp: obs(et, vp).transpose(1, 2, 0)})
-    series = np.ascontiguousarray(np.moveaxis(rows["o"], 0, -1))  # (B, m, n_rec)
+    series = np.ascontiguousarray(np.moveaxis(rows["o"], 0, -1))  # (B, m, sweeps)
     values, errors, ess = np.zeros((3,) + series.shape[:2])
     for j, i in np.ndindex(series.shape[:2]):
         values[j, i], errors[j, i], ess[j, i] = batch_means(series[j, i])
@@ -501,14 +493,13 @@ def variance_sweep(
     seed=0,
     step: float | None = None,
     burn_in: int | None = None,
-    thin: int = 1,
 ) -> VarianceSweep:
     """Bond variances across a grid of tilts, one chain per tilt, all
     advanced as one batch; chain j is seeded (*seed, j)."""
     tilts = np.atleast_2d(np.asarray(tilts, dtype=float))
     n = len(tilts)
     sampler = make_sampler(
-        pot, N, tilts, step=step, burn_in=burn_in, thin=thin,
+        pot, N, tilts, step=step, burn_in=burn_in,
         seed=[tuple(seed_key(seed)) + (j,) for j in range(n)],
     )
     lat = _lattice_axes(sampler)
@@ -575,8 +566,9 @@ def dlr_check(
     d = len(tilt)
     if not 1 <= window <= 3:
         raise ValueError("window width must be 1, 2, or 3")
-    if thin < 1:
-        raise ValueError(f"thin must be at least 1, got {thin}")
+    for name, value, least in (("thin", thin, 1), ("bins", bins, 1), ("burn", burn, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     if chains < 2 or n_samples < chains:  # each start group needs a chain and a sample
         raise ValueError(f"dlr_check needs chains >= 2 and n_samples >= chains, "
                          f"got chains={chains}, n_samples={n_samples}")

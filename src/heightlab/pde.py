@@ -64,7 +64,7 @@ class TableFlux:
 
     Refuses tables whose monotonicity probe is not strictly positive;
     a degenerate flux would make the limiting equation ill-posed.  Clamp
-    events beyond ``clamp_tol`` of all queries raise
+    events beyond ``CLAMP_TOL`` of all queries raise
     ``FluxRangeExceeded`` at the end of a solve.
     """
 
@@ -342,6 +342,10 @@ def _super_step(h, flux, st: _Stencil, interior, coefficients) -> None:
     np.copyto(h, y(len(stages) + 1), where=interior)
 
 
+# the largest share of flux queries that a solve may clamp to a table's range
+CLAMP_TOL = 1e-3
+
+
 def solve(
     grid: PdeGrid,
     h0,
@@ -350,7 +354,6 @@ def solve(
     boundary=None,
     dt: float | None = None,
     record=(),
-    clamp_tol: float = 1e-3,
 ) -> PdeSolution:
     """Integrate to ``t_end`` with RKL2 super-steps, recording snapshots.
 
@@ -366,7 +369,7 @@ def solve(
     max|h| stayed within its initial value after every super-step.  It
     is a check of the run, not a property of the scheme.  ``NonFinite``
     is raised after the first super-step that leaves float range, and
-    ``FluxRangeExceeded`` at the end if more than ``clamp_tol`` of the
+    ``FluxRangeExceeded`` at the end if more than ``CLAMP_TOL`` of the
     flux queries (d times the node count per evaluation) were clamped.
     """
     h = grid.evaluate(h0) if callable(h0) else np.array(h0, dtype=float)
@@ -415,7 +418,7 @@ def solve(
     sol.final = h
     sol.steps = steps
     clamped = getattr(flux, "clamp_events", 0) - clamp_before
-    if queries and clamped / queries > clamp_tol:
+    if queries and clamped / queries > CLAMP_TOL:
         raise FluxRangeExceeded(
             f"{clamped} of ~{queries} flux queries left the tabulated range"
         )

@@ -37,23 +37,20 @@ def grad_sigma(
     seed=0,
     step: float | None = None,
     burn_in: int | None = None,
-    thin: int = 1,
 ):
     """Monte Carlo estimate of grad sigma(u); returns (vector, stderr)."""
-    vec, err = _grad_sigma_chains(pot, N, u, seed, sweeps, step, burn_in, thin)
+    vec, err = _grad_sigma_chains(pot, N, u, seed, sweeps, step, burn_in)
     return vec[0], err[0]
 
 
-def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, step, burn_in, thin):
+def _grad_sigma_chains(pot, N, tilts, seeds, sweeps, step, burn_in):
     """grad sigma at each row of ``tilts`` (B, d), chain j seeded ``seeds[j]``
     (or at one (d,) tilt and seed), all chains advanced as one batch;
     returns (values, stderr), each (B, d).
 
     The observable is the mean of the V' that the sampler's bond pass kept.
     """
-    sampler = make_sampler(
-        pot, N, tilts, step=step, burn_in=burn_in, thin=thin, seed=seeds
-    )
+    sampler = make_sampler(pot, N, tilts, step=step, burn_in=burn_in, seed=seeds)
     d = sampler.system.lattice.d
     return chain_means(sampler, sweeps, lambda et, vp: _lattice_mean(vp, d))[:2]
 
@@ -86,7 +83,6 @@ def sigma(
     seed=0,
     step: float | None = None,
     burn_in: int | None = None,
-    thin: int = 1,
 ) -> SigmaEstimate:
     """Thermodynamic integration of grad sigma along the ray to u.
 
@@ -107,9 +103,7 @@ def sigma(
     s = (x + 1.0) / 2.0
     ws = w / 2.0
     seeds = [tuple(seed_key(seed)) + (j,) for j in range(nodes)]
-    g, ge = _grad_sigma_chains(
-        pot, N, np.outer(s, u), seeds, sweeps, step, burn_in, thin
-    )
+    g, ge = _grad_sigma_chains(pot, N, np.outer(s, u), seeds, sweeps, step, burn_in)
     vals = np.array([float(u @ g[j]) for j in range(nodes)])
     errs = np.array([float(np.sqrt(np.sum(u**2 * ge[j] ** 2))) for j in range(nodes)])
     value = float(ws @ vals)
@@ -238,7 +232,6 @@ def decompose_flux(
     nodes: int = 8,
     step: float | None = None,
     burn_in: int | None = None,
-    thin: int = 1,
 ) -> FluxDecomposition:
     """Estimate A_ii(u) = E int_0^1 V0''(eta(e_i) - s u_i) ds and
     a_i(u) = E[V0'(eta(e_i) - u_i)] + E[g'(eta(e_i))].
@@ -249,7 +242,7 @@ def decompose_flux(
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = len(u)
-    sampler = make_sampler(pot, N, u, step=step, burn_in=burn_in, thin=thin, seed=seed)
+    sampler = make_sampler(pot, N, u, step=step, burn_in=burn_in, seed=seed)
     x, w = np.polynomial.legendre.leggauss(nodes)
     lam = (x + 1.0) / 2.0
     ahead = (1,) * (d + 2)  # block, chain and lattice axes
@@ -473,7 +466,6 @@ def build_table(
     seed=0,
     step: float | None = None,
     burn_in: int | None = None,
-    thin: int = 1,
     workers: int = 0,
 ) -> SurfaceTensionTable:
     """Tabulate grad sigma on a tensor grid and integrate for sigma.
@@ -505,8 +497,7 @@ def build_table(
         raise ValueError(f"potential {pot.name!r} has no spec to rebuild in workers")
     parts = np.array_split(np.arange(len(tilts)), max(1, min(workers, len(tilts))))
     jobs = [
-        (pot.spec or pot, N, tilts[part], [seeds[j] for j in part], sweeps,
-         step, burn_in, thin)
+        (pot.spec or pot, N, tilts[part], [seeds[j] for j in part], sweeps, step, burn_in)
         for part in parts
     ]
     if len(jobs) > 1:

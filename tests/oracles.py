@@ -554,7 +554,7 @@ def expected_gap(mean_h, var_h, ref, weight):
 
 
 def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None,
-                         step=None, lipschitz=1.0, burn_in=None, thin=1):
+                         step=None, lipschitz=1.0, burn_in=None):
     """A single gauge-fixed torus chain in its plain form.
 
     MALA sweeps with ``np.roll`` energy and gradient passes and a
@@ -562,7 +562,7 @@ def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None,
     the 0.50-0.65 acceptance window in rounds of 25 sweeps; burn-in either
     fixed or adaptive (1000 probed sweeps, then up to 10 IACT); then
     ``sweeps`` sweeps recording each observable of ``np.roll`` bond
-    differences every ``thin``-th sweep.  ``rng`` supplies one
+    differences after every sweep.  ``rng`` supplies one
     ``standard_normal(phi.shape)`` and one ``uniform()`` per sweep.
     Returns a dict with ``phis`` (the state after every sweep), ``step``, ``accepts`` and ``proposals`` (counted after burn-in) and
     ``series`` (one array per observable).  The burn-in length uses the
@@ -642,12 +642,11 @@ def reference_mala_chain(v, vp, tilt, phi, rng, sweeps, observables=None,
             mala()
     st["accepts"] = st["proposals"] = 0
     series = {name: [] for name in observables}
-    for s in range(sweeps):
+    for _ in range(sweeps):
         mala()
-        if (s + 1) % thin == 0:
-            et = eta_tilde()
-            for name, fn in observables.items():
-                series[name].append(fn(et))
+        et = eta_tilde()
+        for name, fn in observables.items():
+            series[name].append(fn(et))
     return {"phis": phis, "step": st["step"], "accepts": st["accepts"],
             "proposals": st["proposals"],
             "series": {name: np.asarray(x) for name, x in series.items()}}

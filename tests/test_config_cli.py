@@ -93,6 +93,30 @@ class TestConfigTree:
         assert (cfg.potential["a"], cfg.seed) == (2.0, 3)
         assert data == {"potential": {"kind": "cosine"}, "seed": 2}
 
+    @pytest.mark.parametrize("data, message", [
+        pytest.param({"seed": 1.0}, "config key 'seed' takes an int, got float", id="seed"),
+        pytest.param({"workers": True}, "config key 'workers' takes an int, got bool",
+                     id="bool-for-int"),
+        pytest.param({"output_dir": 3}, "config key 'output_dir' takes a string, got int",
+                     id="output-dir"),
+        pytest.param({"dynamics": {"dt": False}},
+                     "config key 'dynamics.dt' takes a number, got bool", id="bool-for-number"),
+        pytest.param({"hydro": {"scales": 8}}, "config key 'hydro.scales' takes a list, got int",
+                     id="int-for-list"),
+        pytest.param({"pde": {"flux": ["gaussian"]}},
+                     "config key 'pde.flux' takes a string, got list", id="list-for-string"),
+        pytest.param({"domain": {"shape": "ball", "radius": "0.3"}},
+                     "config key 'domain.radius' takes a number, got str", id="kind-section"),
+    ])
+    def test_a_leaf_takes_the_type_of_its_default(self, data, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            from_dict(data)
+
+    def test_a_number_leaf_takes_an_int(self):
+        cfg = from_dict({"sampler": {"step": 1}, "potential": {"kind": "cosine", "a": 2},
+                         "lattice": {"tilt": [1, 0]}})
+        assert (cfg.sampler.step, cfg.potential["a"], cfg.lattice.tilt) == (1, 2, (1, 0))
+
 
 class TestKindSections:
     def test_each_kind_holds_exactly_its_table_keys(self):
@@ -255,6 +279,10 @@ class TestCliExitCodes:
                      id="dlr-no-sample"),
         pytest.param("dlr-check", ("--set", "dlr.n_samples=10"), "n_samples >= chains",
                      id="dlr-fewer-samples-than-chains"),
+        pytest.param("dlr-check", ("--set", "dlr.bins=0"), "bins must be at least 1, got 0",
+                     id="dlr-no-bin"),
+        pytest.param("dlr-check", ("--set", "dlr.burn=-5"), "burn must be at least 0, got -5",
+                     id="dlr-negative-burn"),
         pytest.param("surface-table", ("--N", "4", "--workers", "-1"),
                      "workers must be >= 0", id="table-negative-workers"),
         *(pytest.param("simulate", (*SIMULATE_8, "--set", f"dynamics.dt={dt}"),
@@ -270,6 +298,29 @@ class TestCliExitCodes:
                                    "--set", "domain.normals=[[1,0],[-1,0],[0,1],[0,-1]]",
                                    "--set", "domain.bbox=[[-0.5,-0.5],[0.5,0.5]]"),
                      "polytope domain needs ['offsets']", id="polytope-no-offsets"),
+        # keys that no run set: pde-solve never wrote the snapshots of pde.record
+        pytest.param("sample-gibbs", ("--N", "4", "--set", "sampler.sweeps=64",
+                                      "--set", "sampler.thin=2"),
+                     "no config key 'sampler.thin'", id="no-thin"),
+        pytest.param("simulate", (*SIMULATE_8, "--set", "dynamics.noise_scale=0"),
+                     "no config key 'dynamics.noise_scale'", id="no-noise-scale"),
+        pytest.param("pde-solve", ("--d", "1", "--set", "domain.center=[0.5]",
+                                   "--set", "pde.record=[0.01]"),
+                     "no config key 'pde.record'", id="no-record"),
+        # a value of another type than its key's default, not a TypeError in the run
+        pytest.param("certify-potential", ("--pot", "cosine", "--set", "potential.a=[1,2]"),
+                     "config key 'potential.a' takes a number, got list", id="list-for-number"),
+        pytest.param("sample-gibbs", ("--N", "4", "--set", "sampler.sweeps=abc"),
+                     "config key 'sampler.sweeps' takes an int, got str", id="str-for-int"),
+        pytest.param("sample-gibbs", ("--N", "4", "--set", "sampler.sweeps=64.5"),
+                     "config key 'sampler.sweeps' takes an int, got float", id="float-for-int"),
+        pytest.param("simulate", ("--N", "8", "--d", "1", "--set", "domain.center=[0.5]",
+                                  "--set", "dynamics.t_end=[1]"),
+                     "config key 'dynamics.t_end' takes a number, got list", id="list-for-time"),
+        pytest.param("pde-solve", ("--d", "1", "--set", "domain.center=[0.5]",
+                                   "--set", "pde.spacing=null"),
+                     "config key 'pde.spacing' takes a number, got NoneType",
+                     id="null-for-number"),
     ])
     def test_degenerate_counts_exit_one(self, cli_env, capsys, command, flags, message):
         # refused before any sampling, with no artifact written
@@ -277,9 +328,7 @@ class TestCliExitCodes:
         assert message in capsys.readouterr().err
         assert not any((cli_env / "root").glob("*/*.csv"))
 
-    @pytest.mark.parametrize("command, key", [
-        ("sample-gibbs", "sampler.thin=0"), ("dlr-check", "dlr.thin=0"),
-    ])
+    @pytest.mark.parametrize("command, key", [("dlr-check", "dlr.thin=0")])
     def test_thin_below_one_exits_one(self, cli_env, capsys, command, key):
         assert run_cli(command, "--set", key, "--out", "root") == 1
         assert "thin must be at least 1, got 0" in capsys.readouterr().err
@@ -450,24 +499,28 @@ class TestCliCommands:
             ("simulate", "--N", "16", "--d", "1", "--set", "initial.kind=bump",
              "--set", "dynamics.t_end=0.02"),
             ("decompose-flux", "--u", "0.5", "--N", "16"),
+            ("pde-solve", "--d", "1", "--set", "domain.center=[0.5]", "--set", "initial.kind=bump",
+             "--set", "initial.center=[0.5]", "--set", "pde.t_end=0.05"),
         ]
         for argv in runs:
             assert run_cli(*argv, "--out", "readme") == 0
         want = {
-            "sample-gibbs-14f24e09adfd/gibbs.csv":
-                "839030c71c85c5a5df835f2c910849664e94077bab7b833748466fdb2c665fc2",
-            "surface-table-a6fb96925e8c/surface_table.csv":
-                "fac68ce60bfd279a9dbefd9722de72e7e4a1d4db24a19178a5284f83793aeacc",
-            "hydro-4ccc1f87e23f/convergence.csv":
-                "7d38fa5d5cb4920fa0ce2069ae40d97c0e2e158561b0fb13fd5a404e631278c3",
-            "hydro-4ccc1f87e23f/gap_vs_N.dat":
+            "sample-gibbs-8df82b2c79ee/gibbs.csv":
+                "7b008d284fe8ca1f224afe4ca7784e753b5928171d17917dbf4cae6789100550",
+            "surface-table-067cc2011ae9/surface_table.csv":
+                "2369490ae8f91609e865b2c9f3de3c10b25418009d5db64364dbb1633c7ee499",
+            "hydro-b938ab276fa0/convergence.csv":
+                "6a73ac0d2dfa5237631ef2cb699dfa030bc48108be99c8210274d070f1dbd939",
+            "hydro-b938ab276fa0/gap_vs_N.dat":
                 "3bc6629b518b1c8040cd05134ca629103e8c735f0668f567a6f2b79175d6d949",
-            "simulate-f2cd37df6301/final_height.csv":
-                "6c11368d42782cfb837dabf1bef7c75144650c85d01bf40a79f9a6bd36871a22",
-            "simulate-f2cd37df6301/energy.csv":
-                "22af40bce90189b2e5cd6269fb04ec4f5c95fe6de25b7fcd5c51c657bb4ba6ce",
-            "decompose-flux-14715c742b4c/flux.csv":
-                "7309a1ec171203f1b2bf966c3ba0136199805867c48a2bcb2497f21c17c89f59",
+            "simulate-d6015554076a/final_height.csv":
+                "44c019e93a492dffc59f31c0f2cad60c63ad5c18b3b0a10a0b1b1d1f8a3f05d5",
+            "simulate-d6015554076a/energy.csv":
+                "39e7dc6cd6717bdd261715b7f2dcd104cbd6444e841be0861bfc444d900768f7",
+            "decompose-flux-cb60e741bc24/flux.csv":
+                "f81fca38f04af0231244d4fc584e35b7f408063a4b7092f4aeb1e435ce05f003",
+            "pde-solve-f7773c2e6e75/pde_final.csv":
+                "7d26e167ff82588968ec68d6e922adb880adaea730180a9a977b3827d40bd45b",
         }
         root = cli_env / "readme"
         got = {
@@ -475,12 +528,21 @@ class TestCliCommands:
             for p in root.rglob("*") if p.suffix in (".csv", ".dat")
         }
         assert got == want
+
+        def data_rows(name):
+            lines = (root / name).read_bytes().splitlines(keepends=True)
+            return hashlib.sha256(b"".join(x for x in lines if not x.startswith(b"#"))).hexdigest()
+
         # the table's data rows as `surface-tension --u 1 --table` wrote
         # them, before the table had a command of its own
-        rows = [line for line in (root / "surface-table-a6fb96925e8c/surface_table.csv")
-                .read_bytes().splitlines(keepends=True) if not line.startswith(b"#")]
-        assert hashlib.sha256(b"".join(rows)).hexdigest() == (
+        assert data_rows("surface-table-067cc2011ae9/surface_table.csv") == (
             "f225a5b881141f8eb948e79821e43b4fd0ef0f0b644849abd7c2ef31e30e246a")
+        # the bump's profile and RKL2 plan as they were while pde.record
+        # could re-segment the plan
+        pde_final = "pde-solve-f7773c2e6e75/pde_final.csv"
+        assert data_rows(pde_final) == (
+            "28d7544735faf1e8c873d29e4b0018ddde4e21578184e3529d467c2e3bf1e3b3")
+        assert b"# steps=264\n" in (root / pde_final).read_bytes()
         capsys.readouterr()
 
     @pytest.mark.parametrize("key", ["sampler.step=0.05", "sampler.burn_in=30"])
@@ -657,7 +719,7 @@ class TestReadSets:
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_set_accepted_exactly_where_the_leaf_is_read(self, command):
-        assert len(LEAVES) == 35
+        assert len(LEAVES) == 32
         for key, value in LEAVES.items():
             args = build_parser().parse_args([command, "--set", f"{key}={json.dumps(value)}"])
             if _reads(command, key):
@@ -725,7 +787,7 @@ class TestReadSets:
         "command", ["surface-tension", "surface-table", "convexity-probe", "decompose-flux"])
     def test_chain_commands_refuse_sampler_sweeps(self, cli_env, capsys, command):
         # their chains run surface.sweeps; of the sampler section they read
-        # only step, burn_in and thin
+        # only step and burn_in
         assert run_cli(command, "--set", "sampler.sweeps=5", "--out", "root") == 1
         assert (f"{command} never reads config keys ['sampler.sweeps']"
                 in capsys.readouterr().err)

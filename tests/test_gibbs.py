@@ -167,13 +167,12 @@ class TestVarianceSweep:
         assert lo <= hi or sweep.ratio < 1.1
         assert np.isfinite(sweep.values).all()
 
-    @pytest.mark.parametrize("kw", [{}, {"thin": 3}])
-    def test_batch_equals_per_tilt_loop(self, kw):
+    def test_batch_equals_per_tilt_loop(self):
         pot = make_cosine_perturbed(0.5, 1.0)
         tilts = [(0.0,), (0.5,), (1.0,), (2.0,)]
-        vs = variance_sweep(pot, 6, tilts, sweeps=192, seed=4, **kw)
+        vs = variance_sweep(pot, 6, tilts, sweeps=192, seed=4)
         for j, u in enumerate(tilts):
-            rep = estimate_bond_variance(make_sampler(pot, 6, u, seed=(4, j), **kw), 0, 192)
+            rep = estimate_bond_variance(make_sampler(pot, 6, u, seed=(4, j)), 0, 192)
             assert (vs.values[j, 0], vs.stderr[j, 0]) == (rep.value, rep.stderr)
 
     def test_scale_uniformity_at_zero_tilt(self):
@@ -277,6 +276,15 @@ class TestDlr:
         np.testing.assert_allclose(
             rep.exterior, exterior(ring.astype(float)), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("kw, message", [
+        pytest.param({"bins": 0}, "bins must be at least 1, got 0", id="no-bin"),
+        pytest.param({"burn": -5}, "burn must be at least 0, got -5", id="negative-burn"),
+    ])
+    def test_bad_counts_raise(self, kw, message):
+        # no bin ended in an IndexError, and a negative burn ran no burn-in
+        with pytest.raises(ValueError, match=message):
+            dlr_check(make_gaussian(), (0.5,), n_samples=200, chains=10, **kw)
 
     def test_two_starts_agree(self):
         rep = dlr_check(
@@ -391,8 +399,8 @@ def _block_of(monkeypatch, k, record_bytes):
     monkeypatch.setattr(gibbs, "RECORD_BLOCK_BYTES", size)
 
 
-# k = 1, k dividing none of the record counts (120 and 40 here, 90 and 30
-# for batches), and every record in one block
+# k = 1, k dividing none of the record counts (120 here, 90 for
+# batches), and every record in one block
 BLOCKS = [pytest.param(1, id="k1"), pytest.param(7, id="k7"), pytest.param(None, id="k-all")]
 
 
@@ -408,10 +416,9 @@ CHAINS = [
     pytest.param(BUMP, 6, (0.5, 0.0), {}, id="bump-d2"),
     pytest.param(COSINE, 4, (0.3, 0.0, -0.2), {}, id="cosine-d3"),
     pytest.param(BUMP, 4, (0.2, 0.1, 0.0), {}, id="bump-d3"),
-    pytest.param(COSINE, 6, (0.5, 0.2), {"step": 0.08, "burn_in": 150, "thin": 3},
-                 id="cosine-d2-fixed-step-thin3"),
-    pytest.param(COSINE, 8, (0.3,), {"burn_in": 100, "thin": 3},
-                 id="cosine-d1-fixed-burn-thin3"),
+    pytest.param(COSINE, 6, (0.5, 0.2), {"step": 0.08, "burn_in": 150},
+                 id="cosine-d2-fixed-step"),
+    pytest.param(COSINE, 8, (0.3,), {"burn_in": 100}, id="cosine-d1-fixed-burn"),
 ]
 
 
@@ -425,8 +432,8 @@ class TestMatchesPlainLoop:
 
     @pytest.mark.parametrize("k", BLOCKS)
     @pytest.mark.parametrize("pot, N, tilt, kw", _pick(
-        CHAINS, "cosine-d1", "cosine-d2", "bump-d3", "cosine-d2-fixed-step-thin3",
-        "cosine-d1-fixed-burn-thin3",
+        CHAINS, "cosine-d1", "cosine-d2", "bump-d3", "cosine-d2-fixed-step",
+        "cosine-d1-fixed-burn",
     ))
     def test_any_record_block(self, pot, N, tilt, kw, k, monkeypatch):
         _block_of(monkeypatch, k, 2 * len(tilt) * N ** len(tilt) * 8)
@@ -457,10 +464,15 @@ class TestMatchesPlainLoop:
         with pytest.raises(ValueError, match="step must be finite and > 0"):
             make_sampler(COSINE, 4, (0.5, 0.0), step=step)
 
+    def test_negative_burn_in_raises(self):
+        # it would run no burn-in at all
+        with pytest.raises(ValueError, match="burn_in must be at least 0, got -3"):
+            make_sampler(COSINE, 4, (0.5, 0.0), step=0.05, burn_in=-3)
+
     def test_too_few_records_raise(self):
-        # two sweeps at thin 3 record nothing, which must not read as an estimate of 0
-        with pytest.raises(ValueError, match="need at least 32 samples, got 0"):
-            grad_sigma(COSINE, 4, (0.5, 0.0), sweeps=2, thin=3, step=0.05, burn_in=0)
+        # two records make no batch means, which must not read as an estimate
+        with pytest.raises(ValueError, match="need at least 32 samples, got 2"):
+            grad_sigma(COSINE, 4, (0.5, 0.0), sweeps=2, step=0.05, burn_in=0)
 
     def test_tuning_rounds_change_the_step(self):
         pot, N, tilt = COSINE, 6, (1.0, -0.5)
@@ -472,8 +484,8 @@ class TestMatchesPlainLoop:
     @pytest.mark.parametrize("pot, u, kw", [
         pytest.param(COSINE, (0.5, 0.2), {}, id="cosine-d2"),
         pytest.param(BUMP, (0.7,), {}, id="bump-d1"),
-        pytest.param(COSINE, (0.3, 0.0, -0.2), {"step": 0.05, "burn_in": 100, "thin": 3},
-                     id="cosine-d3-fixed-step-thin3"),
+        pytest.param(COSINE, (0.3, 0.0, -0.2), {"step": 0.05, "burn_in": 100},
+                     id="cosine-d3-fixed-step"),
     ])
     def test_grad_sigma(self, pot, u, kw):
         N = 4 if len(u) == 3 else 6
@@ -558,11 +570,11 @@ BATCHES = [
     pytest.param(COSINE, 4, [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)], {},
                  id="B9-cosine-d2"),
     pytest.param(BUMP, 4, [(0.2, 0.1, 0.0), (0.0, 0.0, 0.0), (0.6, -0.4, 0.3)],
-                 {"step": 0.05, "burn_in": 100, "thin": 3}, id="B3-bump-d3-fixed-step-thin3"),
+                 {"step": 0.05, "burn_in": 100}, id="B3-bump-d3-fixed-step"),
     pytest.param(BUMP, 8, [(0.1 * j,) for j in range(9)],
-                 {"step": 0.1, "burn_in": 60, "thin": 3}, id="B9-bump-d1-fixed-step-thin3"),
-    pytest.param(COSINE, 8, [(0.3,), (1.2,), (0.0,)], {"burn_in": 100, "thin": 3},
-                 id="B3-cosine-d1-fixed-burn-thin3"),
+                 {"step": 0.1, "burn_in": 60}, id="B9-bump-d1-fixed-step"),
+    pytest.param(COSINE, 8, [(0.3,), (1.2,), (0.0,)], {"burn_in": 100},
+                 id="B3-cosine-d1-fixed-burn"),
 ]
 
 
@@ -577,8 +589,8 @@ class TestBatchMatchesPlainLoop:
 
     @pytest.mark.parametrize("k", BLOCKS)
     @pytest.mark.parametrize("pot, N, tilts, kw", _pick(
-        BATCHES, "B1-bump-d2", "B3-cosine-d1", "B3-bump-d3-fixed-step-thin3",
-        "B9-bump-d1-fixed-step-thin3", "B3-cosine-d1-fixed-burn-thin3",
+        BATCHES, "B1-bump-d2", "B3-cosine-d1", "B3-bump-d3-fixed-step",
+        "B9-bump-d1-fixed-step", "B3-cosine-d1-fixed-burn",
     ))
     def test_any_record_block(self, pot, N, tilts, kw, k, monkeypatch):
         B, d = np.shape(tilts)
