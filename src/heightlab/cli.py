@@ -46,7 +46,7 @@ from .hydro import (
     resolve_flux,
     run as hydro_run,
 )
-from .io import save_field, write_csv
+from .io import write_csv
 from .pde import PdeGrid, solve
 from .potential import STOCK_KINDS, certify, potential_from_spec
 from .surface import build_table, convexity_probe, decompose_flux, grad_sigma, sigma
@@ -353,10 +353,9 @@ def cmd_simulate(cfg: RunConfig, meta, outdir, args) -> int:
         f"simulate: N={N} t={dyn.t_end} dt={dt:.3g} "
         f"|h|^2={field.l2_norm_sq()[0]:.6f} energy_ok={diag.ok}"
     )
-    save_field(
+    write_csv(
         os.path.join(outdir, "final_height.csv"),
-        field.sites,
-        field.values[0],
+        {**{f"x{i}": field.sites[:, i] for i in range(d)}, "value": field.values[0]},
         meta | {"potential": pot.name, "N": N, "t": repr(dyn.t_end)},
     )
     write_csv(

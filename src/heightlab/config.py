@@ -132,19 +132,24 @@ class RunConfig:
 TAKES = {int: ((int,), "an int"), float: ((int, float), "a number"),
          tuple: ((list, tuple), "a list"), str: ((str,), "a string")}
 
-
-def _freeze(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
+# the list keys whose elements are lists of numbers, as a polytope needs
+NESTED = ("domain.normals", "domain.bbox")
 
 
 def _leaf(key: str, value, default):
-    """``value`` of the dotted ``key`` frozen, if the type of ``default`` takes it."""
+    """``value`` of the dotted ``key`` frozen, if the type of ``default`` takes it.
+
+    Element j of a list is checked the same way, as ``key[j]``, against the
+    default's element j (its last one past the end); where the default is
+    empty, against a list of numbers for a ``NESTED`` key, else a number."""
     types, name = TAKES[type(default)]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config key '{key}' takes {name}, got {type(value).__name__}")
-    return _freeze(value)
+    if not isinstance(default, tuple):
+        return value
+    default = default or (((),) if key in NESTED else (0.0,))
+    return tuple(_leaf(f"{key}[{j}]", v, default[min(j, len(default) - 1)])
+                 for j, v in enumerate(value))
 
 
 def _check_keys(cls, data, prefix=""):
@@ -184,8 +189,6 @@ def to_dict(cfg: RunConfig) -> dict:
             return {k: plain(v) for k, v in value.items()}
         if isinstance(value, tuple):
             return [plain(v) for v in value]
-        if isinstance(value, (np.floating, np.integer)):
-            return value.item()
         return value
 
     return plain(cfg)

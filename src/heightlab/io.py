@@ -72,14 +72,3 @@ def _cell(value):
         return int(value)
     return value
 
-
-def save_field(path, sites: np.ndarray, values: np.ndarray, meta: dict | None = None):
-    """Store lattice sites and per-site values; exact round-trip."""
-    sites = np.atleast_2d(np.asarray(sites))
-    values = np.asarray(values, dtype=float)
-    if len(sites) != len(values):
-        raise ValueError("sites and values length mismatch")
-    cols = {f"x{i}": sites[:, i] for i in range(sites.shape[1])}
-    cols["value"] = values
-    return write_csv(path, cols, meta)
-

@@ -195,8 +195,7 @@ class DiscretizedDomain:
     boundary data for macroscopic profiles but no bonds).
     """
 
-    def __init__(self, spec, N, sites, n_interior, n_layer, neighbors,
-                 bonds_interior, bonds_crossing):
+    def __init__(self, spec, N, sites, n_interior, n_layer, neighbors, bonds_closure):
         self.spec = spec
         self.N = int(N)
         self.d = spec.d
@@ -204,13 +203,9 @@ class DiscretizedDomain:
         self.n_interior = int(n_interior)
         self.n_layer = int(n_layer)
         self.neighbors = neighbors            # (n_interior, 2d) ids
-        self.bonds_interior = bonds_interior  # (K_int, 2) [head, tail] ids
-        self.bonds_crossing = bonds_crossing  # (K_x, 2), one endpoint interior
-        self.bonds_closure = (
-            np.vstack([bonds_interior, bonds_crossing])
-            if len(bonds_crossing)
-            else bonds_interior.copy()
-        )
+        # (K, 2) [head, tail] ids of the bonds with an interior endpoint:
+        # interior-interior bonds first, then crossing ones
+        self.bonds_closure = bonds_closure
 
     @property
     def n_sites(self) -> int:
@@ -285,11 +280,9 @@ def discretize_domain(spec: DomainSpec, N: int) -> DiscretizedDomain:
         raise AssertionError("interior neighbor missing from site list")
 
     # canonical bonds (x + e_i, x), at least one endpoint interior
-    int_ids = ids.copy()
-    int_ids[~interior] = -1
     b_int, b_cross = [], []
+    tails_rel = sites[: n_int + n_lay] - origin
     for i in range(d):
-        tails_rel = sites[: n_int + n_lay] - origin
         heads_rel = tails_rel.copy()
         heads_rel[:, i] += 1
         inside_scan = heads_rel[:, i] < scan_shape[i]
@@ -306,17 +299,7 @@ def discretize_domain(spec: DomainSpec, N: int) -> DiscretizedDomain:
             chosen = pairs[mask]
             order = np.lexsort(sites[chosen[:, 1]].T[::-1])  # tail coords, lex
             dest.append(chosen[order])
-    bonds_interior = (
-        np.vstack(b_int) if any(len(b) for b in b_int) else np.empty((0, 2), np.int64)
-    )
-    bonds_crossing = (
-        np.vstack(b_cross)
-        if any(len(b) for b in b_cross)
-        else np.empty((0, 2), np.int64)
-    )
-    return DiscretizedDomain(
-        spec, N, sites, n_int, n_lay, nbr, bonds_interior, bonds_crossing
-    )
+    return DiscretizedDomain(spec, N, sites, n_int, n_lay, nbr, np.vstack(b_int + b_cross))
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,6 @@ def sigma(
 class ConvexityReport:
     """Monotonicity quotients (u-v).(g(u)-g(v)) / |u-v|^2 over tilt pairs."""
 
-    pairs: list
     quotients: np.ndarray
     stderr: np.ndarray
     c1_hat: float
@@ -180,7 +179,6 @@ def convexity_probe(gradient_provider, pairs) -> ConvexityReport:
     i_min = int(np.argmin(quotients))
     i_max = int(np.argmax(quotients))
     return ConvexityReport(
-        pairs=list(pairs),
         quotients=quotients,
         stderr=errors,
         c1_hat=float(quotients[i_min]),
@@ -340,27 +338,12 @@ class SurfaceTensionTable:
         self.clamp_events += int(np.count_nonzero(outside))
         return clipped
 
-    def _points(self, u) -> np.ndarray:
-        """Tilts given one per row, clamped and turned one axis per row."""
-        return self._clamp(np.atleast_2d(np.asarray(u, dtype=float)).T)
-
-    def _interp(self, values, cols, comps) -> np.ndarray:
-        """``values[..., comps]`` at clamped ``cols``, a fresh (len(comps), m)."""
-        out = np.empty((len(comps), cols.shape[1]))
-        return self._kernel(values, cols, comps, out)
-
-    def grad(self, u):
-        """(vector, stderr) at one tilt, clamped multilinear interpolation."""
-        cols = self._points(u)
-        comps = range(self.d)
-        return (
-            self._interp(self.dsigma, cols, comps)[:, 0],
-            self._interp(self.dsigma_err, cols, comps)[:, 0],
-        )
-
     def grad_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized gradient lookup, shape (m, d), a fresh array per call."""
-        return self._interp(self.dsigma, self._points(pts), range(self.d)).T
+        """Gradient at the tilts ``pts``, one per row: shape (m, d), clamped
+        multilinear interpolation, a fresh array per call."""
+        cols = self._clamp(np.atleast_2d(np.asarray(pts, dtype=float)).T)
+        out = np.empty((self.d, cols.shape[1]))
+        return self._kernel(self.dsigma, cols, range(self.d), out).T
 
     def grad_component(self, cols: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
         """Component i of the gradient at the tilts ``cols`` (d, m, one axis
@@ -444,11 +427,9 @@ def _integrate_paths(axes, anchor, dsigma, dsigma_err):
         sub = (slice(None),) * (k + 1) + anchor[k + 1 :]
         g, e = dsigma[sub + (k,)], dsigma_err[sub + (k,)]
         du = np.diff(axes[k])
-        # the walk squared numpy scalars, by pow and not x * x: du always, and
-        # the errors on axis 0, where each node is a scalar
-        e2 = np.float_power(e, 2) if k == 0 else e**2
+        e2 = e**2
         inc = 0.5 * du * (g[..., 1:] + g[..., :-1])
-        inc_var = 0.25 * np.float_power(du, 2) * (e2[..., 1:] + e2[..., :-1])
+        inc_var = 0.25 * du**2 * (e2[..., 1:] + e2[..., :-1])
         runs = ((sigma_vals[sub], inc, -inc), (sigma_var[sub], inc_var, inc_var))
         for vals, up, down in runs:
             start = vals[..., a : a + 1]

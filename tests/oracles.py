@@ -262,7 +262,8 @@ def reference_integrate_paths(axes, anchor, dsigma, dsigma_err):
                 g_cur, g_prev = dsigma[cur + (k,)], dsigma[prv + (k,)]
                 e_cur, e_prev = dsigma_err[cur + (k,)], dsigma_err[prv + (k,)]
                 sigma_vals[cur] = sigma_vals[prv] + 0.5 * du * (g_cur + g_prev)
-                sigma_var[cur] = sigma_var[prv] + (0.25 * du**2 * (e_cur**2 + e_prev**2))
+                sigma_var[cur] = sigma_var[prv] + (
+                    0.25 * (du * du) * (e_cur * e_cur + e_prev * e_prev))
     return sigma_vals, sigma_var
 
 

@@ -321,6 +321,28 @@ class TestCliExitCodes:
                                    "--set", "pde.spacing=null"),
                      "config key 'pde.spacing' takes a number, got NoneType",
                      id="null-for-number"),
+        # a list's elements follow the scalar rule: ints where the default
+        # holds ints, numbers elsewhere, lists only in a polytope's normals and bbox
+        pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
+                               "--set", "hydro.scales=[8.5]", "--set", "hydro.times=[0.002]",
+                               "--set", "hydro.realizations=2"),
+                     "config key 'hydro.scales[0]' takes an int, got float",
+                     id="float-in-int-list"),
+        pytest.param("surface-table", ("--d", "1", "--N", "4", "--set", "surface.sweeps=64",
+                                       "--set", "surface.grid=[-0.5,0.5,3.7]"),
+                     "config key 'surface.grid[2]' takes an int, got float",
+                     id="float-grid-count"),
+        pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
+                               "--set", "hydro.scales=[[8]]"),
+                     "config key 'hydro.scales[0]' takes an int, got list",
+                     id="nested-list"),
+        pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
+                               "--set", "hydro.scales=[true]"),
+                     "config key 'hydro.scales[0]' takes an int, got bool",
+                     id="bool-in-int-list"),
+        pytest.param("simulate", ("--N", "8", "--d", "1", "--set", 'domain.center=["a"]'),
+                     "config key 'domain.center[0]' takes a number, got str",
+                     id="str-in-number-list"),
     ])
     def test_degenerate_counts_exit_one(self, cli_env, capsys, command, flags, message):
         # refused before any sampling, with no artifact written
@@ -501,6 +523,12 @@ class TestCliCommands:
             ("decompose-flux", "--u", "0.5", "--N", "16"),
             ("pde-solve", "--d", "1", "--set", "domain.center=[0.5]", "--set", "initial.kind=bump",
              "--set", "initial.center=[0.5]", "--set", "pde.t_end=0.05"),
+            ("certify-potential", "--pot", "cosine"),
+            ("surface-tension", "--u", "1", "--N", "16"),
+            ("convexity-probe", "--u", "1", "--v=-1"),
+            # window 1 has no interior-interior bond: V is summed over the
+            # crossing bonds of the domain's closure
+            ("dlr-check", "--u", "0.5"),
         ]
         for argv in runs:
             assert run_cli(*argv, "--out", "readme") == 0
@@ -521,6 +549,14 @@ class TestCliCommands:
                 "f81fca38f04af0231244d4fc584e35b7f408063a4b7092f4aeb1e435ce05f003",
             "pde-solve-f7773c2e6e75/pde_final.csv":
                 "7d26e167ff82588968ec68d6e922adb880adaea730180a9a977b3827d40bd45b",
+            "certify-potential-0494c92083a4/certify.csv":
+                "ec12f4e7425e8d0b2efa0dfde178fd7fbeb67d41f033537913d0cb92f99f381d",
+            "surface-tension-937412874076/surface.csv":
+                "8ad1aab2474a8b3328c71e1ea4aba0361870694694dea3f03f58ad1fc2c3d33c",
+            "convexity-probe-37225a926e3f/convexity.csv":
+                "a664c695df21b6ec96125ec2240fa859a383b2a235c9e5be9a087f13c6843272",
+            "dlr-check-cb60e741bc24/dlr.csv":
+                "dd5857732907bd86a31c2a0681e497048ce661c238d30cadeb5acff08c234e3b",
         }
         root = cli_env / "readme"
         got = {

@@ -13,7 +13,7 @@ from heightlab import (
     discretize_domain,
     make_gaussian,
 )
-from heightlab.io import save_field
+from heightlab.io import write_csv
 
 from oracles import (
     brute_force_interior,
@@ -102,27 +102,32 @@ class TestDiscretization:
     def test_bond_counts_consistent(self):
         spec = DomainSpec.ball(0.5, center=(0.0, 0.0))
         dom = discretize_domain(spec, 16)
-        n_int = len(dom.bonds_interior)
-        n_cross = len(dom.bonds_crossing)
-        n_clos = len(dom.bonds_closure)
-        assert n_clos == n_int + n_cross
-        # every crossing bond touches exactly one interior site
-        interior = set(range(dom.n_interior))
-        for h, t in dom.bonds_crossing:
-            assert (h in interior) != (t in interior)
+        # count the bonds from the neighbour table: an interior-interior
+        # bond is seen from both ends, a crossing bond from one
+        inner = dom.neighbors < dom.n_interior
+        n_int = int(inner.sum()) // 2
+        n_cross = int((~inner).sum())
+        n_in = (dom.bonds_closure < dom.n_interior).sum(axis=1)
+        assert len(dom.bonds_closure) == n_int + n_cross
+        # interior-interior bonds first, then the crossing ones, each of
+        # which touches exactly one interior site
+        assert (n_in[:n_int] == 2).all() and (n_in[n_int:] == 1).all()
 
     def test_bonds_sorted_lexicographically(self):
         spec = DomainSpec.box((1.0, 1.0), center=(0.0, 0.0))
         dom = discretize_domain(spec, 10)
-        # bonds come grouped by axis; within an axis, tails sort lex
-        tails = dom.sites[dom.bonds_interior[:, 1]]
-        heads = dom.sites[dom.bonds_interior[:, 0]]
-        axis = np.argmax(heads - tails, axis=1)
-        assert (np.diff(axis) >= 0).all()
-        for i in range(2):
-            block = tails[axis == i]
-            keys = [tuple(r) for r in block]
-            assert keys == sorted(keys)
+        n_in = (dom.bonds_closure < dom.n_interior).sum(axis=1)
+        for group in (n_in == 2, n_in == 1):
+            # bonds come grouped by axis; within an axis, tails sort lex
+            assert group.any()
+            tails = dom.sites[dom.bonds_closure[group, 1]]
+            heads = dom.sites[dom.bonds_closure[group, 0]]
+            axis = np.argmax(heads - tails, axis=1)
+            assert (np.diff(axis) >= 0).all()
+            for i in range(2):
+                block = tails[axis == i]
+                keys = [tuple(r) for r in block]
+                assert keys == sorted(keys)
 
     def test_neighbor_table(self):
         dom = discretize_domain(UNIT_BOX_1D, 12)
@@ -214,7 +219,8 @@ class TestFieldIo:
         sites = np.array([[-3, 1], [0, 0], [2, -5]])
         values = rng.normal(size=3) * 1e-7
         p = tmp_path / "field.csv"
-        save_field(p, sites, values, {"seed": 1, "config": "abc"})
+        cols = {f"x{i}": sites[:, i] for i in range(sites.shape[1])}
+        write_csv(p, cols | {"value": values}, {"seed": 1, "config": "abc"})
         sites2, values2, meta = read_field_csv(p)
         assert np.array_equal(sites, sites2)
         assert np.array_equal(values, values2)   # bit exact via repr round-trip

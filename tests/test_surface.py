@@ -188,16 +188,16 @@ class TestSurfaceTensionTable:
 
     def test_interpolation_and_clamping(self):
         tab = self.gaussian_table()
-        g, _ = tab.grad([0.5])
+        g = tab.grad_many([0.5])[0]
         assert abs(g[0] - 0.5) < 1e-12
-        g, _ = tab.grad([0.25])          # linear data, so midpoints exact too
+        g = tab.grad_many([0.25])[0]     # linear data, so midpoints exact too
         assert abs(g[0] - 0.25) < 1e-12
         assert tab.sigma[list(tab.axes[0]).index(0.0)] == 0.0
         assert tab.clamp_events == 0
-        tab.grad([2.0])
+        tab.grad_many([2.0])
         assert tab.clamp_events == 1
         many = tab.grad_many(np.array([[0.1], [-0.7], [0.3]]))
-        singles = np.array([tab.grad([x])[0] for x in (0.1, -0.7, 0.3)])
+        singles = np.array([tab.grad_many([x])[0] for x in (0.1, -0.7, 0.3)])
         assert np.allclose(many, singles, atol=1e-15)
 
     def test_monotonicity_and_lipschitz_on_gaussian(self):
@@ -365,8 +365,8 @@ class TestClampSemantics:
         assert tab.clamp_events == 2 * moved.sum()
         for row, m in zip(pts, moved):
             before = tab.clamp_events
-            tab.grad(row)
-            tab._points(row)
+            tab.grad_many(row)
+            tab.grad_many(row[None])
             assert tab.clamp_events - before == 2 * m
 
     def test_both_coordinates_out_is_one_event(self):
@@ -431,7 +431,7 @@ class TestClampSemantics:
         first = tab.grad_many(np.array([[0.1, 0.2], [0.3, -0.4]]))
         kept = first.copy()
         second = tab.grad_many(np.array([[-0.5, 0.6], [0.7, 0.8]]))
-        g, _ = tab.grad([0.9, -0.9])
+        g = tab.grad_many([0.9, -0.9])
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, g) and not np.shares_memory(second, g)
         assert np.array_equal(first, kept)
