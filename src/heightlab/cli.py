@@ -241,6 +241,8 @@ def cmd_surface_tension(cfg: RunConfig, meta, outdir, args) -> int:
 def cmd_surface_table(cfg: RunConfig, meta, outdir, args) -> int:
     pot = potential_from_spec(cfg.potential)
     sf = cfg.surface
+    if len(sf.grid) != 3:
+        raise ConfigError(f"config key 'surface.grid' takes [lo, hi, count], got {list(sf.grid)}")
     lo, hi, count = sf.grid
     axes = [np.linspace(lo, hi, int(count)) for _ in range(cfg.lattice.d)]
     table = build_table(

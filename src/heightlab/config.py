@@ -26,7 +26,6 @@ from .potential import STOCK_KINDS
 DOMAIN_SHAPES = {
     "box": {"center": (), "sides": ()},
     "ball": {"center": (), "radius": 0.45},
-    "polytope": {"center": (), "normals": (), "offsets": (), "bbox": ()},
 }
 
 # kind -> its keys and defaults; empty slope: flat, empty center: origin
@@ -132,22 +131,19 @@ class RunConfig:
 TAKES = {int: ((int,), "an int"), float: ((int, float), "a number"),
          tuple: ((list, tuple), "a list"), str: ((str,), "a string")}
 
-# the list keys whose elements are lists of numbers, as a polytope needs
-NESTED = ("domain.normals", "domain.bbox")
-
 
 def _leaf(key: str, value, default):
     """``value`` of the dotted ``key`` frozen, if the type of ``default`` takes it.
 
     Element j of a list is checked the same way, as ``key[j]``, against the
-    default's element j (its last one past the end); where the default is
-    empty, against a list of numbers for a ``NESTED`` key, else a number."""
+    default's element j (its last one past the end), or against a number
+    where the default is empty."""
     types, name = TAKES[type(default)]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config key '{key}' takes {name}, got {type(value).__name__}")
     if not isinstance(default, tuple):
         return value
-    default = default or (((),) if key in NESTED else (0.0,))
+    default = default or (0.0,)
     return tuple(_leaf(f"{key}[{j}]", v, default[min(j, len(default) - 1)])
                  for j, v in enumerate(value))
 
@@ -234,12 +230,7 @@ def build_domain(cfg: dict, d: int) -> DomainSpec:
         raise ConfigError(f"domain center has {len(center)} coords, expected {d}")
     if cfg["shape"] == "box":
         return DomainSpec.box(center=center, sides=tuple(cfg["sides"]) or (1.0,) * d)
-    if cfg["shape"] == "ball":
-        return DomainSpec.ball(center=center, radius=cfg["radius"])
-    missing = [k for k in ("normals", "offsets", "bbox") if not cfg[k]]
-    if missing:
-        raise ConfigError(f"polytope domain needs {missing}")
-    return DomainSpec(**cfg | {"center": center})
+    return DomainSpec.ball(center=center, radius=cfg["radius"])
 
 
 def build_profile(cfg: dict, d: int):

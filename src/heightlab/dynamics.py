@@ -424,32 +424,10 @@ class MacroscopicField:
     def l2_norm_sq(self) -> float | np.ndarray:
         """Squared L2(D) norm, cells weighted by their overlap with D; a
         float, or (R,) for replicas, each row's the same as the row alone's."""
-        weights = domain_cell_weights(self.spec, self.N, self.sites)
+        weights = self.spec.cell_weights(self.N, self.sites)
         # one product per row: an (R, n) matmul rounds a row differently
         rows = [row @ weights for row in np.atleast_2d(self.values**2)]
         return np.reshape(rows, self.values.shape[:-1])[()]
-
-
-def domain_cell_weights(spec, N: int, sites: np.ndarray) -> np.ndarray:
-    """Volume of cell(x) intersected with the domain, per site.
-
-    Exact for boxes; balls and polytopes use a midpoint subgrid of the
-    cell (error O(cell side / 12)).
-    """
-    sites = np.asarray(sites)
-    m, d = sites.shape
-    if spec.shape == "box":
-        lo, hi = spec.bounding_box()
-        left = np.maximum(sites / N - 0.5 / N, lo)
-        right = np.minimum(sites / N + 0.5 / N, hi)
-        return np.prod(np.clip(right - left, 0.0, None), axis=1)
-    k = 12 if d == 1 else (8 if d == 2 else 4)
-    offs = (np.arange(k) + 0.5) / k - 0.5
-    grids = np.meshgrid(*([offs] * d), indexing="ij")
-    sub = np.stack([g.ravel() for g in grids], axis=-1)  # (k^d, d)
-    pts = sites[:, None, :] / N + sub[None, :, :] / N
-    frac = spec.contains(pts.reshape(-1, d)).reshape(m, -1).mean(axis=1)
-    return frac * N ** (-d)
 
 
 def macro_height(system: DirichletSystem, t_macro: float) -> MacroscopicField:

@@ -143,7 +143,9 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
     # the step as given, checked ahead of the PDE solve
     dt = langevin_step(exp.pot, d, exp.dt)
     times = tuple(sorted(float(t) for t in exp.times))
-    if not times or times[0] <= 0:
+    if not times:
+        raise ValueError("need at least one checkpoint time")
+    if times[0] <= 0:
         raise ValueError("checkpoint times must be positive")
     max_n = max(exp.scales)
     spacing = exp.pde_spacing if exp.pde_spacing else 1.0 / (4 * max_n)

@@ -41,33 +41,28 @@ def _gauss_legendre(order: int):
 class DomainSpec:
     """Bounded continuum domain containing the origin.
 
-    Supported shapes: ``box`` (half-open axis-aligned cube product),
-    ``ball`` (closed Euclidean ball) and ``polytope`` (intersection of
-    half-spaces ``normal . theta <= offset`` with an explicit bounding
-    box).  Membership tests are exact for boxes and balls; for polytopes
-    the cell-intersection test is a per-face corner check, exact for
-    cells that meet the polytope away from its corners.
+    Supported shapes: ``box`` (half-open axis-aligned cube product, one
+    positive side per axis) and ``ball`` (closed Euclidean ball of
+    positive radius).  Membership tests are exact for both.
     """
 
     shape: str
     center: tuple[float, ...] = (0.0,)
     sides: tuple[float, ...] | None = None
     radius: float | None = None
-    normals: tuple[tuple[float, ...], ...] | None = None
-    offsets: tuple[float, ...] | None = None
-    bbox: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
-        if self.shape not in ("box", "ball", "polytope"):
+        if self.shape == "box":
+            if self.sides is None or len(self.sides) != self.d:
+                raise ValueError(f"box domain needs {self.d} sides, one per axis, "
+                                 f"got sides {self.sides}")
+            if not all(0 < s < np.inf for s in self.sides):
+                raise ValueError(f"box sides must be positive and finite, got {self.sides}")
+        elif self.shape == "ball":
+            if self.radius is None or not 0 < self.radius < np.inf:
+                raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
+        else:
             raise ValueError(f"unknown domain shape {self.shape!r}")
-        if self.shape == "box" and self.sides is None:
-            raise ValueError("box domain needs side lengths")
-        if self.shape == "ball" and self.radius is None:
-            raise ValueError("ball domain needs a radius")
-        if self.shape == "polytope" and (
-            self.normals is None or self.offsets is None or self.bbox is None
-        ):
-            raise ValueError("polytope domain needs normals, offsets and a bbox")
         origin = np.zeros((1, self.d))
         if not bool(self.contains(origin)[0]):
             raise ValueError("domain must contain the origin")
@@ -93,31 +88,26 @@ class DomainSpec:
         if self.shape == "box":
             s = np.asarray(self.sides, dtype=float)
             return c - s / 2.0, c + s / 2.0
-        if self.shape == "ball":
-            return c - self.radius, c + self.radius
-        lo, hi = self.bbox
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return c - self.radius, c + self.radius
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Membership of an (M, d) array of points, exact per shape."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c = np.asarray(self.center, dtype=float)
         if self.shape == "box":
             lo, hi = self.bounding_box()
             return np.all((pts >= lo) & (pts < hi), axis=1)
-        if self.shape == "ball":
-            return np.einsum("ij,ij->i", pts - c, pts - c) <= self.radius**2
-        a = np.asarray(self.normals, dtype=float)
-        b = np.asarray(self.offsets, dtype=float)
-        return np.all(pts @ a.T <= b, axis=1)
+        c = np.asarray(self.center, dtype=float)
+        return np.einsum("ij,ij->i", pts - c, pts - c) <= self.radius**2
 
-    def _corners(self, centers: np.ndarray, side: float) -> np.ndarray:
-        """(M, 2^d, d) corners of the cubes B(center, side)."""
-        d = self.d
-        signs = np.array(
-            np.meshgrid(*([[-0.5, 0.5]] * d), indexing="ij")
-        ).reshape(d, -1).T
-        return centers[:, None, :] + side * signs[None, :, :]
+    def strictly_contains(self, pts: np.ndarray) -> np.ndarray:
+        """Whether each of the (M, d) points lies inside the domain and
+        more than 1e-12 off its boundary."""
+        if self.shape == "box":
+            lo, hi = self.bounding_box()
+            return np.all((pts > lo + 1e-12) & (pts < hi - 1e-12), axis=1)
+        c = np.asarray(self.center, dtype=float)
+        r2 = np.einsum("ij,ij->i", pts - c, pts - c)
+        return r2 < self.radius**2 - 1e-12
 
     def cube_inside(self, centers: np.ndarray, side: float) -> np.ndarray:
         """Whether B(center, side) lies inside the domain, per center."""
@@ -127,35 +117,49 @@ class DomainSpec:
             return np.all(
                 (centers - side / 2.0 >= lo) & (centers + side / 2.0 <= hi), axis=1
             )
-        corners = self._corners(centers, side)
-        if self.shape == "ball":
-            c = np.asarray(self.center, dtype=float)
-            r2 = np.einsum("mkd,mkd->mk", corners - c, corners - c)
-            return np.all(r2 <= self.radius**2, axis=1)
-        a = np.asarray(self.normals, dtype=float)
-        b = np.asarray(self.offsets, dtype=float)
-        vals = np.einsum("mkd,fd->mkf", corners, a)
-        return np.all(vals <= b, axis=(1, 2))
+        # the ball is convex: the cube is inside when its 2^d corners are
+        d = self.d
+        signs = np.array(
+            np.meshgrid(*([[-0.5, 0.5]] * d), indexing="ij")
+        ).reshape(d, -1).T
+        corners = centers[:, None, :] + side * signs[None, :, :]
+        c = np.asarray(self.center, dtype=float)
+        r2 = np.einsum("mkd,mkd->mk", corners - c, corners - c)
+        return np.all(r2 <= self.radius**2, axis=1)
 
     def cube_intersects(self, centers: np.ndarray, side: float) -> np.ndarray:
         """Whether B(center, side) meets the domain in positive measure."""
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        lo, hi = self.bounding_box()
         if self.shape == "box":
+            lo, hi = self.bounding_box()
             return np.all(
                 (centers + side / 2.0 > lo) & (centers - side / 2.0 < hi), axis=1
             )
-        if self.shape == "ball":
-            c = np.asarray(self.center, dtype=float)
-            clamped = np.clip(c, centers - side / 2.0, centers + side / 2.0)
-            r2 = np.einsum("md,md->m", clamped - c, clamped - c)
-            return r2 < self.radius**2
-        # necessary condition only: some corner on the inner side of each face
-        a = np.asarray(self.normals, dtype=float)
-        b = np.asarray(self.offsets, dtype=float)
-        corners = self._corners(centers, side)
-        vals = np.einsum("mkd,fd->mkf", corners, a)
-        return np.all(np.min(vals, axis=1) < b, axis=1)
+        c = np.asarray(self.center, dtype=float)
+        clamped = np.clip(c, centers - side / 2.0, centers + side / 2.0)
+        r2 = np.einsum("md,md->m", clamped - c, clamped - c)
+        return r2 < self.radius**2
+
+    def cell_weights(self, N: int, sites: np.ndarray) -> np.ndarray:
+        """Volume of the cell B(x/N, 1/N) intersected with the domain, per site.
+
+        Exact for boxes; balls use a midpoint subgrid of the cell (error
+        O(cell side / 12)).
+        """
+        sites = np.asarray(sites)
+        m, d = sites.shape
+        if self.shape == "box":
+            lo, hi = self.bounding_box()
+            left = np.maximum(sites / N - 0.5 / N, lo)
+            right = np.minimum(sites / N + 0.5 / N, hi)
+            return np.prod(np.clip(right - left, 0.0, None), axis=1)
+        k = 12 if d == 1 else (8 if d == 2 else 4)
+        offs = (np.arange(k) + 0.5) / k - 0.5
+        grids = np.meshgrid(*([offs] * d), indexing="ij")
+        sub = np.stack([g.ravel() for g in grids], axis=-1)  # (k^d, d)
+        pts = sites[:, None, :] / N + sub[None, :, :] / N
+        frac = self.contains(pts.reshape(-1, d)).reshape(m, -1).mean(axis=1)
+        return frac * N ** (-d)
 
 
 # ---------------------------------------------------------------------------

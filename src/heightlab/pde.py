@@ -116,20 +116,7 @@ class PdeGrid:
         self.axes = [lo[i] + spacing * np.arange(counts[i]) for i in range(self.d)]
         self.shape = tuple(counts)
         pts = self.points()
-        self.interior = self._strictly_inside(pts).reshape(self.shape)
-
-    def _strictly_inside(self, pts: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if spec.shape == "box":
-            lo, hi = spec.bounding_box()
-            return np.all((pts > lo + 1e-12) & (pts < hi - 1e-12), axis=1)
-        if spec.shape == "ball":
-            c = np.asarray(spec.center, dtype=float)
-            r2 = np.einsum("ij,ij->i", pts - c, pts - c)
-            return r2 < spec.radius**2 - 1e-12
-        a = np.asarray(spec.normals, dtype=float)
-        b = np.asarray(spec.offsets, dtype=float)
-        return np.all(pts @ a.T < b - 1e-12, axis=1)
+        self.interior = spec.strictly_contains(pts).reshape(self.shape)
 
     def points(self) -> np.ndarray:
         mesh = np.meshgrid(*self.axes, indexing="ij")

@@ -135,6 +135,8 @@ class TestKindSections:
         ("boundary", {"amp": 0.4}, "boundary kind 'zero' takes no keys ['amp']"),
         ("potential", {"kind": "quartic"}, "unknown potential kind 'quartic'"),
         ("domain", {"shape": ["box"]}, "unknown domain shape ['box']"),
+        ("domain", {"shape": "polytope"},
+         "unknown domain shape 'polytope', expected one of ['box', 'ball']"),
         ("initial", 5, "section 'initial' must be a mapping"),
     ])
     def test_a_key_the_kind_does_not_take_is_refused(self, section, data, message):
@@ -163,24 +165,6 @@ class TestBuilders:
         assert box.shape == "box" and box.contains(np.zeros((1, 2)))[0]
         ball = build_domain(from_dict({"domain": {"shape": "ball"}}).domain, 2)
         assert ball.shape == "ball"
-        poly_cfg = from_dict(
-            {
-                "domain": {
-                    "shape": "polytope",
-                    "normals": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-                    "offsets": [0.5, 0.5, 0.5, 0.5],
-                    "bbox": [[-0.5, -0.5], [0.5, 0.5]],
-                }
-            }
-        ).domain
-        poly = build_domain(poly_cfg, 2)
-        assert poly.contains(np.zeros((1, 2)))[0]
-        with pytest.raises(ConfigError):
-            build_domain(from_dict({"domain": {"shape": "polytope"}}).domain, 2)
-        no_offsets = from_dict({"domain": {"shape": "polytope", "normals": [[1.0, 0.0]],
-                                           "bbox": [[-0.5, -0.5], [0.5, 0.5]]}}).domain
-        with pytest.raises(ConfigError, match=r"polytope domain needs \['offsets'\]"):
-            build_domain(no_offsets, 2)
         with pytest.raises(ConfigError):
             build_domain(from_dict({"domain": {"center": [0.0]}}).domain, 2)
 
@@ -294,10 +278,27 @@ class TestCliExitCodes:
                      "domain shape 'box' takes no keys ['radius']", id="box-radius"),
         pytest.param("simulate", (*SIMULATE_8, "--set", "initial.amp=0.8"),
                      "initial kind 'zero' takes no keys ['amp']", id="zero-profile-amp"),
-        pytest.param("pde-solve", ("--d", "2", "--set", "domain.shape=polytope",
-                                   "--set", "domain.normals=[[1,0],[-1,0],[0,1],[0,-1]]",
-                                   "--set", "domain.bbox=[[-0.5,-0.5],[0.5,0.5]]"),
-                     "polytope domain needs ['offsets']", id="polytope-no-offsets"),
+        pytest.param("pde-solve", ("--d", "2", "--set", "domain.shape=polytope"),
+                     "unknown domain shape 'polytope', expected one of ['box', 'ball']",
+                     id="polytope"),
+        # a box takes one positive side per axis, a ball a positive radius
+        *(pytest.param("pde-solve", ("--d", "2", "--set", f"domain.sides={sides}"),
+                       "box domain needs 2 sides, one per axis", id=f"sides-{sides}")
+          for sides in ("[1.0]", "[1.0,1.0,1.0]")),
+        pytest.param("pde-solve", ("--d", "2", "--set", "domain.sides=[1.0,-0.5]"),
+                     "box sides must be positive and finite, got (1.0, -0.5)",
+                     id="negative-side"),
+        pytest.param("simulate", ("--N", "16", "--d", "2", "--set", "domain.shape=ball",
+                                  "--set", "domain.radius=-0.45"),
+                     "ball radius must be positive and finite, got -0.45",
+                     id="negative-radius"),
+        *(pytest.param("surface-table", ("--d", "1", "--N", "4", "--set", f"surface.grid={grid}"),
+                       f"config key 'surface.grid' takes [lo, hi, count], got {got}",
+                       id=f"grid-{grid}")
+          for grid, got in (("[-0.5,0.5]", "[-0.5, 0.5]"), ("[-0.5,0.5,3,7]", "[-0.5, 0.5, 3, 7]"))),
+        pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
+                               "--set", "hydro.times=[]", "--set", "hydro.realizations=2"),
+                     "need at least one checkpoint time", id="no-checkpoint-time"),
         # keys that no run set: pde-solve never wrote the snapshots of pde.record
         pytest.param("sample-gibbs", ("--N", "4", "--set", "sampler.sweeps=64",
                                       "--set", "sampler.thin=2"),
@@ -322,7 +323,7 @@ class TestCliExitCodes:
                      "config key 'pde.spacing' takes a number, got NoneType",
                      id="null-for-number"),
         # a list's elements follow the scalar rule: ints where the default
-        # holds ints, numbers elsewhere, lists only in a polytope's normals and bbox
+        # holds ints, numbers elsewhere
         pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
                                "--set", "hydro.scales=[8.5]", "--set", "hydro.times=[0.002]",
                                "--set", "hydro.realizations=2"),

@@ -22,7 +22,7 @@ from heightlab import (
     run_dirichlet,
     step_cap,
 )
-from heightlab.dynamics import MacroscopicField, domain_cell_weights
+from heightlab.dynamics import MacroscopicField
 from heightlab.hydro import clamped_system, make_bump, profile_zero
 from heightlab.rng import seed_key, stream
 
@@ -397,7 +397,7 @@ class TestMacroscopic:
 
     def test_box_cell_weights_partition_volume(self):
         dom = discretize_domain(UNIT_BOX_1D, 16)
-        w = domain_cell_weights(UNIT_BOX_1D, 16, dom.sites)
+        w = UNIT_BOX_1D.cell_weights(16, dom.sites)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         field = MacroscopicField(16, dom.sites, np.ones(dom.n_sites), UNIT_BOX_1D)
         assert field.l2_norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -405,7 +405,7 @@ class TestMacroscopic:
     def test_ball_cell_weights_close_to_area(self):
         spec = DomainSpec.ball(0.4, center=(0.0, 0.0))
         dom = discretize_domain(spec, 12)
-        w = domain_cell_weights(spec, 12, dom.sites)
+        w = spec.cell_weights(12, dom.sites)
         assert w.sum() == pytest.approx(np.pi * 0.4**2, rel=2e-3)
 
 
@@ -529,7 +529,7 @@ class TestMatchesPlainLoop:
         trace = run_dirichlet(
             system, dt, times, collect=lambda t, s: got.append((t, s.phi.copy()))
         )
-        weights = domain_cell_weights(spec, N, dom.sites)
+        weights = spec.cell_weights(N, dom.sites)
         ref = reference_dirichlet_run(
             plain, N, weights, dt, times, collect=lambda t, phi: want.append((t, phi.copy()))
         )

@@ -31,7 +31,7 @@ from heightlab.hydro import (
     run,
 )
 from heightlab import dynamics, hydro
-from heightlab.dynamics import MacroscopicField, domain_cell_weights, step_cap
+from heightlab.dynamics import MacroscopicField, step_cap
 from heightlab.lattice import boundary_height, cell_average, discretize_domain
 from heightlab.pde import (
     GaussianFlux,
@@ -258,7 +258,7 @@ def plain_hydro_gaps(exp: HydroExperiment) -> dict:
                 for v in phi / N
             ])
 
-        weights = domain_cell_weights(exp.spec, N, dom.sites)
+        weights = exp.spec.cell_weights(N, dom.sites)
         reference_dirichlet_run(plain, N, weights, dt, times, collect=collect)
     return gaps
 

@@ -44,21 +44,31 @@ class TestDomainSpec:
         pts = np.array([[0.0, 0.0], [0.49, 0.0], [0.36, 0.36], [0.5001, 0.0]])
         assert spec.contains(pts).tolist() == [True, True, False, False]
 
-    def test_polytope_triangle(self):
-        # x >= 0, y >= 0, x + y <= 0.9 written as n.x <= b; origin inside
-        spec = DomainSpec(
-            shape="polytope",
-            center=(0.0, 0.0),
-            normals=((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)),
-            offsets=(0.2, 0.2, 0.9),
-            bbox=((-0.2, -0.2), (0.9, 0.9)),
-        )
-        pts = np.array([[0.0, 0.0], [0.5, 0.3], [0.8, 0.3], [-0.3, 0.0]])
-        assert spec.contains(pts).tolist() == [True, True, False, False]
-
     def test_domain_must_contain_origin(self):
         with pytest.raises(ValueError):
             DomainSpec.box((1.0,), center=(3.0,))
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: DomainSpec.box((1.0,), center=(0.0, 0.0)),
+                     "box domain needs 2 sides, one per axis", id="one-side-in-2d"),
+        pytest.param(lambda: DomainSpec.box((1.0,) * 3, center=(0.0, 0.0)),
+                     "box domain needs 2 sides, one per axis", id="three-sides-in-2d"),
+        pytest.param(lambda: DomainSpec.box((1.0, 0.0)), "box sides must be positive",
+                     id="zero-side"),
+        pytest.param(lambda: DomainSpec.box((1.0, -1.0)), "box sides must be positive",
+                     id="negative-side"),
+        pytest.param(lambda: DomainSpec.ball(0.0, center=(0.0,)),
+                     "ball radius must be positive", id="zero-radius"),
+        pytest.param(lambda: DomainSpec.ball(-0.45, center=(0.0, 0.0)),
+                     "ball radius must be positive", id="negative-radius"),
+        pytest.param(lambda: DomainSpec.ball(float("nan"), center=(0.0, 0.0)),
+                     "ball radius must be positive", id="nan-radius"),
+        pytest.param(lambda: DomainSpec.ball(float("inf"), center=(0.0, 0.0)),
+                     "ball radius must be positive and finite", id="inf-radius"),
+    ])
+    def test_sizes_are_checked(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestDiscretization:
