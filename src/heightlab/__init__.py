@@ -54,12 +54,9 @@ from .dynamics import (
 )
 from .gibbs import (
     DlrReport,
-    EstimatorReport,
     GibbsSampler,
     batch_means,
     dlr_check,
-    estimate_bond_variance,
-    estimate_identity2,
     integrated_autocorr_time,
     make_sampler,
     variance_sweep,

@@ -33,12 +33,7 @@ from .config import (
 )
 from .dynamics import energy_diagnostic, langevin_step, macro_height, run_dirichlet
 from .errors import ConfigError, HeightLabError, PlotSkipped
-from .gibbs import (
-    dlr_check,
-    estimate_bond_variance,
-    estimate_identity2,
-    make_sampler,
-)
+from .gibbs import bond_statistics, dlr_check, make_sampler
 from .hydro import (
     HydroExperiment,
     clamped_system,
@@ -129,13 +124,6 @@ def _load(args) -> tuple[RunConfig, dict, str]:
     return cfg, meta, outdir
 
 
-def _print_report(rep) -> None:
-    print(
-        f"{rep.name} = {rep.value:.6f} +/- {rep.stderr:.6f}"
-        f"  (ess {rep.ess:.0f}, sweeps {rep.sweeps})"
-    )
-
-
 def cmd_certify_potential(cfg: RunConfig, meta, outdir, args) -> int:
     pot = potential_from_spec(cfg.potential)
     rep = certify(pot)
@@ -175,22 +163,18 @@ def cmd_sample_gibbs(cfg: RunConfig, meta, outdir, args) -> int:
     u = tilt_vector(cfg.lattice)
     s = cfg.sampler
     sampler = make_sampler(pot, cfg.lattice.N, u, seed=cfg.seed, **_chain_options(s))
-    reports = [estimate_bond_variance(sampler, i, s.sweeps) for i in range(len(u))]
-    reports.append(estimate_identity2(sampler, s.sweeps))
+    # one chain: row 0 of every estimate
+    values, errors, ess = (x[0] for x in bond_statistics(sampler, s.sweeps))
+    names = [f"bond_variance[{i}]" for i in range(len(u))] + ["eta_vprime_identity"]
     print(
         f"sampler: step={sampler.step[0]:.4g} "
         f"acceptance={sampler.acceptance_rate:.3f}"
     )
-    for rep in reports:
-        _print_report(rep)
+    for name, value, err, n in zip(names, values, errors, ess):
+        print(f"{name} = {value:.6f} +/- {err:.6f}  (ess {n:.0f}, sweeps {s.sweeps})")
     write_csv(
         os.path.join(outdir, "gibbs.csv"),
-        {
-            "name": [r.name for r in reports],
-            "value": [r.value for r in reports],
-            "stderr": [r.stderr for r in reports],
-            "ess": [r.ess for r in reports],
-        },
+        {"name": names, "value": values, "stderr": errors, "ess": ess},
         meta | {
             "potential": pot.name, "N": cfg.lattice.N,
             "tilt": ",".join(repr(float(x)) for x in u),
@@ -406,7 +390,7 @@ def cmd_hydro(cfg: RunConfig, meta, outdir, args) -> int:
         pot=pot, spec=spec, boundary=f, initial=h0,
         scales=tuple(cfg.hydro.scales), times=tuple(cfg.hydro.times),
         realizations=cfg.hydro.realizations, seed=cfg.seed,
-        dt=cfg.dynamics.dt or None, pde_spacing=cfg.pde.spacing or None,
+        dt=cfg.dynamics.dt or None, pde_spacing=cfg.pde.spacing,
         flux=cfg.pde.flux,
     )
     table = hydro_run(exp)

@@ -3,7 +3,7 @@
 Unknown keys anywhere in the tree raise ConfigError instead of being
 silently dropped; a typo in a config file should never turn into a
 default value, and a leaf takes only values of its default's type (an
-int, a number, a list or a string).  The kind sections
+int, a finite number, a list or a string).  The kind sections
 (``KIND_SECTIONS``) are mappings of their kind and exactly that kind's
 keys, the defaults filled from one table per section; the other
 sections are dataclasses.  The short
@@ -135,12 +135,15 @@ TAKES = {int: ((int,), "an int"), float: ((int, float), "a number"),
 def _leaf(key: str, value, default):
     """``value`` of the dotted ``key`` frozen, if the type of ``default`` takes it.
 
-    Element j of a list is checked the same way, as ``key[j]``, against the
-    default's element j (its last one past the end), or against a number
-    where the default is empty."""
+    A number must be finite: NaN and infinities are refused.  Element j of
+    a list is checked the same way, as ``key[j]``, against the default's
+    element j (its last one past the end), or against a number where the
+    default is empty."""
     types, name = TAKES[type(default)]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config key '{key}' takes {name}, got {type(value).__name__}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"config key '{key}' takes a finite number, got {value}")
     if not isinstance(default, tuple):
         return value
     default = default or (0.0,)

@@ -11,8 +11,9 @@ batch of independent replicas (or chains) along a leading axis:
 * ``DirichletSystem``: heights evolve on the interior sites of a
   discretized domain while every exterior site is clamped to boundary
   data for all time.
-* ``TiltedPeriodicSystem``: zero-average representative heights on a
-  torus, chain j carrying a fixed mean tilt u_j; bond variables are
+* ``TiltedPeriodicSystem``: heights on a torus, defined up to a
+  constant (the Gibbs sampler pins phi(0) = 0, ``em_step`` moves every
+  site), chain j carrying a fixed mean tilt u_j; bond variables are
   eta_tilde + u_j and the energy sums V over the tilted bonds.
 
 Replica or chain r draws from its own stream, so it follows the same

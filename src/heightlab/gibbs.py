@@ -98,15 +98,6 @@ def integrated_autocorr_time(series) -> float:
     return float(max(taus[-1], 1.0))
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
-    name: str
-    value: float
-    stderr: float
-    ess: float
-    sweeps: int
-
-
 # ---------------------------------------------------------------------------
 # the sampler
 
@@ -411,46 +402,6 @@ def make_sampler(
 # estimators
 
 
-def _report(sampler: GibbsSampler, name: str, sweeps: int, obs) -> EstimatorReport:
-    """Batch-means report of the scalar observable ``obs``, which maps a
-    block to (k, 1), over ``sweeps`` of a one-chain sampler."""
-    n = len(sampler.system.tilt)
-    if n != 1:
-        raise ValueError(f"{name} reports one chain, but the sampler holds B = "
-                         f"{n}; use chain_means or variance_sweep for a batch")
-    stats = chain_means(sampler, sweeps, lambda et, vp: obs(et, vp)[None])
-    value, stderr, ess = (float(x[0, 0]) for x in stats)
-    return EstimatorReport(name, value, stderr, ess, sweeps)
-
-
-def _lattice_axes(sampler: GibbsSampler) -> tuple:
-    """The lattice axes of a block, which come last."""
-    return tuple(range(-sampler.system.lattice.d, 0))
-
-
-def estimate_identity2(sampler: GibbsSampler, sweeps: int = 20000) -> EstimatorReport:
-    """Estimate sum_i E[eta(e_i) V'(eta(e_i))], which equals u . grad sigma + 1
-    in the infinite-volume limit (finite-N value differs at O(N^-d))."""
-    lat = _lattice_axes(sampler)
-    u_col = sampler.system.tilt.T.reshape((len(lat), 1, -1) + (1,) * len(lat))  # row i: u_i
-
-    def obs(et, vp):
-        return sum(((et + u_col) * vp).mean(axis=lat))  # axes added in order
-
-    return _report(sampler, "eta_vprime_identity", sweeps, obs)
-
-
-def estimate_bond_variance(
-    sampler: GibbsSampler, axis: int = 0, sweeps: int = 20000
-) -> EstimatorReport:
-    """Variance of the bond variable along one axis (tilt drops out)."""
-    lat = _lattice_axes(sampler)
-    return _report(
-        sampler, f"bond_variance[{axis}]", sweeps,
-        lambda et, vp: np.square(et[axis]).mean(axis=lat),
-    )
-
-
 def chain_means(sampler: GibbsSampler, sweeps: int, obs):
     """Batch means over ``sweeps`` of the sampler's ``obs(et, vp)``, which
     maps a block to an (m, k, B) array: m quantities per record and chain;
@@ -463,6 +414,28 @@ def chain_means(sampler: GibbsSampler, sweeps: int, obs):
     for j, i in np.ndindex(series.shape[:2]):
         values[j, i], errors[j, i], ess[j, i] = batch_means(series[j, i])
     return values, errors, ess
+
+
+def _lattice_axes(sampler: GibbsSampler) -> tuple:
+    """The lattice axes of a block, which come last."""
+    return tuple(range(-sampler.system.lattice.d, 0))
+
+
+def bond_statistics(sampler: GibbsSampler, sweeps: int):
+    """Batch means over one collection of ``sweeps``: (values, stderr, ess),
+    each (B, d + 1).  Column i < d is the variance of the bond variable
+    along axis i (the tilt drops out); column d is
+    sum_i E[(eta_i + u_i) V'(eta_i + u_i)], read from the kept V', which
+    equals u . grad sigma + 1 in the infinite-volume limit (the finite-N
+    value differs at O(N^-d))."""
+    lat = _lattice_axes(sampler)
+    u_col = sampler.system.tilt.T.reshape((len(lat), 1, -1) + (1,) * len(lat))  # row i: u_i
+
+    def obs(et, vp):
+        identity = sum(((et + u_col) * vp).mean(axis=lat))  # axes added in order
+        return np.concatenate([np.square(et).mean(axis=lat), identity[None]])
+
+    return chain_means(sampler, sweeps, obs)
 
 
 @dataclass

@@ -148,7 +148,7 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
     if times[0] <= 0:
         raise ValueError("checkpoint times must be positive")
     max_n = max(exp.scales)
-    spacing = exp.pde_spacing if exp.pde_spacing else 1.0 / (4 * max_n)
+    spacing = 1.0 / (4 * max_n) if exp.pde_spacing is None else exp.pde_spacing
     flux = resolve_flux(exp.flux, exp.pot)
 
     grid = PdeGrid(exp.spec, spacing)

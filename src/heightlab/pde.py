@@ -62,13 +62,18 @@ class GaussianFlux:
 class TableFlux:
     """Flux interpolated from a surface-tension table.
 
-    Refuses tables whose monotonicity probe is not strictly positive;
+    Refuses tables with fewer than two nodes on an axis, which give no
+    monotonicity probe, and tables whose probe is not strictly positive;
     a degenerate flux would make the limiting equation ill-posed.  Clamp
     events beyond ``CLAMP_TOL`` of all queries raise
     ``FluxRangeExceeded`` at the end of a solve.
     """
 
     def __init__(self, table):
+        if min(table.sigma.shape) < 2:
+            raise ValueError(
+                f"flux table needs at least two nodes on every axis, got {table.sigma.shape}"
+            )
         lo, hi = table.monotonicity_bounds()
         self.monotone_lower = float(lo)
         self.lipschitz_upper = float(max(hi, table.lipschitz_upper()))
@@ -100,6 +105,8 @@ class PdeGrid:
     """
 
     def __init__(self, spec: DomainSpec, spacing: float):
+        if not (np.isfinite(spacing) and spacing > 0):
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
         lo, hi = spec.bounding_box()
         counts = []
         for a, b in zip(lo, hi):

@@ -30,6 +30,7 @@ from heightlab.config import (
     to_dict,
 )
 from heightlab.errors import ConfigError
+from heightlab.gibbs import GibbsSampler
 from heightlab.io import read_csv, write_csv
 from heightlab.potential import make_split_bump, potential_from_spec
 
@@ -269,9 +270,37 @@ class TestCliExitCodes:
                      id="dlr-negative-burn"),
         pytest.param("surface-table", ("--N", "4", "--workers", "-1"),
                      "workers must be >= 0", id="table-negative-workers"),
+        pytest.param("simulate", (*SIMULATE_8, "--set", "dynamics.dt=-0.01"),
+                     "dt must be positive and finite, got -0.01", id="simulate-dt--0.01"),
+        # a number leaf or list element is finite: NaN and Infinity are
+        # refused with the key, not run to a nan clock or a traceback
         *(pytest.param("simulate", (*SIMULATE_8, "--set", f"dynamics.dt={dt}"),
-                       f"dt must be positive and finite, got {value}", id=f"simulate-dt-{dt}")
-          for dt, value in (("-0.01", "-0.01"), ("NaN", "nan"), ("Infinity", "inf"))),
+                       f"config key 'dynamics.dt' takes a finite number, got {value}",
+                       id=f"simulate-dt-{dt}")
+          for dt, value in (("NaN", "nan"), ("Infinity", "inf"))),
+        *(pytest.param("simulate", ("--N", "8", "--d", "1", "--set", "domain.center=[0.5]",
+                                    "--set", f"dynamics.t_end={t}"),
+                       f"config key 'dynamics.t_end' takes a finite number, got {value}",
+                       id=f"simulate-t-end-{t}")
+          for t, value in (("NaN", "nan"), ("Infinity", "inf"))),
+        *(pytest.param("pde-solve", ("--d", "1", "--set", "domain.center=[0.5]",
+                                     "--set", f"pde.t_end={t}"),
+                       f"config key 'pde.t_end' takes a finite number, got {value}",
+                       id=f"pde-t-end-{t}")
+          for t, value in (("NaN", "nan"), ("Infinity", "inf"))),
+        pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
+                               "--set", "hydro.times=[NaN]", "--set", "hydro.realizations=2"),
+                     "config key 'hydro.times[0]' takes a finite number, got nan",
+                     id="nan-checkpoint-time"),
+        # the PDE spacing is refused, not rounded to an infinite node count
+        # nor, in hydro, replaced by 1 / (4 max N)
+        pytest.param("pde-solve", ("--d", "1", "--set", "domain.center=[0.5]",
+                                   "--set", "pde.spacing=0"),
+                     "spacing must be positive and finite, got 0", id="pde-zero-spacing"),
+        pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
+                               "--set", "pde.spacing=0", "--set", "hydro.scales=[8]",
+                               "--set", "hydro.times=[0.002]", "--set", "hydro.realizations=2"),
+                     "spacing must be positive and finite, got 0", id="hydro-zero-spacing"),
         pytest.param("certify-potential", ("--set", "potential.a=3"),
                      "potential kind 'gaussian' takes no keys ['a']", id="gaussian-a"),
         pytest.param("pde-solve", ("--set", "domain.radius=0.3"),
@@ -445,6 +474,23 @@ class TestCliCommands:
         assert "config" in tab.meta
         capsys.readouterr()
 
+    def test_one_node_table_refused_as_a_flux(self, cli_env, capsys):
+        # surface-table writes a one-node table; hydro refuses it as a flux,
+        # naming the node count, before its monotonicity probe reduces an
+        # empty difference
+        code = run_cli("surface-table", "--d", "1", "--N", "4", "--out", "table",
+                       "--set", "surface.sweeps=64", "--set", "surface.grid=[0,0,1]")
+        assert code == 0
+        csv = next((cli_env / "table").iterdir()) / "surface_table.csv"
+        code = run_cli("hydro", "--d", "1", "--set", "domain.center=[0.5]",
+                       "--set", f"pde.flux={csv}", "--set", "hydro.scales=[8]",
+                       "--set", "hydro.times=[0.002]", "--set", "hydro.realizations=2",
+                       "--out", "root")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "flux table needs at least two nodes on every axis, got (1,)" in err
+        assert not (cli_env / "root").exists()
+
     def test_convexity_probe_gaussian(self, cli_env, capsys):
         code = run_cli(
             "convexity-probe", "--u", "1", "--v=-1", "--N", "8", "--out", "root",
@@ -511,6 +557,27 @@ class TestCliCommands:
         assert float(read_csv(a)[1]["tilt"]) == 0.5
         capsys.readouterr()
 
+    @pytest.mark.parametrize("u, names", [
+        ("0.5", ["bond_variance[0]", "eta_vprime_identity"]),
+        ("0.5,0", ["bond_variance[0]", "bond_variance[1]", "eta_vprime_identity"]),
+    ], ids=["d1", "d2"])
+    def test_sample_gibbs_collects_once(self, cli_env, capsys, monkeypatch, u, names):
+        # every row is read from one collection of sampler.sweeps sweeps
+        calls = []
+        inner = GibbsSampler.collect
+        monkeypatch.setattr(
+            GibbsSampler, "collect",
+            lambda self, sweeps, obs: (calls.append(sweeps), inner(self, sweeps, obs))[1],
+        )
+        code = run_cli("sample-gibbs", "--u", u, "--N", "4", "--set", "sampler.sweeps=64",
+                       "--set", "sampler.burn_in=10", "--out", "root")
+        assert code == 0
+        assert calls == [64]
+        cols, _ = read_csv(next((cli_env / "root").iterdir()) / "gibbs.csv")
+        assert list(cols["name"]) == names
+        out = capsys.readouterr().out
+        assert all(f"{name} = " in out and "(ess " in out for name in names)
+
     def test_readme_run_artifacts_are_pinned(self, cli_env, capsys):
         # sha256 of the README runs' artifacts: a refactor that changes no
         # output leaves every byte of them as it was
@@ -534,8 +601,10 @@ class TestCliCommands:
         for argv in runs:
             assert run_cli(*argv, "--out", "readme") == 0
         want = {
+            # every row from one collection: the identity row reads the
+            # sweeps of bond_variance[0], so on the Gaussian it is that row + u^2
             "sample-gibbs-8df82b2c79ee/gibbs.csv":
-                "7b008d284fe8ca1f224afe4ca7784e753b5928171d17917dbf4cae6789100550",
+                "e9bda852b1e98c9239cc187bb7a768b182d94d2f1a1cb379df0ef99d758b8d0f",
             "surface-table-067cc2011ae9/surface_table.csv":
                 "2369490ae8f91609e865b2c9f3de3c10b25418009d5db64364dbb1633c7ee499",
             "hydro-b938ab276fa0/convergence.csv":
@@ -565,6 +634,8 @@ class TestCliCommands:
             for p in root.rglob("*") if p.suffix in (".csv", ".dat")
         }
         assert got == want
+        cols, _ = read_csv(root / "sample-gibbs-8df82b2c79ee/gibbs.csv")
+        assert cols["value"][1] == pytest.approx(cols["value"][0] + 0.5**2, abs=1e-12)
 
         def data_rows(name):
             lines = (root / name).read_bytes().splitlines(keepends=True)

@@ -8,8 +8,6 @@ from heightlab import (
     UnmixedChains,
     batch_means,
     dlr_check,
-    estimate_bond_variance,
-    estimate_identity2,
     integrated_autocorr_time,
     make_cosine_perturbed,
     make_gaussian,
@@ -18,6 +16,7 @@ from heightlab import (
     variance_sweep,
 )
 from heightlab import gibbs
+from heightlab.gibbs import bond_statistics
 from heightlab.dynamics import TiltedPeriodicSystem
 from heightlab.lattice import TorusLattice
 from heightlab.rng import seed_key, stream
@@ -94,10 +93,11 @@ class TestMalaGaussian:
     def test_bond_variance_matches_fourier_sum(self):
         # exact invariance: no step-size bias to hide behind
         s = make_sampler(make_gaussian(), 8, (0.0, 0.0), seed=3)
-        rep = estimate_bond_variance(s, axis=0, sweeps=8000)
-        want = gaussian_bond_variance(8, 2, 0)
-        assert abs(rep.value - want) < 4 * rep.stderr
-        assert rep.stderr < 0.01
+        values, errors, _ = bond_statistics(s, 8000)
+        for i in range(2):
+            want = gaussian_bond_variance(8, 2, i)
+            assert abs(values[0, i] - want) < 4 * errors[0, i]
+            assert errors[0, i] < 0.01
 
     def test_vprime_mean_is_exact_for_quadratic(self):
         # grad sigma is the mean of V'; V' is linear, and the periodic part
@@ -108,12 +108,12 @@ class TestMalaGaussian:
 
     def test_identity2_at_zero_tilt(self):
         s = make_sampler(make_gaussian(), 8, (0.0, 0.0), seed=5)
-        rep = estimate_identity2(s, sweeps=8000)
+        values, errors, _ = bond_statistics(s, 8000)
         want = 1.0 - 8.0**-2   # == sum_i Var[eta(e_i)], Fourier value
         assert want == pytest.approx(
             sum(gaussian_bond_variance(8, 2, i) for i in range(2)), abs=1e-12
         )
-        assert abs(rep.value - want) < 4 * rep.stderr
+        assert abs(values[0, 2] - want) < 4 * errors[0, 2]
 
     def test_translation_invariance(self):
         s = make_sampler(make_gaussian(), 6, (0.0, 0.0), seed=6)
@@ -137,8 +137,8 @@ class TestCosineChain:
         # integration by parts gives u.grad sigma + 1 - N^-d for any V
         pot = make_cosine_perturbed(0.5, 1.0)
         s = make_sampler(pot, 8, (0.0, 0.0), seed=9)
-        rep = estimate_identity2(s, sweeps=8000)
-        assert abs(rep.value - (1.0 - 8.0**-2)) < 4 * rep.stderr
+        values, errors, _ = bond_statistics(s, 8000)
+        assert abs(values[0, 2] - (1.0 - 8.0**-2)) < 4 * errors[0, 2]
 
     def test_odd_moments_vanish(self):
         pot = make_cosine_perturbed(0.8, 1.0)
@@ -149,13 +149,9 @@ class TestCosineChain:
 
     def test_error_shrinks_with_sweeps(self):
         pot = make_cosine_perturbed(0.5, 1.0)
-        a = estimate_bond_variance(
-            make_sampler(pot, 8, (0.0,), seed=11), axis=0, sweeps=1500
-        )
-        b = estimate_bond_variance(
-            make_sampler(pot, 8, (0.0,), seed=11), axis=0, sweeps=12000
-        )
-        assert b.stderr < a.stderr
+        _, a, _ = bond_statistics(make_sampler(pot, 8, (0.0,), seed=11), 1500)
+        _, b, _ = bond_statistics(make_sampler(pot, 8, (0.0,), seed=11), 12000)
+        assert b[0, 0] < a[0, 0]
 
 
 class TestVarianceSweep:
@@ -172,8 +168,8 @@ class TestVarianceSweep:
         tilts = [(0.0,), (0.5,), (1.0,), (2.0,)]
         vs = variance_sweep(pot, 6, tilts, sweeps=192, seed=4)
         for j, u in enumerate(tilts):
-            rep = estimate_bond_variance(make_sampler(pot, 6, u, seed=(4, j)), 0, 192)
-            assert (vs.values[j, 0], vs.stderr[j, 0]) == (rep.value, rep.stderr)
+            values, errors, _ = bond_statistics(make_sampler(pot, 6, u, seed=(4, j)), 192)
+            assert (vs.values[j, 0], vs.stderr[j, 0]) == (values[0, 0], errors[0, 0])
 
     def test_scale_uniformity_at_zero_tilt(self):
         pot = make_cosine_perturbed(0.5, 1.0)
@@ -439,15 +435,16 @@ class TestMatchesPlainLoop:
         _block_of(monkeypatch, k, 2 * len(tilt) * N ** len(tilt) * 8)
         self.test_states_counts_and_series(pot, N, tilt, kw)
 
-    @pytest.mark.parametrize("estimate", [
-        pytest.param(lambda s: estimate_bond_variance(s, 0, 64), id="bond-variance"),
-        pytest.param(lambda s: estimate_identity2(s, 64), id="identity2"),
-    ])
-    def test_one_chain_reports_refuse_a_batch(self, estimate):
-        s = make_sampler(COSINE, 4, [(0.5, 0.0), (0.0, 0.5)], seed=[0, 1], step=0.05,
-                         burn_in=0)
-        with pytest.raises(ValueError, match="B = 2; use chain_means or variance_sweep"):
-            estimate(s)
+    def test_bond_statistics_of_a_batch_are_each_chain_alone(self):
+        # every row of every chain, the identity row with its tilt included
+        tilts, seeds = [(0.5, 0.0), (0.0, 0.5)], [0, 1]
+        kw = {"step": 0.05, "burn_in": 0}
+        batch = bond_statistics(make_sampler(COSINE, 4, tilts, seed=seeds, **kw), 64)
+        assert batch[0].shape == (2, 3)
+        for j in range(2):
+            alone = bond_statistics(make_sampler(COSINE, 4, tilts[j], seed=seeds[j], **kw), 64)
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[j], want[0])
 
     def test_sampler_needs_a_chain_axis(self):
         # the system refuses a (d,) tilt, so every sampler has a chain axis
@@ -733,7 +730,7 @@ class TestOnePassPerProposal:
         calls, elements = {"v": 0, "vp": 0}, {"v": 0, "vp": 0}
         s = make_sampler(_counting(COSINE, calls, elements), 4, (0.5, 0.0), step=0.05,
                          burn_in=0, seed=0)
-        estimate_identity2(s, 64)
+        bond_statistics(s, 64)
         assert calls == {"v": 65, "vp": 65}  # the first pass and one per sweep
         assert elements == {"v": 65 * 2 * 16, "vp": 65 * 2 * 16}
 

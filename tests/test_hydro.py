@@ -232,7 +232,7 @@ class TestRun:
 def plain_hydro_gaps(exp: HydroExperiment) -> dict:
     """Per-seed gaps of ``exp`` from the plain step loop and per-field l2_compare."""
     times = tuple(sorted(exp.times))
-    spacing = exp.pde_spacing or 1.0 / (4 * max(exp.scales))
+    spacing = 1.0 / (4 * max(exp.scales)) if exp.pde_spacing is None else exp.pde_spacing
     reference = solve(
         PdeGrid(exp.spec, spacing), exp.initial, resolve_flux(exp.flux, exp.pot),
         t_end=times[-1], boundary=exp.boundary, record=times,

@@ -66,6 +66,11 @@ class TestPdeGrid:
         with pytest.raises(ValueError):
             PdeGrid(unit_box(), 1.0)   # a single cell cannot hold an interior
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.25, np.nan, np.inf])
+    def test_rejects_a_spacing_that_is_not_positive_and_finite(self, spacing):
+        with pytest.raises(ValueError, match=f"spacing must be positive and finite, got {spacing}"):
+            PdeGrid(unit_box(), spacing)
+
     def test_two_dim_interior_count(self):
         g = PdeGrid(unit_box(2), 0.25)
         assert g.shape == (5, 5)
@@ -363,6 +368,15 @@ class TestTableFlux:
             np.zeros(3),
         )
         with pytest.raises(ValueError):
+            TableFlux(tab)
+
+    def test_one_node_axis_rejected(self):
+        # a (1, 3) table: no neighbour quotient along axis 0
+        axes = [np.array([0.0]), np.array([-1.0, 0.0, 1.0])]
+        u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        tab = SurfaceTensionTable(axes, u, np.zeros_like(u), 0.5 * (u**2).sum(axis=-1),
+                                  np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"at least two nodes on every axis, got \(1, 3\)"):
             TableFlux(tab)
 
     def test_tabulated_solution_matches_exact_flux(self):
