@@ -155,6 +155,10 @@ def cmd_certify_potential(cfg: RunConfig, meta, outdir, args) -> int:
 def _chain_options(s) -> dict:
     """Sampler keyword arguments from the ``sampler`` config section:
     ``step`` 0 means auto-tuned and ``burn_in`` -1 adaptive."""
+    if s.burn_in < -1:
+        raise ConfigError(
+            f"config key 'sampler.burn_in' takes -1 (adaptive) or a sweep count, got {s.burn_in}"
+        )
     return {"step": s.step or None, "burn_in": None if s.burn_in < 0 else s.burn_in}
 
 
@@ -362,6 +366,8 @@ def cmd_pde_solve(cfg: RunConfig, meta, outdir, args) -> int:
     grid = PdeGrid(spec, cfg.pde.spacing)
     h0 = build_profile(cfg.initial, d)
     f = build_profile(cfg.boundary, d)
+    if not cfg.pde.t_end > 0:
+        raise ConfigError(f"config key 'pde.t_end' must be positive, got {cfg.pde.t_end}")
     flux = resolve_flux(cfg.pde.flux, potential_from_spec(cfg.potential))
     sol = solve(grid, h0, flux, t_end=cfg.pde.t_end, boundary=f)
     print(

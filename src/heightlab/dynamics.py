@@ -269,9 +269,13 @@ class DirichletSystem:
 
     ``boundary`` holds one value per domain site; only the non-interior
     entries act as the constraint, are copied into ``phi`` once and must
-    be finite (else ``NonFinite``).  ``phi`` has shape (replicas,
-    n_sites), one replica by default; replica r draws from its own stream
-    (seed, r), through a ``NoiseBlock`` of (n_interior,) normals per step.
+    be finite (else ``NonFinite``).  ``replicas`` is a count R, meaning
+    replicas 0, ..., R - 1 (one by default), or a range of their indices,
+    such as ``range(lo, hi)`` for one chunk of a larger batch; ``phi``
+    has one row per replica, (len, n_sites).  Replica r draws from its
+    own stream (seed, r), through a ``NoiseBlock`` of (n_interior,)
+    normals per step, so a chunk's rows are the batch's rows lo..hi - 1,
+    bit for bit.
     """
 
     def __init__(
@@ -281,7 +285,7 @@ class DirichletSystem:
         boundary: np.ndarray,
         phi0: np.ndarray | None = None,
         seed: int = 0,
-        replicas: int = 1,
+        replicas: int | range = 1,
     ):
         boundary = np.asarray(boundary, dtype=float)
         if boundary.shape != (domain.n_sites,):
@@ -297,10 +301,12 @@ class DirichletSystem:
         phi0 = np.asarray(phi0, dtype=float)
         if phi0.shape[-1] != domain.n_sites:
             raise ValueError("phi must cover every domain site")
-        self.phi = np.broadcast_to(phi0, (replicas, domain.n_sites)).copy()
+        if not isinstance(replicas, range):
+            replicas = range(replicas)
+        self.phi = np.broadcast_to(phi0, (len(replicas), domain.n_sites)).copy()
         self.phi[:, domain.n_interior :] = boundary[domain.n_interior :]
         self.t = 0.0
-        self.rngs = [stream(*seed_key(seed), r) for r in range(replicas)]
+        self.rngs = [stream(*seed_key(seed), r) for r in replicas]
         self._noise = NoiseBlock(self.rngs, (domain.n_interior,))
         self._nbrs_t = np.ascontiguousarray(domain.neighbors.T)  # (2d, n_int)
 

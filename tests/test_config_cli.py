@@ -288,6 +288,17 @@ class TestCliExitCodes:
                        f"config key 'pde.t_end' takes a finite number, got {value}",
                        id=f"pde-t-end-{t}")
           for t, value in (("NaN", "nan"), ("Infinity", "inf"))),
+        # a PDE run ends at a positive time, not at an empty recording window
+        *(pytest.param("pde-solve", ("--d", "1", "--set", "domain.center=[0.5]",
+                                     "--set", f"pde.t_end={t}"),
+                       f"config key 'pde.t_end' must be positive, got {t}",
+                       id=f"pde-t-end-{t}")
+          for t in ("-1", "0", "-0.5")),
+        # -1 is adaptive burn-in; no other negative count stands for it
+        pytest.param("sample-gibbs", ("--N", "4", "--set", "sampler.sweeps=64",
+                                      "--set", "sampler.burn_in=-5"),
+                     "config key 'sampler.burn_in' takes -1 (adaptive) or a sweep count, got -5",
+                     id="gibbs-burn-in--5"),
         pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
                                "--set", "hydro.times=[NaN]", "--set", "hydro.realizations=2"),
                      "config key 'hydro.times[0]' takes a finite number, got nan",

@@ -284,6 +284,18 @@ class TestEulerStep:
         assert np.array_equal(batch.phi[0], serial.phi[0])
         assert not np.array_equal(batch.phi[1], batch.phi[2])
 
+    def test_a_range_of_replicas_matches_those_rows_of_the_batch(self):
+        # hydro.run's workers each make the system of one chunk of replicas
+        dom = discretize_domain(UNIT_BOX_1D, 10)
+        psi = np.zeros(dom.n_sites)
+        batch = DirichletSystem(dom, make_gaussian(), psi, seed=5, replicas=5)
+        chunk = DirichletSystem(dom, make_gaussian(), psi, seed=5, replicas=range(2, 4))
+        for _ in range(20):
+            em_step(batch, 0.02)
+            em_step(chunk, 0.02)
+        assert chunk.phi.shape == (2, dom.n_sites)
+        assert np.array_equal(chunk.phi, batch.phi[2:4])
+
     @pytest.mark.parametrize("N", [8, 16, 32])
     def test_replica_zero_energy_trace_matches_lone_run(self, N):
         # the norms and the Dirichlet integral reduce each row alone, so a

@@ -7,18 +7,21 @@ replicated dynamics and the report files.
 
 import builtins
 import importlib.util
+import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import heightlab
 from heightlab import (
-    DomainSpec, PlotSkipped, PotentialMismatch, StepTooLarge, make_cosine_perturbed,
-    make_gaussian, make_split_bump,
+    DomainSpec, FluxRangeExceeded, NonFinite, PlotSkipped, PotentialMismatch, StepTooLarge,
+    make_cosine_perturbed, make_gaussian, make_split_bump,
 )
 from heightlab.hydro import (
     ConvergenceTable,
@@ -316,6 +319,8 @@ class TestRunSkipsEnergyBookkeeping:
 
         monkeypatch.setattr(dynamics.DirichletSystem, "dirichlet_sum", counting_sum)
         monkeypatch.setattr(dynamics, "em_step", counting_step)
+        # the counts live in this process, so the replicas must step here
+        monkeypatch.setattr(hydro, "_workers", lambda realizations: 1)
         exp = small_experiment(times=(0.004, 0.011, 0.02))
         run(exp)
         dt = 0.9 * step_cap(exp.pot, exp.spec.d)
@@ -323,6 +328,120 @@ class TestRunSkipsEnergyBookkeeping:
             n for N in exp.scales for _, n, _ in dynamics.checkpoint_steps(exp.times, N, dt)
         )
         assert calls == {"dirichlet_sum": 0, "em_step": want}
+
+
+def closed_form_gaussian_table(half_width: float = 8.0, nodes: int = 33):
+    """The Gaussian's surface tension sigma = |u|^2 / 2 on a d = 2 grid."""
+    ax = np.linspace(-half_width, half_width, nodes)
+    u = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    zeros = np.zeros_like(u)
+    return SurfaceTensionTable(
+        [ax, ax], u, zeros, 0.5 * (u**2).sum(axis=-1), zeros[..., 0],
+        {"potential": "gaussian"},
+    )
+
+
+def table_study_2d(table: SurfaceTensionTable) -> HydroExperiment:
+    return small_experiment(
+        spec=DomainSpec(shape="box", center=(0.5, 0.5), sides=(1.0, 1.0)),
+        initial=make_bump(amp=0.8, radius=0.3, center=(0.5, 0.5)),
+        scales=(8,), realizations=5, times=(0.005, 0.01), pde_spacing=1 / 16,
+        flux=TableFlux(table),
+    )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """hydro.run splits the replicas over forked workers, bit for bit."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Force the worker count with ``forks.workers``; ``forks.made``
+        counts the children forked."""
+        state = SimpleNamespace(workers=1, made=0)
+        fork = hydro._fork
+
+        def counting_fork(*args):
+            state.made += 1
+            return fork(*args)
+
+        monkeypatch.setattr(hydro, "_workers", lambda realizations: state.workers)
+        monkeypatch.setattr(hydro, "_fork", counting_fork)
+        return state
+
+    def test_one_worker_per_usable_cpu_and_one_beside_other_threads(self):
+        assert hydro._workers(10**6) == len(os.sched_getaffinity(0))
+        assert hydro._workers(1) == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert hydro._workers(10**6) == 1
+        finally:
+            stop.set()
+            thread.join()
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: small_experiment(realizations=7, times=(0.004, 0.011, 0.02)),
+         lambda: table_study_2d(closed_form_gaussian_table())],
+        ids=["d1-gaussian", "d2-table"],
+    )
+    def test_rows_and_per_seed_gaps_equal_at_any_worker_count(self, make, forks):
+        tables = {}
+        for workers in (1, 2, 3):
+            forks.workers, forks.made = workers, 0
+            tables[workers] = run(make())
+            assert forks.made == (workers if workers > 1 else 0)
+            assert_no_child_left()
+        serial = tables[1]
+        for table in (tables[2], tables[3]):
+            assert table.rows == serial.rows
+            per_seed = table.meta["per_seed"]
+            assert sorted(per_seed) == sorted(serial.meta["per_seed"])
+            for key, gaps in serial.meta["per_seed"].items():
+                assert np.array_equal(per_seed[key], gaps), key
+
+    def test_a_workers_non_finite_state_surfaces_as_non_finite(self, forks, monkeypatch):
+        parent, em_step = os.getpid(), dynamics.em_step
+
+        def step(system, dt):
+            if os.getpid() != parent:
+                raise NonFinite("height field left float range in a worker")
+            em_step(system, dt)
+
+        monkeypatch.setattr(dynamics, "em_step", step)
+        forks.workers = 2
+        with pytest.raises(NonFinite, match="in a worker"):
+            run(small_experiment())
+        assert forks.made == 2
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_without_a_result_raises(self, forks, monkeypatch):
+        parent, profiles = os.getpid(), hydro._profiles
+
+        def die(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return profiles(*args)
+
+        monkeypatch.setattr(hydro, "_profiles", die)
+        forks.workers = 2
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            run(small_experiment())
+        assert_no_child_left()
+
+    def test_no_child_left_when_the_parents_solve_fails(self, forks):
+        # the flux leaves the table while the workers run
+        forks.workers = 2
+        with pytest.raises(FluxRangeExceeded):
+            run(table_study_2d(closed_form_gaussian_table(half_width=0.25, nodes=3)))
+        assert forks.made == 2
+        assert_no_child_left()
 
 
 def gaussian_study(d: int, scales, **kw) -> HydroExperiment:
