@@ -9,8 +9,9 @@ effect: ``surface-tension`` estimates sigma at one tilt, and
 ``surface-table`` tabulates grad sigma over the ``surface.grid`` tilts.
 Artifacts land in ``<output
 root>/<command>-<config hash>/`` and each CSV header carries the hash
-and master seed, so a rerun of the same config in serial mode
-reproduces the bytes exactly.
+and master seed, so a rerun of the same config reproduces the bytes
+exactly, at any worker count: only the ``# config=`` line of
+``surface-table``, whose hash covers ``workers``, follows the count.
 """
 
 from __future__ import annotations
@@ -249,6 +250,10 @@ def cmd_convexity_probe(cfg: RunConfig, meta, outdir, args) -> int:
     u = tilt_vector(cfg.lattice)
     if args.v:
         v = np.array(_floats(args.v))
+        if v.shape != u.shape or not np.isfinite(v).all():
+            raise ConfigError(
+                f"--v takes one finite number per axis of the tilt (d = {len(u)}), got {args.v!r}"
+            )
     else:
         v = np.zeros_like(u)
     s, sf = cfg.sampler, cfg.surface
@@ -495,7 +500,7 @@ FLAGS = {
     "--d": ("lattice.d", {"type": int, "help": "dimension"}),
     "--seed": ("seed", {"type": int, "help": "master seed"}),
     "--workers": (
-        "workers", {"type": int, "help": "process pool size, 0 = serial"}),
+        "workers", {"type": int, "help": "forked worker processes, 0 = none"}),
 }
 
 

@@ -9,27 +9,22 @@ of one system, so their profiles form one ``MacroscopicField`` and
 solution per realization.  Their mean should shrink as N grows; the
 convergence table records exactly that.
 
-``run`` splits the replicas into contiguous chunks, one per CPU this
-process may run on, and advances each chunk through every scale in a
-forked child that pipes its profiles back; meanwhile the calling process
+``run`` advances the replicas in contiguous chunks, one per usable CPU,
+each in a forked child (``_forks.fork_map``), while the calling process
 solves the PDE.  Replica r of scale N draws from stream (seed, N, r) in
 any chunk, so the joined profiles, and every gap, are the same bits at
-any worker count.  With one usable CPU, on a platform without
-``os.fork`` or ``os.sched_getaffinity``, or while other threads run, the
-one chunk runs in the calling process.
+any worker count.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._forks import cpus, fork_map
 from .dynamics import DirichletSystem, MacroscopicField, advance, langevin_step, macro_height
 from .errors import PlotSkipped, PotentialMismatch
 from .io import write_csv
@@ -144,18 +139,6 @@ def clamped_system(spec, N, pot, boundary, initial, seed, replicas=1):
     return DirichletSystem(dom, pot, psi, phi0=phi0, seed=seed, replicas=replicas)
 
 
-def _workers(realizations: int) -> int:
-    """How many processes advance the replicas: one per CPU this process
-    may run on, at most one per replica.  One, the caller itself, where
-    ``os.fork`` is missing, where the platform does not tell the usable
-    CPUs (no ``os.sched_getaffinity``, as on macOS), or where forking is
-    unsafe because other threads run."""
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    if not forks or threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), realizations)
-
-
 def _profiles(exp: HydroExperiment, dt: float, times, replicas: range) -> dict:
     """The profiles of ``replicas`` at every scale and checkpoint time,
     {(N, t): MacroscopicField}, one row per replica: one worker's job."""
@@ -174,70 +157,6 @@ def _profiles(exp: HydroExperiment, dt: float, times, replicas: range) -> dict:
     return fields
 
 
-def _fork(exp: HydroExperiment, dt: float, times, replicas: range) -> tuple[int, int]:
-    """Fork a child that runs ``_profiles`` on ``replicas`` and writes the
-    pickled outcome, (True, profiles) or (False, exception), to a pipe;
-    returns the child's pid and the pipe's read end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, r
-    # the child leaves through os._exit whatever happens: it never returns
-    # into the caller's code, runs its exit handlers or flushes its buffers
-    status = 1
-    try:
-        os.close(r)
-        try:
-            outcome = (True, _profiles(exp, dt, times, replicas))
-        except Exception as exc:
-            outcome = (False, exc)
-        with open(w, "wb") as pipe:
-            pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _collect(workers: dict, pid: int) -> dict:
-    """The profiles that worker ``pid`` of ``workers`` ({pid: read end})
-    wrote, once it has exited; its exception, raised here, if it failed.
-    The bytes are trusted only after a clean exit: a child that fails to
-    pickle its outcome exits 1, perhaps after a partial write."""
-    fd = workers[pid]
-    data = bytearray()
-    while block := os.read(fd, 1 << 20):
-        data += block
-    del workers[pid]
-    os.close(fd)
-    _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"replica worker {pid} exited with status {code}")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
-
-
-def _stop(workers: dict) -> None:
-    """Kill and reap the workers not collected, and close their pipes."""
-    if not workers:
-        return
-    import signal
-
-    for pid, fd in workers.items():
-        os.close(fd)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    workers.clear()
-
-
 def _join(parts: list) -> dict:
     """The chunks' profiles as one field per (N, t), replicas in chunk order."""
     return {
@@ -251,9 +170,9 @@ def _join(parts: list) -> dict:
 def run(exp: HydroExperiment) -> ConvergenceTable:
     """Run the scaling study and collect the convergence table.
 
-    The replicas run in ``_workers`` contiguous chunks: with more than
-    one, each in a forked child while this process solves the PDE; with
-    one, here after the solve.  The table is the same bits either way.
+    The replicas run in one contiguous chunk per usable CPU: with more
+    than one, each in a forked child while this process solves the PDE;
+    with one, here after the solve.  The table is the same bits either way.
     """
     if not exp.scales:
         raise ValueError("need at least one lattice scale")
@@ -274,24 +193,12 @@ def run(exp: HydroExperiment) -> ConvergenceTable:
     flux = resolve_flux(exp.flux, exp.pot)
     grid = PdeGrid(exp.spec, spacing)
 
-    n_chunks = _workers(exp.realizations)
-    bounds = [exp.realizations * k // n_chunks for k in range(n_chunks + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    workers: dict = {}  # pid -> read end of its pipe, until collected
-    try:
-        if n_chunks > 1:
-            for chunk in chunks:
-                pid, fd = _fork(exp, dt, times, chunk)
-                workers[pid] = fd
-        reference = solve(
+    reference, parts = fork_map(
+        lambda chunk: _profiles(exp, dt, times, chunk), exp.realizations, cpus(),
+        lambda: solve(
             grid, exp.initial, flux, t_end=times[-1], boundary=exp.boundary, record=times
-        )
-        if workers:
-            parts = [_collect(workers, pid) for pid in list(workers)]
-        else:
-            parts = [_profiles(exp, dt, times, chunks[0])]
-    finally:
-        _stop(workers)
+        ),
+    )
     fields = _join(parts)
 
     table = ConvergenceTable(

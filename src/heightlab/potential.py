@@ -231,7 +231,7 @@ STOCK_KINDS = {
 
 
 def potential_from_spec(spec: dict) -> Potential:
-    """Rebuild a stock potential from a plain dict (config files, workers).
+    """Rebuild a stock potential from a plain dict, as config files give it.
 
     ``spec["kind"]`` names an entry of ``STOCK_KINDS``; parameters it
     leaves out take that entry's defaults.

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._forks import fork_map
 from ._interp import Multilinear, Workspace
 from .gibbs import chain_means, make_sampler
 from .io import read_csv, write_csv
+# unused here, but bench/layers.py reads and patches surface.potential_from_spec
 from .potential import potential_from_spec
 from .rng import seed_key
 
@@ -407,15 +409,6 @@ class SurfaceTensionTable:
         return cls(axes, dsig, dsig_err, sigma_vals, sigma_err, meta)
 
 
-def _table_batch(args):
-    """One batch of table chains; a potential given by its spec is rebuilt
-    first, as in a worker process."""
-    pot, *rest = args
-    if isinstance(pot, dict):
-        pot = potential_from_spec(pot)
-    return _grad_sigma_chains(pot, *rest)
-
-
 def _integrate_paths(axes, anchor, dsigma, dsigma_err):
     """(sigma, variance) by the trapezoid rule from 0 at ``anchor``: along axis
     0, then along axis 1 from every node filled so far, and so on.  Each run is
@@ -452,11 +445,10 @@ def build_table(
     """Tabulate grad sigma on a tensor grid and integrate for sigma.
 
     Each node runs its own chain, streamed by its flat index.  The chains
-    run as one batch, or with ``workers > 1`` as one batch per worker
-    process; a chain's numbers do not depend on its batch, so both give
-    the same bits.  Workers rebuild the potential from ``pot.spec``, so a
-    potential without one runs serially only.  The grid must contain the
-    origin, which anchors sigma = 0.
+    run as one batch, or with ``workers > 1`` as one batch per forked
+    worker process (at most one per node); a chain's numbers do not depend
+    on its batch, so both give the same bits, for any potential.  The grid
+    must contain the origin, which anchors sigma = 0.
     """
     axes = _increasing_axes(axes)
     d = len(axes)
@@ -474,21 +466,10 @@ def build_table(
     seeds = [tuple(seed_key(seed)) + (j,) for j in range(len(tilts))]
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if pot.spec is None and workers > 1:
-        raise ValueError(f"potential {pot.name!r} has no spec to rebuild in workers")
-    parts = np.array_split(np.arange(len(tilts)), max(1, min(workers, len(tilts))))
-    jobs = [
-        (pot.spec or pot, N, tilts[part], [seeds[j] for j in part], sweeps, step, burn_in)
-        for part in parts
-    ]
-    if len(jobs) > 1:
-        # imported here: multiprocessing costs every serial run memory and time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(_table_batch, jobs))
-    else:
-        results = [_table_batch(jobs[0])]
+    _, results = fork_map(
+        lambda c: _grad_sigma_chains(pot, N, tilts[c], [seeds[j] for j in c], sweeps, step, burn_in),
+        len(tilts), workers,
+    )
     dsigma = np.concatenate([g for g, _ in results]).reshape(grid_shape + (d,))
     dsigma_err = np.concatenate([e for _, e in results]).reshape(grid_shape + (d,))
 

@@ -7,6 +7,7 @@ with its own oracle.
 
 import csv
 import itertools
+import os
 
 import numpy as np
 from scipy.integrate import simpson
@@ -683,3 +684,12 @@ def read_field_csv(path):
     sites = np.array([[int(r[j]) for j in coords] for r in body])
     values = np.array([float(r[header.index("value")]) for r in body])
     return sites, values, meta
+
+
+def assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process outlived the call that forked it")

@@ -339,6 +339,14 @@ class TestCliExitCodes:
         pytest.param("hydro", ("--d", "1", "--set", "domain.center=[0.5]",
                                "--set", "hydro.times=[]", "--set", "hydro.realizations=2"),
                      "need at least one checkpoint time", id="no-checkpoint-time"),
+        # the probe's second tilt has the first one's axes, each finite,
+        # not a broadcast of a d = 1 chain against a d = 2 one
+        *(pytest.param("convexity-probe", ("--N", "4", "--u", u, f"--v={v}",
+                                           "--set", "surface.sweeps=64"),
+                       f"--v takes one finite number per axis of the tilt (d = {d}), got {v!r}",
+                       id=f"probe-v-{v}")
+          for u, d, v in (("1", 1, "1,2"), ("1,0", 2, "1"), ("1", 1, "nan"),
+                          ("1", 1, "inf"))),
         # keys that no run set: pde-solve never wrote the snapshots of pde.record
         pytest.param("sample-gibbs", ("--N", "4", "--set", "sampler.sweeps=64",
                                       "--set", "sampler.thin=2"),

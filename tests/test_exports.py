@@ -48,8 +48,8 @@ def test_every_export_is_used_by_the_program():
 
 
 def test_import_loads_neither_hashlib_nor_multiprocessing():
-    # a fresh interpreter: they load only where a config is hashed or a
-    # table is built by a process pool, not with the package
+    # a fresh interpreter: hashlib loads only where a config is hashed,
+    # not with the package, and tables fork their workers without a pool
     code = (
         f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import heightlab; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "

@@ -33,7 +33,7 @@ from heightlab.hydro import (
     resolve_flux,
     run,
 )
-from heightlab import dynamics, hydro
+from heightlab import _forks, dynamics, hydro
 from heightlab.dynamics import MacroscopicField, step_cap
 from heightlab.lattice import boundary_height, cell_average, discretize_domain
 from heightlab.pde import (
@@ -50,6 +50,7 @@ from heightlab.surface import SurfaceTensionTable, build_table
 
 from oracles import (
     PlainDirichlet,
+    assert_no_child_left,
     expected_gap,
     gaussian_dirichlet_moments,
     reference_dirichlet_run,
@@ -320,7 +321,7 @@ class TestRunSkipsEnergyBookkeeping:
         monkeypatch.setattr(dynamics.DirichletSystem, "dirichlet_sum", counting_sum)
         monkeypatch.setattr(dynamics, "em_step", counting_step)
         # the counts live in this process, so the replicas must step here
-        monkeypatch.setattr(hydro, "_workers", lambda realizations: 1)
+        monkeypatch.setattr(hydro, "cpus", lambda: 1)
         exp = small_experiment(times=(0.004, 0.011, 0.02))
         run(exp)
         dt = 0.9 * step_cap(exp.pot, exp.spec.d)
@@ -350,40 +351,40 @@ def table_study_2d(table: SurfaceTensionTable) -> HydroExperiment:
     )
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestWorkers:
     """hydro.run splits the replicas over forked workers, bit for bit."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Force the worker count with ``forks.workers``; ``forks.made``
-        counts the children forked."""
-        state = SimpleNamespace(workers=1, made=0)
-        fork = hydro._fork
+        """Force the worker count with ``forks.workers`` (at first the
+        usable CPUs); ``forks.made`` counts the children forked."""
+        state = SimpleNamespace(workers=_forks.cpus(), made=0)
+        fork = _forks._fork
 
         def counting_fork(*args):
             state.made += 1
             return fork(*args)
 
-        monkeypatch.setattr(hydro, "_workers", lambda realizations: state.workers)
-        monkeypatch.setattr(hydro, "_fork", counting_fork)
+        monkeypatch.setattr(hydro, "cpus", lambda: state.workers)
+        monkeypatch.setattr(_forks, "_fork", counting_fork)
         return state
 
-    def test_one_worker_per_usable_cpu_and_one_beside_other_threads(self):
-        assert hydro._workers(10**6) == len(os.sched_getaffinity(0))
-        assert hydro._workers(1) == 1
+    def test_one_worker_per_usable_cpu_and_one_beside_other_threads(self, forks):
+        assert forks.workers == len(os.sched_getaffinity(0))
+        exp = small_experiment()
+        run(exp)
+        workers = min(forks.workers, exp.realizations)
+        assert forks.made == (workers if workers > 1 else 0)
+        forks.workers, forks.made = 2, 0
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert hydro._workers(10**6) == 1
+            run(exp)
         finally:
             stop.set()
             thread.join()
+        assert forks.made == 0
 
     @pytest.mark.parametrize(
         "make",

@@ -7,6 +7,7 @@ statistical paths with fixed seeds so every assertion is reproducible.
 """
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,14 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import reference_integrate_paths
+from oracles import assert_no_child_left, reference_integrate_paths
 
 from heightlab import (
+    NonFinite,
     make_cosine_perturbed,
     make_gaussian,
     make_split_bump,
     split_potential,
 )
+from heightlab import surface
 from heightlab.io import write_csv
 from heightlab.potential import bump_callables
 from heightlab.surface import (
@@ -267,10 +270,10 @@ class TestSurfaceTensionTable:
         with pytest.raises(ValueError, match="finite"):
             SurfaceTensionTable.from_csv(path)
 
-        def no_sampling(args):
+        def no_sampling(*args):
             raise AssertionError("build_table sampled before checking its axes")
 
-        monkeypatch.setattr("heightlab.surface._table_batch", no_sampling)
+        monkeypatch.setattr("heightlab.surface._grad_sigma_chains", no_sampling)
         with pytest.raises(ValueError, match="finite"):
             build_table(make_gaussian(), 8, [np.array(axis)], sweeps=50)
 
@@ -286,31 +289,45 @@ class TestSurfaceTensionTable:
         assert np.array_equal(serial.dsigma, forked.dsigma)
         assert np.array_equal(serial.sigma, forked.sigma)
         assert np.array_equal(serial.dsigma_err, forked.dsigma_err)
+        assert_no_child_left()
 
     def test_uneven_worker_batches_match_one_batch(self):
-        # six nodes over four workers: batches of 2, 2, 1 and 1 chains
+        # six nodes over four workers: batches of 1, 2, 1 and 2 chains
         pot = make_split_bump()
         axes = [np.array([-0.5, 0.0, 0.5]), np.array([-0.3, 0.0])]
         serial = build_table(pot, 4, axes, sweeps=160, seed=8, burn_in=50)
         forked = build_table(pot, 4, axes, sweeps=160, seed=8, burn_in=50, workers=4)
         for name in ("dsigma", "dsigma_err", "sigma", "sigma_err"):
             assert np.array_equal(getattr(serial, name), getattr(forked, name))
+        assert_no_child_left()
 
-    def test_potential_without_spec_runs_serially(self):
-        # the same callables as the stock split_bump, so the same bits
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_potential_without_spec_runs_serially(self, workers):
+        # the same callables as the stock split_bump, so the same bits; a
+        # forked worker inherits the potential, spec or none
         mine = split_potential(*bump_callables(1, 0.5), M=2, name="mine")
         assert mine.spec is None
         axes = [np.array([-0.5, 0.0, 0.5])]
-        got = build_table(mine, 4, axes, sweeps=64, seed=2, burn_in=20, workers=0)
+        got = build_table(mine, 4, axes, sweeps=64, seed=2, burn_in=20, workers=workers)
         want = build_table(make_split_bump(1, 0.5, 2), 4, axes, sweeps=64, seed=2,
                            burn_in=20)
         assert np.array_equal(got.dsigma, want.dsigma)
+        assert np.array_equal(got.sigma, want.sigma)
         assert got.meta["potential"] == "mine"
 
-    def test_potential_without_spec_rejects_workers(self):
-        mine = split_potential(*bump_callables(1, 0.5), M=2, name="mine")
-        with pytest.raises(ValueError, match="'mine' has no spec"):
-            build_table(mine, 4, [np.array([-0.5, 0.0, 0.5])], sweeps=64, workers=2)
+    def test_a_workers_error_surfaces_and_leaves_no_child(self, monkeypatch):
+        parent, chains = os.getpid(), surface._grad_sigma_chains
+
+        def fail_in_a_worker(*args):
+            if os.getpid() != parent:
+                raise NonFinite("chain left float range in a worker")
+            return chains(*args)
+
+        monkeypatch.setattr(surface, "_grad_sigma_chains", fail_in_a_worker)
+        with pytest.raises(NonFinite, match="in a worker"):
+            build_table(make_gaussian(), 4, [np.array([-0.5, 0.0, 0.5])], sweeps=64,
+                        workers=2)
+        assert_no_child_left()
 
 
 class TestIntegratePaths:
